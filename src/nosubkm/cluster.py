@@ -24,16 +24,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point, sq_dist
+from .geometry import Point, check_point, nearest_sq, sq_dist
 from .kcenter import KCenterSketch
 
 _U64 = (1 << 64) - 1
+# Philox4x64 round multipliers and key increments (Salmon et al., SC 2011).
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
 
 
 def step_uniform(seed: int, t: int) -> float:
-    """The uniform [0,1) draw for arrival t under this seed."""
-    key = (seed & _U64) | (t << 64)
-    return float(np.random.Generator(np.random.Philox(key=key)).random())
+    """The uniform [0,1) draw for arrival t under this seed.
+
+    Philox4x64-10 evaluated directly on counter (1, 0, 0, 0) with key
+    (seed mod 2^64, t); the first output word, shifted right by 11, times
+    2^-53. This is the double numpy's
+    `Generator(Philox(key=(seed & (2**64 - 1)) | t << 64)).random()` returns.
+    """
+    k0, k1 = seed & _U64, t
+    c0, c1, c2, c3 = 1, 0, 0, 0
+    for _ in range(10):
+        p0 = _PHILOX_M0 * c0
+        p1 = _PHILOX_M1 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _U64, (p0 >> 64) ^ c3 ^ k1, p0 & _U64
+        k0 = (k0 + _PHILOX_W0) & _U64
+        k1 = (k1 + _PHILOX_W1) & _U64
+    return (c0 >> 11) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -112,6 +130,12 @@ class OnlineClusterer:
         return list(self.selected_points)
 
     def process(self, x: Point) -> Decision:
+        """Decide on arrival x.
+
+        Raises ValueError, leaving every field unchanged, when x has a
+        non-finite coordinate or a dimension unlike the earlier arrivals.
+        """
+        check_point(x)
         if self._dim is None:
             self._dim = len(x)
         elif len(x) != self._dim:
@@ -193,8 +217,8 @@ class OnlineClusterer:
         count = len(self.selected_points)
         if count <= 16:
             return min(sq_dist(x, s) for s in self.selected_points)
-        diffs = self._selected_buf[:count] - np.asarray(x)
-        return float((diffs * diffs).sum(axis=1).min())
+        _, d2 = nearest_sq(np.asarray(x)[None, :], self._selected_buf[:count])
+        return float(d2[0])
 
     def _take(self, x: Point) -> None:
         self.selected_points.append(x)

@@ -2,7 +2,8 @@
 
 A point is a plain tuple of floats; a point set is any sequence of points
 of equal dimension. Everything here is a pure function, so values can be
-shared freely across threads or processes.
+shared freely across threads or processes. `nearest_sq` is the one numpy
+nearest-center kernel for point sets too large for the pure-Python loops.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 Point = tuple[float, ...]
 
 # Default cap for exhaustive partition search in l_fold_diameter. Partition
@@ -19,15 +22,24 @@ Point = tuple[float, ...]
 # certified greedy upper bound.
 EXACT_PARTITION_LIMIT = 12
 
+# Largest temporary nearest_sq allocates, in float64 elements (8 MiB): the
+# row-by-center-by-dimension difference block of one chunk of rows.
+NEAREST_SQ_BUDGET = 1 << 20
+
 
 def as_point(coords: Sequence[float]) -> Point:
     """Build a validated point: nonempty, all coordinates finite."""
     pt = tuple(float(c) for c in coords)
+    check_point(pt)
+    return pt
+
+
+def check_point(pt: Point) -> None:
+    """Raise ValueError unless pt is nonempty with all coordinates finite."""
     if not pt:
         raise ValueError("a point needs at least one coordinate")
-    if not all(math.isfinite(c) for c in pt):
+    if not all(map(math.isfinite, pt)):
         raise ValueError(f"point has non-finite coordinates: {pt}")
-    return pt
 
 
 def dist(a: Point, b: Point) -> float:
@@ -49,6 +61,32 @@ def min_sq_dist(x: Point, centers: Sequence[Point]) -> float:
     if not centers:
         raise ValueError("centers must be nonempty")
     return min(sq_dist(x, c) for c in centers)
+
+
+def nearest_sq(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of, and squared distance to, the nearest row of C for each row of X.
+
+    Ties go to the lowest index. Rows of X are taken in chunks so that no
+    temporary holds more than NEAREST_SQ_BUDGET elements, except that a
+    chunk is never less than one row. Each squared distance is the sum over
+    the last axis of the squared coordinate differences, so equal inputs
+    give equal bits at any chunk size.
+    """
+    n, d = X.shape
+    if len(C) == 0:
+        raise ValueError("centers must be nonempty")
+    rows = max(1, NEAREST_SQ_BUDGET // (len(C) * d))
+    if rows >= n:
+        return _nearest_sq_chunk(X, C)
+    parts = [_nearest_sq_chunk(X[s : s + rows], C) for s in range(0, n, rows)]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _nearest_sq_chunk(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    diff = X[:, None, :] - C
+    np.square(diff, out=diff)
+    sq = diff.sum(axis=2)
+    return sq.argmin(axis=1), sq.min(axis=1)
 
 
 def kmeans_cost(points: Sequence[Point], centers: Sequence[Point]) -> float:

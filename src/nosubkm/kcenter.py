@@ -7,7 +7,8 @@ centers within twice the radius of each other are folded together and the
 radius doubles until at most k centers remain.
 
 The sketch is deterministic: the same input prefix always yields the same
-centers, counts, and radius.
+centers, counts, and radius. The minimum center gap is cached and only
+recomputed after the center set changes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import Point, dist
+from .geometry import Point, check_point, dist
 
 
 @dataclass
@@ -53,6 +54,7 @@ class KCenterSketch:
         self.radius = min(gaps) if gaps else 0.0
         self.degenerate = not gaps
         self.t = k
+        self._gap: float | None = None  # min_center_gap() cache, None when stale
 
     def __len__(self) -> int:
         return len(self.centers)
@@ -61,34 +63,42 @@ class KCenterSketch:
         """Nearest center and its distance; ties go to the earliest birth."""
         if not self.centers:
             raise ValueError("sketch has no centers")
-        best = self.centers[0]
-        best_d = dist(best.center, x)
-        for c in self.centers[1:]:
-            d = dist(c.center, x)
+        centers = iter(self.centers)
+        best = next(centers)
+        if len(x) != len(best.center):
+            raise ValueError(f"dimension mismatch: {len(best.center)} vs {len(x)}")
+        best_d = math.dist(best.center, x)
+        for c in centers:
+            d = math.dist(c.center, x)
             if d < best_d:
                 best, best_d = c, d
         return best, best_d
 
     def min_center_gap(self) -> float:
         """Minimum pairwise distance among centers; +inf with fewer than 2."""
-        if len(self.centers) < 2:
-            return math.inf
-        return min(
-            dist(a.center, b.center)
-            for a, b in itertools.combinations(self.centers, 2)
-        )
+        if self._gap is None:
+            self._gap = min(
+                (dist(a.center, b.center) for a, b in itertools.combinations(self.centers, 2)),
+                default=math.inf,
+            )
+        return self._gap
 
     def insert(self, x: Point) -> None:
-        self.t += 1
-        if self.degenerate:
-            _, d = self.nearest_center(x)
-            if d > 0.0:
-                self.radius = d
-                self.degenerate = False
+        """Absorb x into its nearest center, or add it as a center and fold.
+
+        Raises ValueError, leaving the sketch unchanged, when x has a
+        non-finite coordinate or the wrong dimension.
+        """
+        check_point(x)
         nearest, d = self.nearest_center(x)
+        self.t += 1
+        if self.degenerate and d > 0.0:
+            self.radius = d
+            self.degenerate = False
         if d <= 2.0 * self.radius:
             nearest.count += 1
             return
+        self._gap = None
         self.centers.append(AugmentedCenter(center=x, count=1, birth=self.t))
         while len(self.centers) > self.k:
             self._merge_pass()

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, centroid, kmeans_cost
+from .geometry import Point, centroid, kmeans_cost, nearest_sq
 
 # Largest instance the exact solver accepts, by k. Chosen so the pruned
 # assignment enumeration stays in the ~1e8 range (seconds, not minutes).
@@ -150,13 +150,13 @@ def lloyd_kmeans(
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         centers = _seed_centers(X, k, rng)
-        labels = _assign(X, centers)
+        labels, _ = nearest_sq(X, centers)
         for _ in range(200):
             for j in range(k):
                 members = X[labels == j]
                 if len(members):
                     centers[j] = members.mean(axis=0)
-            new_labels = _assign(X, centers)
+            new_labels, _ = nearest_sq(X, centers)
             if np.array_equal(new_labels, labels):
                 break
             labels = new_labels
@@ -182,11 +182,6 @@ def _seed_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
         centers[j] = X[idx]
         d2 = np.minimum(d2, ((X - centers[j]) ** 2).sum(axis=1))
     return centers
-
-
-def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
 
 
 def is_good_point(cluster: Sequence[Point], g: Point) -> bool:

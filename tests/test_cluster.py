@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nosubkm.cluster import ClusterConfig, OnlineClusterer, step_uniform
 
@@ -170,7 +172,23 @@ class TestTypeOneOnlyMode:
         assert full == only
 
 
+def numpy_philox_draw(seed, t):
+    """Reference draw: numpy's Philox generator keyed by (seed mod 2^64, t)."""
+    key = (seed & (2**64 - 1)) | (t << 64)
+    return float(np.random.Generator(np.random.Philox(key=key)).random())
+
+
 class TestStepUniform:
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, 2**64 + 5])
+    @pytest.mark.parametrize("t", [1, 2, 1000, 2**32 + 1, 2**63])
+    def test_equals_numpy_philox(self, seed, t):
+        assert step_uniform(seed, t) == numpy_philox_draw(seed, t)
+
+    @settings(max_examples=300)
+    @given(seed=st.integers(-(2**70), 2**70), t=st.integers(0, 2**64 - 1))
+    def test_equals_numpy_philox_sweep(self, seed, t):
+        assert step_uniform(seed, t) == numpy_philox_draw(seed, t)
+
     def test_reproducible_and_spread(self):
         draws = [step_uniform(123, t) for t in range(1, 1000)]
         assert draws == [step_uniform(123, t) for t in range(1, 1000)]
@@ -180,3 +198,60 @@ class TestStepUniform:
     def test_seed_sensitivity(self):
         assert step_uniform(1, 5) != step_uniform(2, 5)
         assert step_uniform(1, 5) != step_uniform(1, 6)
+
+
+def state_snapshot(clusterer):
+    sketch = clusterer.sketch
+    return (
+        clusterer.t,
+        clusterer.threshold,
+        clusterer.selections_since_reset,
+        list(clusterer.selected_points),
+        list(clusterer.selected_indices),
+        clusterer._dim,
+        (clusterer.counters.raises, clusterer.counters.doublings),
+        None
+        if sketch is None
+        else (
+            sketch.t,
+            sketch.radius,
+            sketch.degenerate,
+            sketch._gap,
+            [(c.center, c.count, c.birth) for c in sketch.centers],
+        ),
+    )
+
+
+class TestRejectsInvalidArrival:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        stream=st.lists(st.floats(-100, 100), min_size=1, max_size=40),
+        where=st.data(),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        axis=st.integers(0, 1),
+    )
+    def test_non_finite_leaves_state_unchanged(self, k, stream, where, bad, axis):
+        pts = [(v, v / 3.0) for v in stream]
+        j = where.draw(st.integers(0, len(pts)), label="reject before arrival")
+        invalid = list(pts[0] if pts else (0.0, 0.0))
+        invalid[axis] = bad
+        clean, expected = run_stream(pts, k=k, seed=4)
+
+        clusterer = OnlineClusterer(ClusterConfig(k=k, seed=4))
+        decisions = [clusterer.process(x) for x in pts[:j]]
+        before = state_snapshot(clusterer)
+        with pytest.raises(ValueError):
+            clusterer.process(tuple(invalid))
+        assert state_snapshot(clusterer) == before
+        # the rejected arrival is not counted: the rest of the run matches
+        decisions += [clusterer.process(x) for x in pts[j:]]
+        assert decisions == expected
+        assert state_snapshot(clusterer) == state_snapshot(clean)
+
+    def test_dimension_mismatch_leaves_state_unchanged(self):
+        clusterer, _ = run_stream([(0.0, 0.0), (5.0, 1.0), (9.0, 9.0)], k=2, seed=0)
+        before = state_snapshot(clusterer)
+        with pytest.raises(ValueError):
+            clusterer.process((1.0,))
+        assert state_snapshot(clusterer) == before

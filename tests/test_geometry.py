@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nosubkm import geometry
 from nosubkm.geometry import (
     as_point,
     center_shift_residual,
@@ -14,6 +16,8 @@ from nosubkm.geometry import (
     dist,
     kmeans_cost,
     l_fold_diameter,
+    min_sq_dist,
+    nearest_sq,
 )
 
 coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -177,3 +181,66 @@ class TestAsPoint:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             as_point(())
+
+
+def broadcast_nearest_sq(X, C):
+    """Unchunked reference: the full row-by-center difference block."""
+    sq = ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
+    return sq.argmin(axis=1), sq.min(axis=1)
+
+
+# Small integer coordinates make exact ties between centers common.
+grid_coord = st.integers(-3, 3).map(float)
+
+
+class TestNearestSq:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.tuples(*[grid_coord] * d), min_size=1, max_size=12),
+                st.lists(st.tuples(*[grid_coord] * d), min_size=1, max_size=12),
+            )
+        )
+    )
+    def test_matches_min_sq_dist_and_lowest_index_ties(self, case):
+        pts, centers = case
+        labels, d2 = nearest_sq(np.asarray(pts), np.asarray(centers))
+        for x, label, value in zip(pts, labels, d2):
+            assert value == min_sq_dist(x, centers)
+            ties = [j for j, c in enumerate(centers) if sum((a - b) ** 2 for a, b in zip(x, c)) == value]
+            assert label == ties[0]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 9, 17])
+    @pytest.mark.parametrize("budget", [1, 50, 1 << 20])
+    def test_bits_independent_of_chunking(self, monkeypatch, d, budget):
+        monkeypatch.setattr(geometry, "NEAREST_SQ_BUDGET", budget)
+        rng = np.random.default_rng(d)
+        X = rng.normal(size=(300, d)) * 10.0 ** rng.integers(-3, 4, size=(300, 1))
+        C = np.vstack([X[:5], rng.normal(size=(20, d))])
+        labels, d2 = nearest_sq(X, C)
+        ref_labels, ref_d2 = broadcast_nearest_sq(X, C)
+        assert np.array_equal(labels, ref_labels)
+        assert d2.tobytes() == ref_d2.tobytes()
+
+    def test_temporaries_within_budget(self, monkeypatch):
+        budget = 1 << 16
+        monkeypatch.setattr(geometry, "NEAREST_SQ_BUDGET", budget)
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(20_000, 3))
+        C = rng.normal(size=(40, 3))
+        # Unchunked, the difference block alone would be 2.4M elements (19 MB).
+        tracemalloc.start()
+        try:
+            labels, d2 = nearest_sq(X, C)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = labels.nbytes + d2.nbytes
+        # Per-chunk outputs plus their concatenation, one difference block of
+        # at most `budget` elements, its row sums, and object overhead.
+        assert peak <= 2 * outputs + budget * 8 * (1 + 1 / 3) + (64 << 10)
+
+    def test_empty_centers(self):
+        with pytest.raises(ValueError):
+            nearest_sq(np.zeros((3, 2)), np.zeros((0, 2)))

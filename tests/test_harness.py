@@ -7,6 +7,7 @@ from nosubkm.geometry import centroid, kmeans_cost
 from nosubkm.harness import (
     ParseError,
     TrialSpec,
+    _bulk_kmeans_cost,
     gen_dataset,
     load_points,
     run_experiment,
@@ -167,6 +168,22 @@ class TestRunTrial:
         report, _ = run_trial(spec)
         assert report.n == 8
         assert report.lower_estimate == 8
+
+
+class TestBulkKMeansCost:
+    def test_bits_match_4096_row_slice_reference(self):
+        # Magnitudes spread over seven decades, so that summing the minima in
+        # another order changes the last bits (it does for this seed).
+        rng = np.random.default_rng(1)
+        pts = [tuple(r) for r in rng.normal(size=(9000, 2)) * 10.0 ** rng.integers(-3, 4, size=(9000, 1))]
+        centers = pts[::45]
+        X, C = np.asarray(pts), np.asarray(centers)
+        expected = 0.0
+        for start in range(0, len(X), 4096):
+            chunk = X[start : start + 4096]
+            expected += float(((chunk[:, None, :] - C[None, :, :]) ** 2).sum(axis=2).min(axis=1).sum())
+        assert _bulk_kmeans_cost(pts, centers) == expected
+        assert _bulk_kmeans_cost(pts, centers) == pytest.approx(kmeans_cost(pts, centers), rel=1e-9)
 
 
 class TestRunExperiment:

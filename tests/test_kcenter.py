@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nosubkm.geometry import dist
 from nosubkm.kcenter import KCenterSketch
@@ -146,6 +148,86 @@ class TestQueries:
         sketch = KCenterSketch([(0.0,), (10.0,)], 2)
         center, d = sketch.nearest_center((10.0,))
         assert center.center == (10.0,) and d == 0.0
+
+
+def gap_from_scratch(sketch):
+    return min(
+        (dist(a.center, b.center) for a, b in itertools.combinations(sketch.centers, 2)),
+        default=math.inf,
+    )
+
+
+def sketch_state(sketch):
+    return (
+        sketch.t,
+        sketch.radius,
+        sketch.degenerate,
+        sketch._gap,
+        [(c.center, c.count, c.birth) for c in sketch.centers],
+    )
+
+
+# A few repeated values give exact duplicates; a wide range forces merges.
+stream_value = st.one_of(st.sampled_from([0.0, 1.0, 3.0]), st.floats(-1e4, 1e4))
+
+
+class TestGapCache:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        dim=st.integers(1, 2),
+        values=st.lists(stream_value, min_size=12, max_size=80),
+    )
+    def test_matches_recomputation_after_every_insert(self, k, dim, values):
+        pts = [tuple(values[i : i + dim]) for i in range(0, len(values) - dim + 1, dim)]
+        sketch = KCenterSketch(pts[:k], k)
+        assert sketch.min_center_gap() == gap_from_scratch(sketch)
+        for x in pts[k:]:
+            sketch.insert(x)
+            assert sketch.min_center_gap() == gap_from_scratch(sketch)
+
+    def test_streams_exercise_merges_and_duplicates(self):
+        rng = np.random.default_rng(46)
+        merges = duplicates = 0
+        for trial in range(20):
+            k = int(rng.integers(2, 5))
+            pool = rng.uniform(0, 10 ** rng.integers(1, 4), size=(15, 2))
+            pts = [tuple(pool[i]) for i in rng.integers(0, 15, size=100)]
+            sketch = KCenterSketch(pts[:k], k)
+            for x in pts[k:]:
+                radius, centers = sketch.radius, [c.center for c in sketch.centers]
+                sketch.insert(x)
+                merges += sketch.radius != radius
+                duplicates += x in centers
+                assert sketch.min_center_gap() == gap_from_scratch(sketch)
+        assert merges > 10 and duplicates > 100
+
+
+class TestRejectsInvalidInsert:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(stream_value, min_size=3, max_size=30),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        fill_cache=st.booleans(),
+    )
+    def test_non_finite_leaves_sketch_unchanged(self, values, bad, fill_cache):
+        pts = [(v,) for v in values]
+        sketch = KCenterSketch(pts[:2], 2)
+        for x in pts[2:]:
+            sketch.insert(x)
+        if fill_cache:
+            sketch.min_center_gap()
+        before = sketch_state(sketch)
+        with pytest.raises(ValueError):
+            sketch.insert((bad,))
+        assert sketch_state(sketch) == before
+
+    def test_dimension_mismatch_leaves_sketch_unchanged(self):
+        sketch = KCenterSketch([(0.0,), (10.0,)], 2)
+        before = sketch_state(sketch)
+        with pytest.raises(ValueError):
+            sketch.insert((1.0, 2.0))
+        assert sketch_state(sketch) == before
 
 
 class TestInvariants:
