@@ -85,9 +85,12 @@ class ClusterConfig:
         return self.bootstrap if self.bootstrap is not None else self.k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
-    """Record of one arrival: which rule ran, with what probability."""
+    """Record of one arrival: which rule ran, with what probability.
+
+    Slotted, because a run keeps one per arrival.
+    """
 
     index: int  # arrival index t, 1-based
     processing: str  # "bootstrap" | "type1" | "type2"
