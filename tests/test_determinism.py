@@ -85,3 +85,42 @@ def test_alpha_k_sequence_trial_with_type2():
     assert digest(decisions, report.to_record()) == (
         "937e9b782d641846f9b735567b93bcc212710c1bd5fb894eeb2d0176098a336b"
     )
+
+
+def test_exact_adversarial_mixture_trial():
+    # The exact_small n=10 family: the adversarial order and the lower
+    # estimate both come from the exact spread-sequence search. The stream
+    # joins the record so the order itself is pinned, not only its effects.
+    spec = harness.TrialSpec(
+        k=3,
+        generator="gaussian_mixture",
+        gen_params={"n": 10, "k": 3},
+        ordering="adversarial",
+        oracle="exact",
+        seed=1,
+    )
+    report, decisions = harness.run_trial(spec)
+    assert report.lower_exact and report.lower_estimate > spec.k
+    record = {**report.to_record(), "stream": harness.materialize_stream(spec)}
+    assert digest(decisions, record) == (
+        "8759912c1b8ce2f5c1d7066d6cba544bf050a385c7739ba1c625bf3699faaacc"
+    )
+
+
+def test_exact_alpha_k_sequence_trial():
+    # The exact_small spread-sequence family: length 10 is small enough for
+    # the exact lower-bound search, and type 2 fires.
+    spec = harness.TrialSpec(
+        k=2,
+        generator="alpha_k_sequence",
+        gen_params={"k": 2, "length": 10},
+        ordering="shuffled",
+        oracle="exact",
+        seed=1,
+    )
+    report, decisions = harness.run_trial(spec)
+    assert report.lower_exact and report.lower_estimate == 10
+    assert sum(d.processing == "type2" for d in decisions) > 0
+    assert digest(decisions, report.to_record()) == (
+        "d982df966138a08f318c2285c101dac9929bef480243e5b945c546eaeccd46aa"
+    )
