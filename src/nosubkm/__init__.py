@@ -21,7 +21,7 @@ from .lower_bound import (
     lower_exact,
     lower_greedy,
 )
-from .oracle import Clustering, is_good_point, lloyd_kmeans, optimal_kmeans
+from .oracle import Clustering, lloyd_kmeans, optimal_kmeans
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "gen_alpha_k_sequence",
     "gen_dataset",
     "is_alpha_k_sequence",
-    "is_good_point",
     "kmeans_cost",
     "l_fold_diameter",
     "lloyd_kmeans",

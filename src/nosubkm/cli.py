@@ -17,7 +17,7 @@ from .harness import (
     run_experiment,
     save_points,
 )
-from .lower_bound import EXACT_SEARCH_LIMIT, lower_exact, lower_greedy
+from .lower_bound import lower_estimate
 
 
 def parse_gen_params(text: str | None) -> dict:
@@ -110,12 +110,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_lower(args: argparse.Namespace) -> int:
     points = load_points(args.input)
-    if len(points) <= EXACT_SEARCH_LIMIT:
-        seq = lower_exact(points, args.alpha, args.k)
-        exact = True
-    else:
-        seq = lower_greedy(points, args.alpha, args.k)
-        exact = False
+    seq, exact = lower_estimate(points, args.alpha, args.k)
     print(
         json.dumps(
             {"length": len(seq), "exact": exact, "indices": list(seq.indices)},

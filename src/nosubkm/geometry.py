@@ -156,14 +156,44 @@ def l_fold_diameter(
     if l == 1:
         return FoldDiameter(diameter(points), exact=True)
     if len(points) <= exact_limit:
-        return FoldDiameter(_exact_partition_diameter(points, l), exact=True)
+        table = distance_table(points)
+        return FoldDiameter(partition_diameter(table, range(len(points)), l), exact=True)
     return FoldDiameter(_greedy_partition_diameter(points, l), exact=False)
 
 
-def _exact_partition_diameter(points: Sequence[Point], l: int) -> float:
-    """Exhaustive search over partitions into <= l parts, pruned on the max."""
+def distance_table(points: Sequence[Point]) -> list[list[float]]:
+    """All pairwise distances: table[i][j] is dist(points[i], points[j]).
+
+    Each pair is computed once. math.dist is symmetric to the bit, so the
+    mirrored entry equals dist() with its arguments swapped.
+    """
+    if points:
+        d = len(points[0])
+        for p in points:
+            if len(p) != d:
+                raise ValueError(f"dimension mismatch: {d} vs {len(p)}")
     n = len(points)
-    best = _greedy_partition_diameter(points, l)  # upper bound seeds pruning
+    table = [[0.0] * n for _ in range(n)]
+    for i in range(1, n):
+        row = table[i]
+        for j in range(i):
+            row[j] = table[j][i] = math.dist(points[i], points[j])
+    return table
+
+
+def partition_diameter(
+    table: Sequence[Sequence[float]], members: Sequence[int], l: int, floor: float = 0.0
+) -> float:
+    """Exact l-fold diameter of the points that `members` index in `table`.
+
+    Exhaustive search over partitions into <= l parts, pruned on the running
+    maximum. `floor` is a known lower bound on the result, such as the
+    l-fold diameter of a subset; the search stops once a partition reaches
+    it. The result is a maximum over table entries (0.0 when no part has two
+    points), so it has the bits of the distances in the table.
+    """
+    m = len(members)
+    best = math.inf
     parts: list[list[int]] = []
     part_diam: list[float] = []
 
@@ -171,23 +201,24 @@ def _exact_partition_diameter(points: Sequence[Point], l: int) -> float:
         nonlocal best
         if cur_max >= best:
             return
-        if i == n:
+        if i == m:
             best = cur_max
             return
+        x = members[i]
+        row = table[x]
         for pi in range(len(parts)):
-            grown = max(
-                part_diam[pi],
-                max(dist(points[i], points[j]) for j in parts[pi]),
-            )
+            grown = max(part_diam[pi], max(row[j] for j in parts[pi]))
             if grown < best:
-                parts[pi].append(i)
+                parts[pi].append(x)
                 old = part_diam[pi]
                 part_diam[pi] = grown
                 recurse(i + 1, max(cur_max, grown))
                 part_diam[pi] = old
                 parts[pi].pop()
+                if best <= floor:
+                    return
         if len(parts) < l:
-            parts.append([i])
+            parts.append([x])
             part_diam.append(0.0)
             recurse(i + 1, cur_max)
             parts.pop()

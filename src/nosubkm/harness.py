@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -24,10 +24,12 @@ import numpy as np
 
 from .cluster import ClusterConfig, Decision, OnlineClusterer
 from .geometry import Point, as_point, kmeans_cost, nearest_sq
-from .lower_bound import (
-    EXACT_SEARCH_LIMIT,
+# lower_exact and lower_greedy are not called here but stay importable from
+# this module: the benchmark's traced run wraps them under these names too.
+from .lower_bound import (  # noqa: F401
     adversarial_order,
     gen_alpha_k_sequence,
+    lower_estimate,
     lower_exact,
     lower_greedy,
 )
@@ -180,26 +182,8 @@ class RunReport:
     def to_record(self) -> dict:
         """Flat mapping for report files; timing is excluded on purpose so
         identical seeds produce byte-identical files."""
-        record = {
-            "n": self.n,
-            "k": self.k,
-            "centers_selected": self.centers_selected,
-            "bootstrap_selections": self.bootstrap_selections,
-            "type1_selections": self.type1_selections,
-            "type2_selections": self.type2_selections,
-            "peak_aux_points": self.peak_aux_points,
-            "achieved_cost": self.achieved_cost,
-            "oracle_cost": self.oracle_cost,
-            "oracle_exact": self.oracle_exact,
-            "ratio": self.ratio,
-            "within_nine": self.within_nine,
-            "lower_estimate": self.lower_estimate,
-            "lower_exact": self.lower_exact,
-            "final_threshold": self.final_threshold,
-            "threshold_raises": self.threshold_raises,
-            "threshold_doublings": self.threshold_doublings,
-            "seed": self.seed,
-        }
+        record = asdict(self)
+        del record["wall_time_s"]
         return record
 
 
@@ -218,24 +202,34 @@ def _sub_seed(seed: int, domain: int) -> int:
 
 def materialize_stream(spec: TrialSpec) -> list[Point]:
     """Load or generate the dataset, then apply the ordering policy."""
+    return _materialize(spec)[0]
+
+
+def _materialize(spec: TrialSpec) -> tuple[list[Point], tuple[int, bool] | None]:
+    """The ordered stream, plus the stream's lower estimate (length, exact)
+    when the ordering already found it."""
     if spec.input_path is not None:
         points = load_points(spec.input_path)
     else:
         points = gen_dataset(spec.generator, spec.gen_params, _sub_seed(spec.seed, _SEED_DATASET))
 
     if spec.ordering == "given":
-        return points
+        return points, None
     if spec.ordering == "shuffled":
         rng = np.random.default_rng([spec.seed, _SEED_ORDER])
-        return [points[i] for i in rng.permutation(len(points))]
-    order = adversarial_order(points, spec.alpha, spec.k)
-    return [points[i] for i in order]
+        return [points[i] for i in rng.permutation(len(points))], None
+    seq, exact = lower_estimate(points, spec.alpha, spec.k)
+    order = adversarial_order(points, spec.alpha, spec.k, sequence=seq)
+    # An exact length depends only on the point set; a greedy one depends on
+    # the order, so it holds for the stream only if the order is unchanged.
+    reuse = exact or order == list(range(len(points)))
+    return [points[i] for i in order], (len(seq), exact) if reuse else None
 
 
 def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
     """Stream one dataset through a fresh clusterer and score the result."""
     started = time.perf_counter()
-    stream = materialize_stream(spec)
+    stream, lower = _materialize(spec)
     n = len(stream)
 
     config = ClusterConfig(
@@ -266,12 +260,9 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
         ratio = RATIO_ZERO_COST if achieved == 0.0 else RATIO_INFINITE
         within = achieved == 0.0
 
-    if n <= EXACT_SEARCH_LIMIT:
-        seq = lower_exact(stream, spec.alpha, spec.k)
-        lower_is_exact = True
-    else:
-        seq = lower_greedy(stream, spec.alpha, spec.k)
-        lower_is_exact = False
+    if lower is None:
+        seq, exact = lower_estimate(stream, spec.alpha, spec.k)
+        lower = (len(seq), exact)
 
     by_type = {"bootstrap": 0, "type1": 0, "type2": 0}
     for d in decisions:
@@ -291,8 +282,8 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
         oracle_exact=oracle_exact,
         ratio=ratio,
         within_nine=within,
-        lower_estimate=len(seq),
-        lower_exact=lower_is_exact,
+        lower_estimate=lower[0],
+        lower_exact=lower[1],
         final_threshold=clusterer.threshold,
         threshold_raises=clusterer.counters.raises,
         threshold_doublings=clusterer.counters.doublings,

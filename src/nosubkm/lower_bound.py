@@ -16,7 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, dist, l_fold_diameter
+from .geometry import (
+    EXACT_PARTITION_LIMIT,
+    Point,
+    dist,
+    distance_table,
+    l_fold_diameter,
+    partition_diameter,
+)
 
 EXACT_SEARCH_LIMIT = 10
 
@@ -94,6 +101,12 @@ def lower_exact(
     A subset is reachable when some ordering of it certifies; it extends by
     any outside point that passes the condition against the whole subset at
     the next position. Exponential in |points|, hence the size limit.
+
+    The search runs on indices into one table of pairwise distances, whose
+    entries have the bits of `dist`. Each reachable subset inherits what it
+    needs from the subset it grew from and updates it with the new point's
+    row, so thresholds and comparisons use the values `is_alpha_k_sequence`
+    computes, and the sequence returned certifies there.
     """
     _validate_alpha_k(alpha, k)
     n = len(points)
@@ -104,33 +117,69 @@ def lower_exact(
         )
     if n == 0:
         return AlphaKSequence(alpha, k, (), certified=True)
+    table = distance_table(points)
+    if k < 2:
+        # Past the first point the threshold is infinite.
+        return AlphaKSequence(alpha, k, (0,), certified=True)
+
+    def fold_diameter(members: list[int], floor: float) -> float:
+        """(k-1)-fold diameter, k >= 3, of a subset of at least k points."""
+        if len(members) <= EXACT_PARTITION_LIMIT:
+            return partition_diameter(table, members, k - 1, floor)
+        return l_fold_diameter([points[j] for j in members], k - 1).value
 
     # parent[mask] = (previous mask, appended index); first marking wins so
     # reconstruction is deterministic (small masks and small indices first).
+    # state[mask] = (distance from every point to its nearest member and to
+    # its farthest member, the subset's diameter, a lower bound on its
+    # (k-1)-fold diameter). The bound is the fold diameter of a subset: it
+    # lets a subset whose candidates cannot pass skip the partition search,
+    # and stops the search once a partition reaches it.
     parent: dict[int, tuple[int, int] | None] = {}
+    state: dict[int, tuple[list[float], list[float], float, float]] = {}
     for i in range(n):
         parent[1 << i] = None
+        state[1 << i] = (table[i], table[i], 0.0, 0.0)
     frontier = sorted(parent)
     best_mask = frontier[0]
 
     while frontier:
-        next_frontier: list[int] = []
+        next_state: dict[int, tuple[list[float], list[float], float, float]] = {}
         for mask in frontier:
-            members = [j for j in range(n) if mask >> j & 1]
-            prefix = [points[j] for j in members]
-            threshold = _prefix_threshold(prefix, len(members) + 1, alpha, k)
-            for j in range(n):
-                if mask >> j & 1:
+            nearest, farthest, diam, floor = state[mask]
+            size = mask.bit_count()
+            # Members are at distance 0 from the subset, and no threshold is
+            # negative, so only outside points can pass.
+            if size < k:
+                threshold = 0.0
+            elif k == 2:
+                threshold = math.sqrt((size + 1) * alpha) * diam
+            else:
+                scale = math.sqrt((size + 1) * alpha)
+                bar = scale * floor
+                if all(d <= bar or mask | 1 << j in parent for j, d in enumerate(nearest)):
                     continue
-                grown = mask | (1 << j)
-                if grown in parent:
-                    continue
-                if min(dist(points[j], p) for p in prefix) > threshold:
-                    parent[grown] = (mask, j)
-                    next_frontier.append(grown)
-        if next_frontier:
-            best_mask = next_frontier[0]
-        frontier = sorted(next_frontier)
+                members = [j for j in range(n) if mask >> j & 1]
+                fold = fold_diameter(members, floor)
+                if size <= EXACT_PARTITION_LIMIT:
+                    floor = fold
+                threshold = scale * fold
+            for j, d in enumerate(nearest):
+                if d > threshold:
+                    grown = mask | 1 << j
+                    if grown not in parent:
+                        parent[grown] = (mask, j)
+                        row = table[j]
+                        next_state[grown] = (
+                            list(map(min, nearest, row)),
+                            list(map(max, farthest, row)),
+                            max(diam, farthest[j]),
+                            floor,
+                        )
+        if next_state:
+            best_mask = next(iter(next_state))
+        frontier = sorted(next_state)
+        state = next_state
 
     order: list[int] = []
     mask = best_mask
@@ -178,28 +227,40 @@ def lower_greedy(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequenc
     return AlphaKSequence(alpha, k, tuple(order), certified=True)
 
 
+def lower_estimate(
+    points: Sequence[Point], alpha: float, k: int
+) -> tuple[AlphaKSequence, bool]:
+    """Longest-known spread sequence, and whether it is exactly the longest.
+
+    The exact search runs up to EXACT_SEARCH_LIMIT points, the greedy
+    estimate beyond. The exact length depends only on the point set; the
+    greedy one can change with the order of `points`.
+    """
+    if len(points) <= EXACT_SEARCH_LIMIT:
+        return lower_exact(points, alpha, k), True
+    return lower_greedy(points, alpha, k), False
+
+
 def adversarial_order(
     points: Sequence[Point],
     alpha: float,
     k: int,
-    exact_limit: int = EXACT_SEARCH_LIMIT,
+    sequence: AlphaKSequence | None = None,
 ) -> list[int]:
     """Permutation streaming a longest-known spread sequence first.
 
-    The sequence comes from the exact search when the instance is small
-    enough, else from the greedy estimate; remaining points follow in their
-    original order. A set already in certified order is returned unchanged.
+    The sequence is `sequence` when given, else `lower_estimate(points)`;
+    remaining points follow in their original order. A set already in
+    certified order is returned unchanged, without a search.
     """
     n = len(points)
     identity = list(range(n))
     if is_alpha_k_sequence(points, identity, alpha, k):
         return identity
-    if n <= exact_limit:
-        seq = lower_exact(points, alpha, k, exact_limit=exact_limit)
-    else:
-        seq = lower_greedy(points, alpha, k)
-    chosen = set(seq.indices)
-    return list(seq.indices) + [i for i in identity if i not in chosen]
+    if sequence is None:
+        sequence, _ = lower_estimate(points, alpha, k)
+    chosen = set(sequence.indices)
+    return list(sequence.indices) + [i for i in identity if i not in chosen]
 
 
 def gen_alpha_k_sequence(

@@ -182,14 +182,3 @@ def _seed_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
         centers[j] = X[idx]
         d2 = np.minimum(d2, ((X - centers[j]) ** 2).sum(axis=1))
     return centers
-
-
-def is_good_point(cluster: Sequence[Point], g: Point) -> bool:
-    """True when clustering the set at g costs at most 3x its centroid cost.
-
-    g is expected to be drawn from `cluster`; at least half of any set's
-    members satisfy this.
-    """
-    if not cluster:
-        raise ValueError("cluster must be nonempty")
-    return kmeans_cost(cluster, [g]) <= 3.0 * kmeans_cost(cluster, [centroid(cluster)])

@@ -44,6 +44,18 @@ class TestDist:
             dist((0.0,), (1.0, 2.0))
 
     @settings(deadline=None)
+    @given(points_strategy(3, max_size=6))
+    def test_distance_table_has_the_bits_of_dist(self, pts):
+        table = geometry.distance_table(pts)
+        for i, a in enumerate(pts):
+            for j, b in enumerate(pts):
+                assert table[i][j] == dist(a, b)
+
+    def test_distance_table_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            geometry.distance_table([(0.0,), (1.0,), (1.0, 2.0)])
+
+    @settings(deadline=None)
     @given(points_strategy(3, min_size=3, max_size=3))
     def test_triangle_inequality(self, pts):
         a, b, c = pts
@@ -154,6 +166,18 @@ class TestLFoldDiameter:
                 exact = l_fold_diameter(pts, l).value
                 greedy = _greedy_partition_diameter(pts, l)
                 assert greedy >= exact - 1e-12
+
+    def test_floor_does_not_change_the_value(self):
+        # the fold diameter of any subset is a valid floor
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            n = int(rng.integers(3, 10))
+            pts = [tuple(rng.uniform(0, 10, size=2)) for _ in range(n)]
+            table = geometry.distance_table(pts)
+            for l in (2, 3):
+                value = geometry.partition_diameter(table, range(n), l)
+                floor = geometry.partition_diameter(table, range(n - 1), l)
+                assert geometry.partition_diameter(table, range(n), l, floor) == value
 
     def test_brute_force_cross_check(self):
         # independent oracle: enumerate all assignments of <= 6 points

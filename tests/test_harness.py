@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from nosubkm import lower_bound
 from nosubkm.geometry import centroid, kmeans_cost
 from nosubkm.harness import (
     ParseError,
@@ -10,6 +11,7 @@ from nosubkm.harness import (
     _bulk_kmeans_cost,
     gen_dataset,
     load_points,
+    materialize_stream,
     run_experiment,
     run_trial,
     save_points,
@@ -168,6 +170,42 @@ class TestRunTrial:
         report, _ = run_trial(spec)
         assert report.n == 8
         assert report.lower_estimate == 8
+
+    @pytest.mark.parametrize(
+        "generator, gen_params, k",
+        [
+            ("gaussian_mixture", {"n": 10, "k": 3}, 3),
+            ("gaussian_mixture", {"n": 7, "k": 2, "d": 1}, 2),
+            ("alpha_k_sequence", {"k": 2, "length": 9}, 2),  # already in certified order
+        ],
+    )
+    def test_one_exact_search_per_adversarial_trial(self, monkeypatch, generator, gen_params, k):
+        real = lower_bound.lower_exact
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lower_bound, "lower_exact", counted)
+        for seed in range(4):
+            spec = TrialSpec(k=k, generator=generator, gen_params=gen_params, ordering="adversarial", seed=seed)
+            calls.clear()
+            report, _ = run_trial(spec)
+            assert len(calls) == 1
+            # the length found before reordering is the stream's own
+            stream = materialize_stream(spec)
+            assert report.lower_exact
+            assert report.lower_estimate == len(real(stream, spec.alpha, spec.k))
+
+    def test_no_exact_search_past_the_limit(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(lower_bound, "lower_exact", lambda *a, **kw: calls.append(a))
+        spec = TrialSpec(
+            k=3, generator="gaussian_mixture", gen_params={"n": 11, "k": 3}, ordering="adversarial", seed=1
+        )
+        report, _ = run_trial(spec)
+        assert calls == [] and not report.lower_exact
 
 
 class TestBulkKMeansCost:

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nosubkm import geometry, lower_bound
+from nosubkm.geometry import EXACT_PARTITION_LIMIT, _greedy_partition_diameter, diameter, dist
 from nosubkm.lower_bound import (
+    AlphaKSequence,
     SequenceOverflowError,
     adversarial_order,
     gen_alpha_k_sequence,
     is_alpha_k_sequence,
+    lower_estimate,
     lower_exact,
     lower_greedy,
 )
@@ -191,3 +197,196 @@ class TestGenerator:
             gen_alpha_k_sequence(2, 9.0, 1)
         with pytest.raises(ValueError):
             gen_alpha_k_sequence(2, 9.0, 5, margin=0.9)
+
+
+# Reference: the subset search and the exact fold diameter as they were
+# written on point tuples, before both moved onto one table of distances.
+# lower_exact and l_fold_diameter must give the same values, bit for bit.
+
+
+def reference_partition_diameter(points, l):
+    n = len(points)
+    best = _greedy_partition_diameter(points, l)
+    parts = []
+    part_diam = []
+
+    def recurse(i, cur_max):
+        nonlocal best
+        if cur_max >= best:
+            return
+        if i == n:
+            best = cur_max
+            return
+        for pi in range(len(parts)):
+            grown = max(part_diam[pi], max(dist(points[i], points[j]) for j in parts[pi]))
+            if grown < best:
+                parts[pi].append(i)
+                old = part_diam[pi]
+                part_diam[pi] = grown
+                recurse(i + 1, max(cur_max, grown))
+                part_diam[pi] = old
+                parts[pi].pop()
+        if len(parts) < l:
+            parts.append([i])
+            part_diam.append(0.0)
+            recurse(i + 1, cur_max)
+            parts.pop()
+            part_diam.pop()
+
+    recurse(0, 0.0)
+    return best
+
+
+def reference_fold_diameter(points, l, exact_limit=EXACT_PARTITION_LIMIT):
+    if len(points) <= l:
+        return 0.0
+    if l == 1:
+        return diameter(points)
+    if len(points) <= exact_limit:
+        return reference_partition_diameter(points, l)
+    return _greedy_partition_diameter(points, l)
+
+
+def reference_lower_exact(points, alpha, k, exact_limit=10, partition_limit=EXACT_PARTITION_LIMIT):
+    def threshold(prefix, position):
+        if k < 2:
+            return math.inf if prefix else 0.0
+        if len(prefix) < k:
+            return 0.0
+        return math.sqrt(position * alpha) * reference_fold_diameter(prefix, k - 1, partition_limit)
+
+    n = len(points)
+    assert n <= exact_limit
+    if n == 0:
+        return AlphaKSequence(alpha, k, (), certified=True)
+    parent = {1 << i: None for i in range(n)}
+    frontier = sorted(parent)
+    best_mask = frontier[0]
+    while frontier:
+        next_frontier = []
+        for mask in frontier:
+            members = [j for j in range(n) if mask >> j & 1]
+            prefix = [points[j] for j in members]
+            bar = threshold(prefix, len(members) + 1)
+            for j in range(n):
+                if mask >> j & 1:
+                    continue
+                grown = mask | (1 << j)
+                if grown in parent:
+                    continue
+                if min(dist(points[j], p) for p in prefix) > bar:
+                    parent[grown] = (mask, j)
+                    next_frontier.append(grown)
+        if next_frontier:
+            best_mask = next_frontier[0]
+        frontier = sorted(next_frontier)
+    order = []
+    mask = best_mask
+    while parent[mask] is not None:
+        prev, j = parent[mask]
+        order.append(j)
+        mask = prev
+    order.append(mask.bit_length() - 1)
+    order.reverse()
+    return AlphaKSequence(alpha, k, tuple(order), certified=True)
+
+
+# Coordinates from a small grid with super-exponential steps mixed in, so that
+# instances have exact duplicates, tied distances and long spread sequences.
+grid_coord = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 7.0, 8.0, 50.0, 51.0, 400.0, 3000.0, 25000.0])
+
+
+@st.composite
+def instances(draw, max_size=9):
+    dim = draw(st.integers(1, 2))
+    pts = draw(st.lists(st.tuples(*[grid_coord] * dim), min_size=0, max_size=max_size))
+    return pts, draw(st.sampled_from([1.5, 4.0, 9.0])), draw(st.integers(1, 4))
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(instances())
+    def test_lower_exact_matches_reference(self, case):
+        pts, alpha, k = case
+        assert lower_exact(pts, alpha, k) == reference_lower_exact(pts, alpha, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_generated_instances_match_reference(self, k, dim):
+        rng = np.random.default_rng(100 * k + dim)
+        for trial in range(6):
+            n = int(rng.integers(4, 11))
+            if trial % 3 == 0:
+                # a shuffled spread sequence, so the sequences are long
+                line = gen_alpha_k_sequence(max(k, 2), 4.0, n, seed=trial)
+                pts = [p + (0.0,) * (dim - 1) for p in line]
+                pts = [pts[i] for i in rng.permutation(n)]
+            else:
+                pts = [tuple(rng.normal(0, 10, size=dim)) for _ in range(n)]
+                if trial % 3 == 2:
+                    pts[-1] = pts[0]  # an exact duplicate
+            expected = reference_lower_exact(pts, 4.0, k)
+            assert lower_exact(pts, 4.0, k) == expected
+            assert is_alpha_k_sequence(pts, expected.indices, 4.0, k)
+
+    def test_thirteen_points_past_the_partition_limit(self):
+        # exact_limit=13: the whole 13-point set is reachable, a prefix the
+        # reference scores with the greedy fold diameter.
+        line = gen_alpha_k_sequence(3, 4.0, 13, seed=0)
+        pts = [line[i] for i in np.random.default_rng(5).permutation(13)]
+        seq = lower_exact(pts, 4.0, 3, exact_limit=13)
+        assert len(seq) == 13
+        assert seq == reference_lower_exact(pts, 4.0, 3, exact_limit=13)
+
+    def test_prefixes_past_a_lowered_partition_limit(self, monkeypatch):
+        # With the partition limit at 4, prefixes of 5 or more points take
+        # the greedy bound, on the prefix in increasing-index order.
+        monkeypatch.setattr(lower_bound, "EXACT_PARTITION_LIMIT", 4)
+        monkeypatch.setattr(
+            lower_bound, "l_fold_diameter", lambda pts, l: geometry.l_fold_diameter(pts, l, exact_limit=4)
+        )
+        rng = np.random.default_rng(9)
+        longest = 0
+        for trial in range(12):
+            k = 3 + trial % 2
+            line = gen_alpha_k_sequence(k, 2.0, 9, seed=trial)
+            pts = [(x, float(rng.normal(0, 0.2))) for (x,) in line]
+            pts = [pts[i] for i in rng.permutation(len(pts))]
+            seq = lower_exact(pts, 2.0, k)
+            assert seq == reference_lower_exact(pts, 2.0, k, partition_limit=4)
+            longest = max(longest, len(seq))
+        assert longest > 5
+
+    def test_mixed_dimensions_raise(self):
+        with pytest.raises(ValueError, match="dimension"):
+            lower_exact([(0.0,), (1.0, 2.0), (3.0,)], 9.0, 2)
+        with pytest.raises(ValueError, match="dimension"):
+            lower_exact([(0.0, 1.0), (1.0, 2.0), (3.0,)], 9.0, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances(max_size=14), st.integers(1, 4))
+    def test_l_fold_diameter_matches_reference(self, case, l):
+        pts, _, _ = case
+        if pts:
+            assert geometry.l_fold_diameter(pts, l).value == reference_fold_diameter(pts, l)
+
+    def test_l_fold_diameter_matches_reference_on_random_sets(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n = int(rng.integers(1, 15))
+            dim = int(rng.integers(1, 4))
+            pts = [tuple(rng.normal(0, 5, size=dim)) for _ in range(n)]
+            for l in (1, 2, 3, 4):
+                assert geometry.l_fold_diameter(pts, l).value == reference_fold_diameter(pts, l)
+
+
+class TestLowerEstimate:
+    def test_exact_up_to_the_search_limit(self):
+        rng = np.random.default_rng(12)
+        pts = [tuple(rng.uniform(0, 100, size=1)) for _ in range(lower_bound.EXACT_SEARCH_LIMIT)]
+        assert lower_estimate(pts, 9.0, 2) == (lower_exact(pts, 9.0, 2), True)
+
+    def test_greedy_beyond_it(self):
+        rng = np.random.default_rng(13)
+        pts = [tuple(rng.uniform(0, 100, size=1)) for _ in range(lower_bound.EXACT_SEARCH_LIMIT + 1)]
+        assert lower_estimate(pts, 9.0, 2) == (lower_greedy(pts, 9.0, 2), False)

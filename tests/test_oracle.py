@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nosubkm.geometry import centroid, kmeans_cost
-from nosubkm.oracle import is_good_point, lloyd_kmeans, optimal_kmeans
+from nosubkm.oracle import lloyd_kmeans, optimal_kmeans
 
 
 def brute_force_cost(points, k):
@@ -109,18 +109,3 @@ class TestLloydKMeans:
         with pytest.raises(ValueError):
             lloyd_kmeans([(0.0,)], 2)
 
-
-class TestGoodPoints:
-    def test_two_point_set(self):
-        # L(C, {0}) = 4, 3 L(C) = 6
-        assert is_good_point([(0.0,), (2.0,)], (0.0,))
-
-    def test_singleton(self):
-        assert is_good_point([(3.0,)], (3.0,))
-
-    def test_at_least_half_are_good(self):
-        rng = np.random.default_rng(34)
-        for _ in range(50):
-            pts = [tuple(rng.normal(0, 2, size=2)) for _ in range(20)]
-            good = sum(is_good_point(pts, g) for g in pts)
-            assert good >= len(pts) / 2
