@@ -122,12 +122,6 @@ def lower_exact(
         # Past the first point the threshold is infinite.
         return AlphaKSequence(alpha, k, (0,), certified=True)
 
-    def fold_diameter(members: list[int], floor: float) -> float:
-        """(k-1)-fold diameter, k >= 3, of a subset of at least k points."""
-        if len(members) <= EXACT_PARTITION_LIMIT:
-            return partition_diameter(table, members, k - 1, floor)
-        return l_fold_diameter([points[j] for j in members], k - 1).value
-
     # parent[mask] = (previous mask, appended index); first marking wins so
     # reconstruction is deterministic (small masks and small indices first).
     # state[mask] = (distance from every point to its nearest member and to
@@ -148,8 +142,6 @@ def lower_exact(
         for mask in frontier:
             nearest, farthest, diam, floor = state[mask]
             size = mask.bit_count()
-            # Members are at distance 0 from the subset, and no threshold is
-            # negative, so only outside points can pass.
             if size < k:
                 threshold = 0.0
             elif k == 2:
@@ -160,10 +152,15 @@ def lower_exact(
                 if all(d <= bar or mask | 1 << j in parent for j, d in enumerate(nearest)):
                     continue
                 members = [j for j in range(n) if mask >> j & 1]
-                fold = fold_diameter(members, floor)
                 if size <= EXACT_PARTITION_LIMIT:
-                    floor = fold
-                threshold = scale * fold
+                    floor = partition_diameter(table, members, k - 1, floor)
+                    threshold = scale * floor
+                else:
+                    # the greedy bound, as is_alpha_k_sequence computes it
+                    prefix = [points[j] for j in members]
+                    threshold = scale * l_fold_diameter(prefix, k - 1).value
+            # Members are at distance 0 from the subset, and no threshold is
+            # negative, so only outside points pass.
             for j, d in enumerate(nearest):
                 if d > threshold:
                     grown = mask | 1 << j

@@ -2,7 +2,10 @@
 
 The digests were recorded with the witness-radius sketch and checked equal
 on the tree before any per-arrival optimisation of the selector, sketch or
-scoring. A change that moves one of them changes a decision, a probability,
+scoring. The two exact-oracle digests were recorded before the exact
+lower-bound search moved onto a table of distances, and before the
+adversarial ordering shared its search with the trial's lower estimate.
+A change that moves one of them changes a decision, a probability,
 a threshold or a report value for a fixed seed, and has to say why in
 CHANGES.md.
 """

@@ -198,14 +198,31 @@ class TestRunTrial:
             assert report.lower_exact
             assert report.lower_estimate == len(real(stream, spec.alpha, spec.k))
 
-    def test_no_exact_search_past_the_limit(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "generator, gen_params, k, greedy_calls",
+        [
+            # a greedy length depends on the order, so the stream gets its own
+            ("gaussian_mixture", {"n": 11, "k": 3}, 3, 2),
+            # unless the adversarial order is the given one
+            ("alpha_k_sequence", {"k": 2, "length": 12}, 2, 1),
+        ],
+    )
+    def test_greedy_past_the_limit(self, monkeypatch, generator, gen_params, k, greedy_calls):
+        exact_calls = []
+        monkeypatch.setattr(lower_bound, "lower_exact", lambda *a, **kw: exact_calls.append(a))
+        real = lower_bound.lower_greedy
         calls = []
-        monkeypatch.setattr(lower_bound, "lower_exact", lambda *a, **kw: calls.append(a))
-        spec = TrialSpec(
-            k=3, generator="gaussian_mixture", gen_params={"n": 11, "k": 3}, ordering="adversarial", seed=1
-        )
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lower_bound, "lower_greedy", counted)
+        spec = TrialSpec(k=k, generator=generator, gen_params=gen_params, ordering="adversarial", seed=1)
         report, _ = run_trial(spec)
-        assert calls == [] and not report.lower_exact
+        assert exact_calls == [] and not report.lower_exact
+        assert len(calls) == greedy_calls
+        assert report.lower_estimate == len(real(calls[-1][0], spec.alpha, spec.k))
 
 
 class TestBulkKMeansCost:

@@ -357,6 +357,16 @@ class TestReferenceEquivalence:
             longest = max(longest, len(seq))
         assert longest > 5
 
+    def test_subset_whose_fold_diameter_does_not_grow(self):
+        # k=3: a unit equilateral triangle has 2-fold diameter 1, and so has
+        # the triangle plus one far point. The fifth point must pass against
+        # that 4-point subset although its fold diameter equals its parent's.
+        h = math.sqrt(3) / 2
+        pts = [(0.0, 0.0), (1.0, 0.0), (0.5, h), (-3.0, 0.0), (5.0, 0.0)]
+        seq = lower_exact(pts, 1.5, 3)
+        assert len(seq) == 5
+        assert seq == reference_lower_exact(pts, 1.5, 3)
+
     def test_mixed_dimensions_raise(self):
         with pytest.raises(ValueError, match="dimension"):
             lower_exact([(0.0,), (1.0, 2.0), (3.0,)], 9.0, 2)
