@@ -105,8 +105,9 @@ def lower_exact(
     The search runs on indices into one table of pairwise distances, whose
     entries have the bits of `dist`. Each reachable subset inherits what it
     needs from the subset it grew from and updates it with the new point's
-    row, so thresholds and comparisons use the values `is_alpha_k_sequence`
-    computes, and the sequence returned certifies there.
+    row. Thresholds use the exact fold diameters `is_alpha_k_sequence`
+    uses; past EXACT_PARTITION_LIMIT points, the greedy bound on the subset
+    in increasing-index order.
     """
     _validate_alpha_k(alpha, k)
     n = len(points)
@@ -156,7 +157,6 @@ def lower_exact(
                     floor = partition_diameter(table, members, k - 1, floor)
                     threshold = scale * floor
                 else:
-                    # the greedy bound, as is_alpha_k_sequence computes it
                     prefix = [points[j] for j in members]
                     threshold = scale * l_fold_diameter(prefix, k - 1).value
             # Members are at distance 0 from the subset, and no threshold is
