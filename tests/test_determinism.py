@@ -5,6 +5,8 @@ on the tree before any per-arrival optimisation of the selector, sketch or
 scoring. The two exact-oracle digests were recorded before the exact
 lower-bound search moved onto a table of distances, and before the
 adversarial ordering shared its search with the trial's lower estimate.
+The d=5 Lloyd digest was recorded while nearest_sq still reduced a
+row-by-center-by-dimension difference block.
 A change that moves one of them changes a decision, a probability,
 a threshold or a report value for a fixed seed, and has to say why in
 CHANGES.md.
@@ -74,6 +76,28 @@ def test_lloyd_trial():
         "bd0ec9931a36d5182987b7a8923f38ff2cf534efac4138d010d3007e09271324"
     )
 
+
+
+def test_lloyd_trial_five_dimensions():
+    # d=5 on the nearest_sq kernel: the final scoring (1500 rows x 500
+    # centers) is split into row chunks, Lloyd's assignment (5 centers) is
+    # not. Type 2 takes nearly every arrival here, so the per-arrival
+    # nearest-selected query stays on its pure-Python branch.
+    spec = harness.TrialSpec(
+        k=5,
+        generator="gaussian_mixture",
+        gen_params={"n": 1500, "k": 5, "d": 5, "spread": 0.01, "separation": 1000.0},
+        ordering="shuffled",
+        oracle="lloyd",
+        seed=7,
+    )
+    report, decisions = harness.run_trial(spec)
+    assert report.centers_selected > 16
+    assert report.n * report.centers_selected >= 10_000
+    assert report.achieved_cost > 0.0
+    assert digest(decisions, report.to_record()) == (
+        "a5a4717cd5d6ba5186e88285c82b3addd07a838a28530b8d0fc8a44306daf007"
+    )
 
 def test_alpha_k_sequence_trial_with_type2():
     spec = harness.TrialSpec(
