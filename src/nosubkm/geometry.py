@@ -22,8 +22,9 @@ Point = tuple[float, ...]
 # certified greedy upper bound.
 EXACT_PARTITION_LIMIT = 12
 
-# Largest temporary nearest_sq allocates, in float64 elements (8 MiB): the
-# row-by-center-by-dimension difference block of one chunk of rows.
+# Float64 elements (8 MiB) that nearest_sq's temporaries may hold at once:
+# the running sum and the current coordinate's squared differences, each
+# one row-by-center block for a chunk of rows.
 NEAREST_SQ_BUDGET = 1 << 20
 
 
@@ -66,16 +67,21 @@ def min_sq_dist(x: Point, centers: Sequence[Point]) -> float:
 def nearest_sq(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of, and squared distance to, the nearest row of C for each row of X.
 
-    Ties go to the lowest index. Rows of X are taken in chunks so that no
-    temporary holds more than NEAREST_SQ_BUDGET elements, except that a
-    chunk is never less than one row. Each squared distance is the sum over
-    the last axis of the squared coordinate differences, so equal inputs
-    give equal bits at any chunk size.
+    Ties go to the lowest index. Each squared distance is the sum of the
+    squared coordinate differences taken left to right over the
+    coordinates, ((dx0**2 + dx1**2) + dx2**2) + ...; for d <= 7 that has
+    the bits of numpy's sum over the last axis, which switches to pairwise
+    summation from 8 elements up. Rows of X are taken in chunks so that the
+    two row-by-center temporaries together hold at most NEAREST_SQ_BUDGET
+    elements, except that a chunk is never less than one row; the bits do
+    not depend on the chunk size.
     """
     n, d = X.shape
     if len(C) == 0:
         raise ValueError("centers must be nonempty")
-    rows = max(1, NEAREST_SQ_BUDGET // (len(C) * d))
+    if C.shape[1] != d:
+        raise ValueError(f"dimension mismatch: {d} vs {C.shape[1]}")
+    rows = max(1, NEAREST_SQ_BUDGET // (2 * len(C)))
     if rows >= n:
         return _nearest_sq_chunk(X, C)
     parts = [_nearest_sq_chunk(X[s : s + rows], C) for s in range(0, n, rows)]
@@ -83,10 +89,15 @@ def nearest_sq(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nearest_sq_chunk(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    diff = X[:, None, :] - C
-    np.square(diff, out=diff)
-    sq = diff.sum(axis=2)
-    return sq.argmin(axis=1), sq.min(axis=1)
+    sq = np.subtract.outer(X[:, 0], C[:, 0])
+    np.square(sq, out=sq)
+    tmp = None
+    for j in range(1, X.shape[1]):
+        tmp = np.subtract.outer(X[:, j], C[:, j], out=tmp)
+        np.square(tmp, out=tmp)
+        sq += tmp
+    labels = sq.argmin(axis=1)
+    return labels, sq[np.arange(len(sq)), labels]
 
 
 def kmeans_cost(points: Sequence[Point], centers: Sequence[Point]) -> float:

@@ -172,7 +172,7 @@ def _seed_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+    d2 = nearest_sq(X, centers[:1])[1]
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -180,5 +180,5 @@ def _seed_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
         else:
             idx = rng.integers(n)  # all remaining mass at chosen locations
         centers[j] = X[idx]
-        d2 = np.minimum(d2, ((X - centers[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, nearest_sq(X, centers[j : j + 1])[1])
     return centers

@@ -213,6 +213,22 @@ def broadcast_nearest_sq(X, C):
     return sq.argmin(axis=1), sq.min(axis=1)
 
 
+def left_to_right_nearest_sq(X, C):
+    """Unchunked reference: squared differences summed coordinate by coordinate."""
+    sq = (X[:, None, 0] - C[None, :, 0]) ** 2
+    for j in range(1, X.shape[1]):
+        sq = sq + (X[:, None, j] - C[None, :, j]) ** 2
+    return sq.argmin(axis=1), sq.min(axis=1)
+
+
+def scaled_case(d):
+    """300 rows spread over seven decades, and 25 centers, 5 of them rows."""
+    rng = np.random.default_rng(d)
+    X = rng.normal(size=(300, d)) * 10.0 ** rng.integers(-3, 4, size=(300, 1))
+    C = np.vstack([X[:5], rng.normal(size=(20, d))])
+    return X, C
+
+
 # Small integer coordinates make exact ties between centers common.
 grid_coord = st.integers(-3, 3).map(float)
 
@@ -220,7 +236,7 @@ grid_coord = st.integers(-3, 3).map(float)
 class TestNearestSq:
     @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(1, 4).flatmap(
+        st.integers(1, 10).flatmap(
             lambda d: st.tuples(
                 st.lists(st.tuples(*[grid_coord] * d), min_size=1, max_size=12),
                 st.lists(st.tuples(*[grid_coord] * d), min_size=1, max_size=12),
@@ -235,15 +251,22 @@ class TestNearestSq:
             ties = [j for j, c in enumerate(centers) if sum((a - b) ** 2 for a, b in zip(x, c)) == value]
             assert label == ties[0]
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
+    def test_bits_of_the_block_reduce_up_to_seven_dimensions(self, d):
+        # Below 8 elements numpy's sum over the last axis adds left to right.
+        X, C = scaled_case(d)
+        labels, d2 = nearest_sq(X, C)
+        ref_labels, ref_d2 = broadcast_nearest_sq(X, C)
+        assert np.array_equal(labels, ref_labels)
+        assert d2.tobytes() == ref_d2.tobytes()
+
     @pytest.mark.parametrize("d", [1, 2, 3, 9, 17])
     @pytest.mark.parametrize("budget", [1, 50, 1 << 20])
     def test_bits_independent_of_chunking(self, monkeypatch, d, budget):
         monkeypatch.setattr(geometry, "NEAREST_SQ_BUDGET", budget)
-        rng = np.random.default_rng(d)
-        X = rng.normal(size=(300, d)) * 10.0 ** rng.integers(-3, 4, size=(300, 1))
-        C = np.vstack([X[:5], rng.normal(size=(20, d))])
+        X, C = scaled_case(d)
         labels, d2 = nearest_sq(X, C)
-        ref_labels, ref_d2 = broadcast_nearest_sq(X, C)
+        ref_labels, ref_d2 = left_to_right_nearest_sq(X, C)
         assert np.array_equal(labels, ref_labels)
         assert d2.tobytes() == ref_d2.tobytes()
 
@@ -253,7 +276,7 @@ class TestNearestSq:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(20_000, 3))
         C = rng.normal(size=(40, 3))
-        # Unchunked, the difference block alone would be 2.4M elements (19 MB).
+        # Unchunked, the two row-by-center blocks would be 1.6M elements (13 MB).
         tracemalloc.start()
         try:
             labels, d2 = nearest_sq(X, C)
@@ -261,10 +284,15 @@ class TestNearestSq:
         finally:
             tracemalloc.stop()
         outputs = labels.nbytes + d2.nbytes
-        # Per-chunk outputs plus their concatenation, one difference block of
-        # at most `budget` elements, its row sums, and object overhead.
-        assert peak <= 2 * outputs + budget * 8 * (1 + 1 / 3) + (64 << 10)
+        # Per-chunk outputs plus their concatenation, two row-by-center
+        # blocks of at most `budget` elements together, and object overhead.
+        assert peak <= 2 * outputs + budget * 8 + (64 << 10)
 
     def test_empty_centers(self):
         with pytest.raises(ValueError):
             nearest_sq(np.zeros((3, 2)), np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("cd", [1, 3])
+    def test_dimension_mismatch(self, cd):
+        with pytest.raises(ValueError, match="dimension"):
+            nearest_sq(np.zeros((3, 2)), np.zeros((4, cd)))
