@@ -77,7 +77,6 @@ def test_lloyd_trial():
     )
 
 
-
 def test_lloyd_trial_five_dimensions():
     # d=5 on the nearest_sq kernel: the final scoring (1500 rows x 500
     # centers) is split into row chunks, Lloyd's assignment (5 centers) is
@@ -98,6 +97,7 @@ def test_lloyd_trial_five_dimensions():
     assert digest(decisions, report.to_record()) == (
         "a5a4717cd5d6ba5186e88285c82b3addd07a838a28530b8d0fc8a44306daf007"
     )
+
 
 def test_alpha_k_sequence_trial_with_type2():
     spec = harness.TrialSpec(
