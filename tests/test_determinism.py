@@ -6,7 +6,9 @@ scoring. The two exact-oracle digests were recorded before the exact
 lower-bound search moved onto a table of distances, and before the
 adversarial ordering shared its search with the trial's lower estimate.
 The d=5 Lloyd digest was recorded while nearest_sq still reduced a
-row-by-center-by-dimension difference block.
+row-by-center-by-dimension difference block. The d=3 doubling digest was
+recorded while the nearest-selected query and the final scoring still
+scanned every selected center.
 A change that moves one of them changes a decision, a probability,
 a threshold or a report value for a fixed seed, and has to say why in
 CHANGES.md.
@@ -31,6 +33,23 @@ def digest(decisions, record) -> str:
     return h.hexdigest()
 
 
+def run_stream(spec, config):
+    clusterer = OnlineClusterer(config)
+    decisions = [clusterer.process(x) for x in harness.materialize_stream(spec)]
+    return clusterer, decisions
+
+
+def clusterer_record(clusterer) -> dict:
+    return {
+        "centers_selected": len(clusterer.selected_points),
+        "final_threshold": clusterer.threshold,
+        "threshold_raises": clusterer.counters.raises,
+        "threshold_doublings": clusterer.counters.doublings,
+        "sketch_radius": clusterer.sketch.radius,
+        "sketch_counts": [c.count for c in clusterer.sketch.centers],
+    }
+
+
 def test_full_sketch_stream():
     # Shaped like the sparse_stream benchmark workload, at n=2k: the sketch
     # stays full at k=20 and |S| grows past the pure-Python scoring branch.
@@ -42,20 +61,29 @@ def test_full_sketch_stream():
         ordering="shuffled",
         seed=seed,
     )
-    stream = harness.materialize_stream(spec)
-    clusterer = OnlineClusterer(ClusterConfig(k=20, seed=seed))
-    decisions = [clusterer.process(x) for x in stream]
+    clusterer, decisions = run_stream(spec, ClusterConfig(k=20, seed=seed))
     assert len(clusterer.selected_points) > 16
-    record = {
-        "centers_selected": len(clusterer.selected_points),
-        "final_threshold": clusterer.threshold,
-        "threshold_raises": clusterer.counters.raises,
-        "threshold_doublings": clusterer.counters.doublings,
-        "sketch_radius": clusterer.sketch.radius,
-        "sketch_counts": [c.count for c in clusterer.sketch.centers],
-    }
-    assert digest(decisions, record) == (
+    assert digest(decisions, clusterer_record(clusterer)) == (
         "2b6ad3b781b89c75150deba7c2ca6be8c21fb4cdda69bf64906143da593231c8"
+    )
+
+
+def test_doubling_stream_three_dimensions():
+    # A small c_double makes R double 11 times (after 2 raises) in d=3, so
+    # the selected set is rebuilt around each new R and the query looks at
+    # a 3x3x3 block of neighbours once |S| exceeds 27.
+    spec = harness.TrialSpec(
+        k=3,
+        generator="gaussian_mixture",
+        gen_params={"n": 3000, "k": 3, "d": 3, "spread": 1.0, "separation": 30.0},
+        ordering="shuffled",
+        seed=11,
+    )
+    clusterer, decisions = run_stream(spec, ClusterConfig(k=3, c_double=0.2, seed=11))
+    assert clusterer.counters.doublings > 0
+    assert len(clusterer.selected_points) > 27
+    assert digest(decisions, clusterer_record(clusterer)) == (
+        "bbc6c3a458f770b5672003e52e6b59ea57b39218a99d4d19796514b78a7f79d1"
     )
 
 
