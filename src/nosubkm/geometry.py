@@ -51,10 +51,15 @@ def dist(a: Point, b: Point) -> float:
 
 
 def sq_dist(a: Point, b: Point) -> float:
-    """Squared Euclidean distance."""
+    """Squared Euclidean distance, with the bits of `nearest_sq`.
+
+    Each difference is squared by a product, which is exactly rounded
+    (`** 2` goes through libm pow, which is not), and the squares are added
+    left to right.
+    """
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum((x - y) ** 2 for x, y in zip(a, b))
+    return sum((x - y) * (x - y) for x, y in zip(a, b))
 
 
 def min_sq_dist(x: Point, centers: Sequence[Point]) -> float:

@@ -18,6 +18,7 @@ from nosubkm.geometry import (
     l_fold_diameter,
     min_sq_dist,
     nearest_sq,
+    sq_dist,
 )
 
 coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -287,6 +288,14 @@ class TestNearestSq:
         # Per-chunk outputs plus their concatenation, two row-by-center
         # blocks of at most `budget` elements together, and object overhead.
         assert peak <= 2 * outputs + budget * 8 + (64 << 10)
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_sq_dist_has_its_bits(self, d):
+        # Both square each difference exactly rounded and add left to right.
+        X, C = scaled_case(d)
+        for j, c in enumerate(C):
+            _, d2 = nearest_sq(X, C[j : j + 1])
+            assert [sq_dist(tuple(x), tuple(c)) for x in X] == d2.tolist()
 
     def test_empty_centers(self):
         with pytest.raises(ValueError):
