@@ -15,6 +15,13 @@ sketch of the stream decides between two randomized selection rules:
 Selection randomness is counter-based: the draw at arrival t depends only
 on (seed, t), so runs are reproducible and the branch taken at each step is
 a deterministic function of the input prefix alone.
+
+The distance rule needs d(x, S)^2 exactly only when it is below R, since
+the probability is 1 otherwise. The selected set therefore lives on a
+`geometry.CellGrid` of cell side just above sqrt(R), which answers that
+query from the cells next to x, with the bits of a full `nearest_sq` scan
+below R. The grid is rebuilt whenever R is raised or doubled; while R is
+0 (warm-up) the query scans every selected point.
 """
 
 from __future__ import annotations
@@ -22,9 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .geometry import Point, check_point, nearest_sq, sq_dist
+from .geometry import CellGrid, Point, check_point
 from .kcenter import KCenterSketch
 
 _U64 = (1 << 64) - 1
@@ -111,18 +116,25 @@ class OnlineClusterer:
 
     def __init__(self, config: ClusterConfig):
         self.config = config
-        self.selected_points: list[Point] = []
+        # the selected points, bucketed on the grid of the current R
+        self._selected = CellGrid()
         self.selected_indices: list[int] = []
-        self.threshold = 0.0  # R
         self.selections_since_reset = 0  # F
         self.sketch: KCenterSketch | None = None
         self.t = 0
         self.counters = _RunCounters()
         self._dim: int | None = None
         self._ln_k10 = math.log(config.k + 10)
-        # mirror of selected_points as a growing array, so the per-arrival
-        # nearest-selected-center distance stays fast as |S| grows
-        self._selected_buf: np.ndarray | None = None
+
+    @property
+    def selected_points(self) -> list[Point]:
+        """The selected points in arrival order (the grid's own list)."""
+        return self._selected.points
+
+    @property
+    def threshold(self) -> float:
+        """R, the distance rule's threshold (the grid's own)."""
+        return self._selected.threshold
 
     def aux_memory(self) -> int:
         """Points retained outside the selected set (the sketch centers)."""
@@ -182,11 +194,12 @@ class OnlineClusterer:
         sketch = self.sketch
         raise_to = sketch.radius**2 / (cfg.c_raise * cfg.k * self._ln_k10)
         if raise_to > self.threshold:
-            self.threshold = raise_to
-            self.selections_since_reset = 0
+            self._set_threshold(raise_to)
             self.counters.raises += 1
 
-        d2 = self._min_sq_dist_to_selected(x)
+        # Exact below R; at or above R only its size matters, since
+        # prob = min(1, d2 / R) is then 1.0.
+        d2 = self._selected.min_sq_dist(x)
         if self.threshold > 0.0:
             prob = min(1.0, d2 / self.threshold)
         else:
@@ -202,8 +215,7 @@ class OnlineClusterer:
 
         limit = cfg.c_double * cfg.k * self._ln_k10 * math.log(t, cfg.log_base)
         if self.selections_since_reset > limit:
-            self.threshold *= 2.0
-            self.selections_since_reset = 0
+            self._set_threshold(2.0 * self.threshold)
             self.counters.doublings += 1
 
         return self._decision(t, "type1", selected, prob)
@@ -217,24 +229,13 @@ class OnlineClusterer:
             self._take(x)
         return self._decision(t, "type2", selected, prob)
 
-    def _min_sq_dist_to_selected(self, x: Point) -> float:
-        count = len(self.selected_points)
-        if count <= 16:
-            return min(sq_dist(x, s) for s in self.selected_points)
-        _, d2 = nearest_sq(np.asarray(x)[None, :], self._selected_buf[:count])
-        return float(d2[0])
+    def _set_threshold(self, threshold: float) -> None:
+        self.selections_since_reset = 0
+        self._selected.set_threshold(threshold)
 
     def _take(self, x: Point) -> None:
-        self.selected_points.append(x)
+        self._selected.add(x)
         self.selected_indices.append(self.t)
-        count = len(self.selected_points)
-        if self._selected_buf is None:
-            self._selected_buf = np.empty((64, len(x)))
-        elif count > self._selected_buf.shape[0]:
-            grown = np.empty((2 * self._selected_buf.shape[0], len(x)))
-            grown[: count - 1] = self._selected_buf
-            self._selected_buf = grown
-        self._selected_buf[count - 1] = x
 
     def _decision(
         self, t: int, processing: str, selected: bool, prob: float

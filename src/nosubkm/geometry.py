@@ -1,15 +1,44 @@
 """Points, distances, k-means cost, centroids, and l-fold diameters.
 
 A point is a plain tuple of floats; a point set is any sequence of points
-of equal dimension. Everything here is a pure function, so values can be
-shared freely across threads or processes. `nearest_sq` is the one numpy
-nearest-center kernel for point sets too large for the pure-Python loops.
+of equal dimension. Everything here except `CellGrid` is a pure function,
+so values can be shared freely across threads or processes. `nearest_sq`
+is the one numpy nearest-center kernel for point sets too large for the
+pure-Python loops.
+
+The √R grid (Bentley, Stanat & Williams, IPL 1977) finds the squared
+distance from x to its nearest center exactly whenever that is below a
+threshold R, by looking only at the cells near x. `CellGrid` answers one
+query at a time over a growing center set; `grid_nearest_sq` answers a
+batch. Both use the cell side of `grid_side` and the cell rule
+floor(v / h), and fall back to `nearest_sq` where the grid cannot answer
+or costs more than the scan.
+
+Exactness. Let u = 2**-53, R >= DBL_MIN and h = r = fl(fl(sqrt(R)) *
+(1 + GRID_MARGIN)); the scan covers, in each coordinate j, the cells
+floor(fl(x_j - r) / h) .. floor(fl(x_j + r) / h). Take a center c whose
+computed squared distance D, the left-to-right sum of fl(δ_j * δ_j) with
+δ_j = fl(x_j - c_j), is below R. The addends are not negative and rounding
+is monotone, so fl(δ_j * δ_j) <= D < R for every j. If δ_j**2 >= DBL_MIN
+that gives δ_j**2 (1 - u) < R; otherwise |δ_j| < sqrt(DBL_MIN) <= sqrt(R).
+Either way |δ_j| < sqrt(R) / sqrt(1 - u), and since the difference is
+rounded once, |x_j - c_j| <= |δ_j| / (1 - u) < sqrt(R) (1 - u)**-1.5. On
+the other side r >= sqrt(R) (1 - u)**2 (1 + GRID_MARGIN) >= sqrt(R)
+(1 - u)**-1.5, because 1 + GRID_MARGIN > (1 - u)**-3.5. So x_j - r <= c_j
+<= x_j + r; c_j is a double, so fl(x_j - r) <= c_j <= fl(x_j + r), and
+dividing by h > 0 and taking the floor are monotone too, so c lies in a
+scanned cell. The scan assumes no ±1 ring: it runs from the low cell to
+the high one, whatever their distance. Hence the smallest D over the
+scanned cells is the smallest over all centers whenever it is below R, and
+when no scanned center is below R no center is. The margin does not
+depend on d.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +50,17 @@ Point = tuple[float, ...]
 # counts stay Bell-number feasible up to here; beyond it we fall back to a
 # certified greedy upper bound.
 EXACT_PARTITION_LIMIT = 12
+
+# Largest coordinate magnitude a point may have. Below it every squared
+# distance is at most (2 * COORD_LIMIT)**2 * d = 4e200 * d, so it, the
+# sketch radius squared and any sum of fewer than 1e100 such terms stay
+# finite for every d a tuple can have.
+COORD_LIMIT = 1e100
+
+# Relative margin of the grid's query radius over sqrt(R); it covers the
+# rounding of the square root, of this product and of one squared
+# coordinate difference (see the module docstring).
+GRID_MARGIN = 2.0**-40
 
 # Float64 elements (8 MiB) that nearest_sq's temporaries may hold at once:
 # the running sum and the current coordinate's squared differences, each
@@ -36,11 +76,14 @@ def as_point(coords: Sequence[float]) -> Point:
 
 
 def check_point(pt: Point) -> None:
-    """Raise ValueError unless pt is nonempty with all coordinates finite."""
+    """Raise ValueError unless pt is nonempty with every coordinate finite
+    and at most COORD_LIMIT in magnitude."""
     if not pt:
         raise ValueError("a point needs at least one coordinate")
     if not all(map(math.isfinite, pt)):
         raise ValueError(f"point has non-finite coordinates: {pt}")
+    if max(map(abs, pt)) > COORD_LIMIT:
+        raise ValueError(f"point has a coordinate beyond ±{COORD_LIMIT:g}: {pt}")
 
 
 def dist(a: Point, b: Point) -> float:
@@ -103,6 +146,175 @@ def _nearest_sq_chunk(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndar
         sq += tmp
     labels = sq.argmin(axis=1)
     return labels, sq[np.arange(len(sq)), labels]
+
+
+def grid_side(threshold: float) -> float:
+    """Cell side h of the √R grid, which is also its query radius r; 0.0
+    where there is no grid: R below the smallest normal double (R is 0
+    during warm-up) or not finite."""
+    if not sys.float_info.min <= threshold <= sys.float_info.max:
+        return 0.0
+    return math.sqrt(threshold) * (1.0 + GRID_MARGIN)
+
+
+# Where the grid stops paying. The query probes each cell with a dict
+# lookup and the scan costs a fixed call overhead plus a pass per center
+# and coordinate: the grid is used while cells <= _QUERY_FREE_CELLS +
+# |S| * d / _QUERY_ROWS_PER_CELL. Up to _QUERY_PY_CANDIDATES centers found
+# in the cells are measured one by one in Python, more with nearest_sq on
+# their rows. The batch pays a few numpy passes over the rows per cell
+# combination outside the first coordinate against nearest_sq's passes
+# over rows times centers: it is used while those combinations
+# <= |C| * d / _BATCH_ROWS_PER_PASS.
+_QUERY_FREE_CELLS = 100
+_QUERY_ROWS_PER_CELL = 100
+_QUERY_PY_CANDIDATES = 24
+_BATCH_ROWS_PER_PASS = 150
+
+
+class CellGrid:
+    """A growing point set on the √R grid, for exact nearest queries below R.
+
+    Single-owner and mutable. Points are bucketed by cell key
+    floor(v / grid_side(threshold)) per coordinate, and re-bucketed when the
+    threshold changes. `min_sq_dist` scans `nearest_sq` over every point
+    when there is no grid or when the cells near x outnumber what a scan
+    costs.
+    """
+
+    def __init__(self) -> None:
+        self.points: list[Point] = []
+        self.threshold = 0.0
+        self._side = 0.0
+        self._cells: dict[tuple[int, ...], list[int]] = {}
+        # the points as a growing array, for nearest_sq
+        self._rows: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def add(self, p: Point) -> None:
+        i = len(self.points)
+        self.points.append(p)
+        if self._rows is None:
+            self._rows = np.empty((64, len(p)))
+        elif i == len(self._rows):
+            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+        self._rows[i] = p
+        if self._side:
+            self._bucket(i, p)
+
+    def set_threshold(self, threshold: float) -> None:
+        """Move to a new R and re-bucket every point for its cell side."""
+        self.threshold = threshold
+        self._side = grid_side(threshold)
+        self._cells = {}
+        if self._side:
+            for i, p in enumerate(self.points):
+                self._bucket(i, p)
+
+    def _bucket(self, i: int, p: Point) -> None:
+        h = self._side
+        self._cells.setdefault(tuple([math.floor(c / h) for c in p]), []).append(i)
+
+    def min_sq_dist(self, x: Point) -> float:
+        """Squared distance from x to its nearest point, with the bits of
+        `nearest_sq`, where that is below the threshold; where it is not,
+        either that distance or math.inf."""
+        count = len(self.points)
+        if not count:
+            raise ValueError("centers must be nonempty")
+        h = self._side
+        if h:
+            ranges = [range(math.floor((c - h) / h), math.floor((c + h) / h) + 1) for c in x]
+            if math.prod(map(len, ranges)) <= (
+                _QUERY_FREE_CELLS + count * len(x) // _QUERY_ROWS_PER_CELL
+            ):
+                found: list[int] = []
+                get = self._cells.get
+                for key in itertools.product(*ranges):
+                    ids = get(key)
+                    if ids:
+                        found += ids
+                if len(found) > _QUERY_PY_CANDIDATES:
+                    best = float(nearest_sq(np.asarray(x)[None, :], self._rows[found])[1][0])
+                else:
+                    # sq_dist's sum, inline: a call per candidate costs more
+                    # than the sum itself
+                    best = math.inf
+                    points = self.points
+                    for i in found:
+                        d2 = 0.0
+                        for a, b in zip(x, points[i]):
+                            d2 += (a - b) * (a - b)
+                        if d2 < best:
+                            best = d2
+                return best if best < self.threshold else math.inf
+        return float(nearest_sq(np.asarray(x)[None, :], self._rows[:count])[1][0])
+
+
+def grid_nearest_sq(X: np.ndarray, C: np.ndarray, threshold: float) -> np.ndarray:
+    """`nearest_sq(X, C)[1]` to the bit, found on the √R grid of C.
+
+    C is sorted by a linear cell key whose first coordinate has stride 1,
+    so a row's cells that differ only there are one run of keys, found
+    with two searchsorted calls; one pass runs per combination of cells in
+    the other coordinates. A row whose nearest center is below `threshold`
+    gets its squared distance from the centers in its cells; every other
+    row falls back to nearest_sq, as does the whole batch when there is no
+    grid, when the passes outnumber what a scan costs, or when cell numbers
+    leave the range where doubles hold integers exactly.
+    """
+    n, d = X.shape
+    if len(C) == 0:
+        raise ValueError("centers must be nonempty")
+    if C.shape[1] != d:
+        raise ValueError(f"dimension mismatch: {d} vs {C.shape[1]}")
+    h = grid_side(threshold)
+    if not h or n == 0:
+        return nearest_sq(X, C)[1]
+    lo = np.floor((X - h) / h)
+    span = int((np.floor((X + h) / h) - lo).max()) + 1
+    cc = np.floor(C / h)
+    base = cc.min(axis=0)
+    extent = [int(e) + 1 for e in cc.max(axis=0) - base]
+    if (
+        span ** (d - 1) > len(C) * d // _BATCH_ROWS_PER_PASS
+        or max(np.abs(lo).max(), np.abs(cc).max()) + span >= 2.0**52
+        or math.prod(extent) >= 2**62
+    ):
+        return nearest_sq(X, C)[1]
+    strides = np.cumprod([1] + extent[:-1], dtype=np.int64)
+    keys = (cc - base).astype(np.int64) @ strides
+    order = np.argsort(keys, kind="stable")
+    keys, C = keys[order], C[order]
+    low = (lo - base).astype(np.int64)
+    best = np.full(n, np.inf)
+    for offset in itertools.product(range(span), repeat=d - 1):
+        # A cell outside the centers' extent may alias another cell's key.
+        # That only adds candidates: the minimum over any superset of the
+        # scanned cells is still exact below R.
+        run = (low[:, 1:] + offset) @ strides[1:] + low[:, 0]
+        start = np.searchsorted(keys, run)
+        count = np.searchsorted(keys, run + span) - start
+        rows = np.flatnonzero(count)
+        if not len(rows):
+            continue
+        count = count[rows]
+        first = np.cumsum(count) - count
+        pair_row = np.repeat(rows, count)
+        pair_center = np.arange(len(pair_row)) - np.repeat(first - start[rows], count)
+        sq = X[pair_row, 0] - C[pair_center, 0]
+        np.square(sq, out=sq)
+        for j in range(1, d):
+            tmp = X[pair_row, j] - C[pair_center, j]
+            np.square(tmp, out=tmp)
+            sq += tmp
+        best[rows] = np.minimum(best[rows], np.minimum.reduceat(sq, first))
+    miss = np.flatnonzero(~(best < threshold))
+    if len(miss):
+        best[miss] = nearest_sq(X[miss], C)[1]
+    return best
 
 
 def kmeans_cost(points: Sequence[Point], centers: Sequence[Point]) -> float:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .cluster import ClusterConfig, Decision, OnlineClusterer
-from .geometry import Point, as_point, kmeans_cost, nearest_sq
+from .geometry import Point, as_point, check_point, grid_nearest_sq, kmeans_cost
 # lower_exact and lower_greedy are not called here but stay importable from
 # this module: the benchmark's traced run wraps them under these names too.
 from .lower_bound import (  # noqa: F401
@@ -62,18 +62,17 @@ def load_points(path: str | Path) -> list[Point]:
             if not row:
                 continue
             try:
-                coords = [float(cell) for cell in row]
+                coords = tuple(float(cell) for cell in row)
+                check_point(coords)
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            if not all(math.isfinite(c) for c in coords):
-                raise ParseError(f"{path}: line {lineno}: non-finite value")
             if dim is None:
                 dim = len(coords)
             elif len(coords) != dim:
                 raise ParseError(
                     f"{path}: line {lineno}: expected {dim} values, got {len(coords)}"
                 )
-            points.append(tuple(coords))
+            points.append(coords)
     if not points:
         raise ParseError(f"{path}: no data rows")
     return points
@@ -187,11 +186,19 @@ class RunReport:
         return record
 
 
-def _bulk_kmeans_cost(points: Sequence[Point], centers: Sequence[Point]) -> float:
-    """kmeans_cost vectorized; needed once |S| reaches the hundreds."""
+def _bulk_kmeans_cost(
+    points: Sequence[Point], centers: Sequence[Point], threshold: float
+) -> float:
+    """kmeans_cost vectorized; needed once |S| reaches the hundreds.
+
+    `threshold` is the selector's final R. A type-1 reject was within
+    sqrt(R) of a center when it arrived, and neither S nor R shrinks, so
+    the grid of the final R finds every point's distance except the
+    type-2 rejects', which fall back to a full scan.
+    """
     if len(points) * len(centers) < 10_000:
         return kmeans_cost(points, centers)
-    _, d2 = nearest_sq(np.asarray(points), np.asarray(centers))
+    d2 = grid_nearest_sq(np.asarray(points), np.asarray(centers), threshold)
     # Summed in 4096-row slices: the order that fixes the report's bits.
     return sum(float(d2[s : s + 4096].sum()) for s in range(0, len(d2), 4096))
 
@@ -242,7 +249,7 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
     decisions = [clusterer.process(x) for x in stream]
     centers = clusterer.finalize()
 
-    achieved = _bulk_kmeans_cost(stream, centers)
+    achieved = _bulk_kmeans_cost(stream, centers, clusterer.threshold)
     if spec.oracle == "exact":
         oracle_cost = optimal_kmeans(stream, spec.k).cost
         oracle_exact = True

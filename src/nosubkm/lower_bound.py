@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
+    COORD_LIMIT,
     EXACT_PARTITION_LIMIT,
     Point,
     dist,
@@ -29,13 +30,13 @@ EXACT_SEARCH_LIMIT = 10
 
 
 class SequenceOverflowError(OverflowError):
-    """Raised when 1-D construction overflows float range before `length`."""
+    """Raised when 1-D construction passes COORD_LIMIT before `length`."""
 
     def __init__(self, achievable: int, requested: int):
         self.achievable = achievable
         self.requested = requested
         super().__init__(
-            f"coordinates overflow before reaching length {requested}; "
+            f"coordinates pass {COORD_LIMIT:g} before reaching length {requested}; "
             f"achievable length is {achievable}"
         )
 
@@ -273,7 +274,8 @@ def gen_alpha_k_sequence(
     current maximum by the condition threshold times a factor drawn from
     [margin, 1.5 * margin], so certification survives floating rounding while
     the seed varies the exact spacing. Coordinates grow super-exponentially;
-    overflow raises SequenceOverflowError carrying the achievable length.
+    one beyond COORD_LIMIT, the largest a point may have, raises
+    SequenceOverflowError carrying the achievable length.
     """
     _validate_alpha_k(alpha, k)
     if k < 2:
@@ -290,7 +292,7 @@ def gen_alpha_k_sequence(
         gap = _prefix_threshold(prefix, i, alpha, k)
         factor = margin * (1.0 + 0.5 * float(rng.random()))
         nxt = max(coords) + factor * gap
-        if not math.isfinite(nxt) or nxt <= max(coords):
+        if not nxt <= COORD_LIMIT or nxt <= max(coords):
             raise SequenceOverflowError(achievable=len(coords), requested=length)
         coords.append(nxt)
     return [(c,) for c in coords]

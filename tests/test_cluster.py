@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nosubkm import geometry
 from nosubkm.cluster import ClusterConfig, OnlineClusterer, step_uniform
+from nosubkm.geometry import COORD_LIMIT, CellGrid, nearest_sq
 
 
 def run_stream(points, **config_kwargs):
@@ -202,7 +205,12 @@ class TestStepUniform:
 
 def state_snapshot(clusterer):
     sketch = clusterer.sketch
+    grid = clusterer._selected
     return (
+        grid.threshold,
+        grid._side,
+        {key: list(ids) for key, ids in grid._cells.items()},
+        None if grid._rows is None else grid._rows[: len(grid)].tobytes(),
         clusterer.t,
         clusterer.threshold,
         clusterer.selections_since_reset,
@@ -232,6 +240,21 @@ class TestRejectsInvalidArrival:
         axis=st.integers(0, 1),
     )
     def test_non_finite_leaves_state_unchanged(self, k, stream, where, bad, axis):
+        self.check_rejected(k, stream, where, bad, axis)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        stream=st.lists(st.floats(-100, 100), min_size=1, max_size=40),
+        where=st.data(),
+        bad=st.sampled_from([1e160, -1e101, np.nextafter(COORD_LIMIT, math.inf), 1.7e308]),
+        axis=st.integers(0, 1),
+    )
+    def test_huge_coordinate_leaves_state_unchanged(self, k, stream, where, bad, axis):
+        self.check_rejected(k, stream, where, bad, axis)
+
+    @staticmethod
+    def check_rejected(k, stream, where, bad, axis):
         pts = [(v, v / 3.0) for v in stream]
         j = where.draw(st.integers(0, len(pts)), label="reject before arrival")
         invalid = list(pts[0] if pts else (0.0, 0.0))
@@ -255,3 +278,72 @@ class TestRejectsInvalidArrival:
         with pytest.raises(ValueError):
             clusterer.process((1.0,))
         assert state_snapshot(clusterer) == before
+
+    def test_huge_coordinates_rejected_before_the_sketch_folds(self):
+        # 0, 1e160, 2e160 at k=2 used to fold the sketch to P = 1e160 at
+        # t = 3 and then overflow in P**2, with no decision made.
+        clusterer, _ = run_stream([(0.0,)], k=2, seed=0)
+        before = state_snapshot(clusterer)
+        with pytest.raises(ValueError, match="beyond"):
+            clusterer.process((1e160,))
+        assert state_snapshot(clusterer) == before
+
+    def test_coordinates_at_the_limit_stay_finite(self):
+        pts = [(0.0,), (COORD_LIMIT,), (-COORD_LIMIT,), (0.5 * COORD_LIMIT,), (1.0,)]
+        clusterer, decisions = run_stream(pts, k=2, seed=0)
+        assert math.isfinite(clusterer.threshold) and clusterer.threshold > 0.0
+        assert all(0.0 <= d.probability <= 1.0 for d in decisions)
+
+
+def scan_min_sq_dist(grid, x):
+    """The reference query: nearest_sq over every selected point."""
+    return float(nearest_sq(np.asarray(x)[None, :], np.asarray(grid.points))[1][0])
+
+
+def nudged(v, ulps):
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+class TestGridQuery:
+    # Forced to 0, every found candidate goes through nearest_sq on its
+    # rows; forced high, through the Python sum. _QUERY_FREE_CELLS = 0
+    # sends small sets to the full scan.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        k=st.integers(1, 4),
+        c_double=st.sampled_from([0.02, 0.3, 289.0]),
+        scale=st.sampled_from([1e-3, 1.0, 1e4]),
+        data=st.data(),
+        py_candidates=st.sampled_from([0, 24, 10**6]),
+        free_cells=st.sampled_from([0, 100]),
+    )
+    def test_decisions_equal_full_scan(self, d, k, c_double, scale, data, py_candidates, free_cells):
+        # Coordinates on a lattice, nudged by an ulp or two, so that many
+        # points share or straddle cell boundaries; negative ones too.
+        coord = st.builds(
+            lambda m, ulps: nudged(m * scale, ulps), st.integers(-30, 30), st.integers(-2, 2)
+        )
+        pts = data.draw(st.lists(st.tuples(*[coord] * d), min_size=k, max_size=120))
+        with mock.patch.object(geometry, "_QUERY_PY_CANDIDATES", py_candidates), mock.patch.object(
+            geometry, "_QUERY_FREE_CELLS", free_cells
+        ):
+            grid_run, decisions = run_stream(pts, k=k, c_double=c_double, seed=3)
+        with mock.patch.object(CellGrid, "min_sq_dist", scan_min_sq_dist):
+            scan_run, expected = run_stream(pts, k=k, c_double=c_double, seed=3)
+        assert decisions == expected
+        assert grid_run.counters == scan_run.counters
+
+    def test_doublings_rebuild_the_grid(self):
+        rng = np.random.default_rng(60)
+        pts = [tuple(rng.normal(0, 5, size=2)) for _ in range(600)]
+        grid_run, decisions = run_stream(pts, k=3, c_double=0.05, seed=5)
+        with mock.patch.object(CellGrid, "min_sq_dist", scan_min_sq_dist):
+            _, expected = run_stream(pts, k=3, c_double=0.05, seed=5)
+        assert grid_run.counters.doublings > 3
+        assert decisions == expected
+        grid = grid_run._selected
+        assert grid._side == geometry.grid_side(grid_run.threshold)
+        assert sorted(i for ids in grid._cells.values() for i in ids) == list(range(len(grid)))

@@ -1,6 +1,8 @@
 import itertools
 import math
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +11,15 @@ from hypothesis import strategies as st
 
 from nosubkm import geometry
 from nosubkm.geometry import (
+    COORD_LIMIT,
+    CellGrid,
     as_point,
     center_shift_residual,
     centroid,
     diameter,
     dist,
+    grid_nearest_sq,
+    grid_side,
     kmeans_cost,
     l_fold_diameter,
     min_sq_dist,
@@ -207,6 +213,14 @@ class TestAsPoint:
         with pytest.raises(ValueError):
             as_point(())
 
+    @pytest.mark.parametrize("big", [1e101, -1e160, sys.float_info.max])
+    def test_rejects_coordinates_beyond_the_limit(self, big):
+        with pytest.raises(ValueError, match="beyond"):
+            as_point((0.0, big))
+
+    def test_accepts_the_limit(self):
+        assert as_point((COORD_LIMIT, -COORD_LIMIT)) == (COORD_LIMIT, -COORD_LIMIT)
+
 
 def broadcast_nearest_sq(X, C):
     """Unchunked reference: the full row-by-center difference block."""
@@ -305,3 +319,146 @@ class TestNearestSq:
     def test_dimension_mismatch(self, cd):
         with pytest.raises(ValueError, match="dimension"):
             nearest_sq(np.zeros((3, 2)), np.zeros((4, cd)))
+
+
+def nudged(v, ulps):
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+def boundary_case(d, max_centers, max_queries):
+    """A threshold R, centers and queries on multiples of the cell side h,
+    nudged by up to two ulps, plus queries about sqrt(R) from a center
+    along one axis, where the query radius cuts."""
+
+    @st.composite
+    def build(draw):
+        R = draw(st.floats(1.0, 2.0)) * 2.0 ** draw(st.integers(-60, 60))
+        h = grid_side(R)
+        coord = st.builds(lambda m, ulps: nudged(m * h, ulps), st.integers(-5, 5), st.integers(-2, 2))
+        point = st.tuples(*[coord] * d)
+        centers = draw(st.lists(point, min_size=1, max_size=max_centers))
+        queries = draw(st.lists(point, min_size=1, max_size=max_queries))
+        for c in draw(st.lists(st.sampled_from(centers), max_size=4)):
+            axis = draw(st.integers(0, d - 1))
+            step = nudged(math.sqrt(R), draw(st.integers(-3, 3))) * draw(st.sampled_from([-1.0, 1.0]))
+            queries.append(tuple(v + step if j == axis else v for j, v in enumerate(c)))
+        return R, centers, queries
+
+    return build()
+
+
+class TestGridSide:
+    @pytest.mark.parametrize("R", [0.0, sys.float_info.min / 2, math.inf, -1.0])
+    def test_no_grid(self, R):
+        assert grid_side(R) == 0.0
+
+    @pytest.mark.parametrize("R", [sys.float_info.min, 1.0, sys.float_info.max])
+    def test_side_just_above_sqrt(self, R):
+        h = grid_side(R)
+        assert math.sqrt(R) < h <= math.sqrt(R) * (1 + 2 * geometry.GRID_MARGIN)
+
+
+class TestCellGrid:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(lambda d: boundary_case(d, 30, 10)),
+        st.sampled_from([0, 24]),
+        st.integers(0, 30),
+    )
+    def test_exact_below_threshold(self, case, py_candidates, before):
+        # Some centers are added before the threshold is set (bucketed by
+        # the rebuild) and the rest after it (bucketed on arrival).
+        R, centers, queries = case
+        grid = CellGrid()
+        for c in centers[:before]:
+            grid.add(c)
+        grid.set_threshold(R)
+        for c in centers[before:]:
+            grid.add(c)
+        C = np.asarray(centers)
+        with mock.patch.object(geometry, "_QUERY_PY_CANDIDATES", py_candidates):
+            for x in queries:
+                exact = float(nearest_sq(np.asarray(x)[None, :], C)[1][0])
+                got = grid.min_sq_dist(x)
+                if exact < R:
+                    assert got == exact
+                else:
+                    assert got in (exact, math.inf)
+
+    def test_scans_without_a_grid(self):
+        grid = CellGrid()
+        for p in [(0.0, 0.0), (3.0, 4.0)]:
+            grid.add(p)
+        assert grid.min_sq_dist((3.0, 5.0)) == 1.0
+        grid.set_threshold(0.5)
+        assert grid.min_sq_dist((3.0, 5.0)) == math.inf
+        assert grid.min_sq_dist((3.0, 4.5)) == 0.25
+
+    def test_empty(self):
+        with pytest.raises(ValueError):
+            CellGrid().min_sq_dist((0.0,))
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_many_cells_fall_back_to_the_scan(self, d):
+        # 3**6 cells exceed the crossover at 50 points, 3**4 do not.
+        rng = np.random.default_rng(d)
+        grid = CellGrid()
+        for p in rng.normal(size=(50, d)).tolist():
+            grid.add(tuple(p))
+        grid.set_threshold(0.01)
+        x = tuple(rng.normal(size=d).tolist())
+        exact = float(nearest_sq(np.asarray(x)[None, :], np.asarray(grid.points))[1][0])
+        assert grid.min_sq_dist(x) == (exact if d == 6 else math.inf)
+
+
+class TestGridNearestSq:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: boundary_case(d, 40, 40)), st.booleans())
+    def test_bits_of_nearest_sq(self, case, forced):
+        # Forced, the grid runs whatever the crossover says; rows with no
+        # center below R (far queries) take the fallback either way.
+        R, centers, queries = case
+        X, C = np.asarray(queries), np.asarray(centers)
+        with mock.patch.object(geometry, "_BATCH_ROWS_PER_PASS", 1e-9 if forced else 150):
+            got = grid_nearest_sq(X, C, R)
+        assert got.tobytes() == nearest_sq(X, C)[1].tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("R", [0.0, 1e-4, 0.3, 1e6])
+    def test_scaled_rows(self, d, R):
+        X, C = scaled_case(d)
+        with mock.patch.object(geometry, "_BATCH_ROWS_PER_PASS", 1e-9):
+            assert grid_nearest_sq(X, C, R).tobytes() == nearest_sq(X, C)[1].tobytes()
+
+    def test_fallback_rows_of_a_stream_with_type2_rejects(self):
+        # The population rule rejects some points far from every selected
+        # one, so their rows have no center below R and take nearest_sq;
+        # the crossover keeps the grid for the rest (937 centers, d=2).
+        from nosubkm import harness
+        from nosubkm.cluster import ClusterConfig, OnlineClusterer
+
+        spec = harness.TrialSpec(
+            k=5,
+            generator="gaussian_mixture",
+            gen_params={"n": 1500, "k": 5, "d": 2, "spread": 0.01, "separation": 1000.0},
+            ordering="shuffled",
+            seed=5,
+        )
+        stream = harness.materialize_stream(spec)
+        clusterer = OnlineClusterer(ClusterConfig(k=5, seed=5))
+        decisions = [clusterer.process(x) for x in stream]
+        X, C, R = np.asarray(stream), np.asarray(clusterer.finalize()), clusterer.threshold
+        expected = nearest_sq(X, C)[1]
+        assert any(d.processing == "type2" and not d.selected for d in decisions)
+        assert (expected >= R).sum() > 0 and (expected < R).sum() > 0
+        assert grid_nearest_sq(X, C, R).tobytes() == expected.tobytes()
+        expected_cost = sum(float(expected[s : s + 4096].sum()) for s in range(0, len(X), 4096))
+        assert harness._bulk_kmeans_cost(stream, clusterer.finalize(), R) == expected_cost
+
+    def test_dimension_mismatch_and_empty(self):
+        with pytest.raises(ValueError, match="dimension"):
+            grid_nearest_sq(np.zeros((3, 2)), np.zeros((4, 1)), 1.0)
+        with pytest.raises(ValueError):
+            grid_nearest_sq(np.zeros((3, 2)), np.zeros((0, 2)), 1.0)

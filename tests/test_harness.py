@@ -43,6 +43,12 @@ class TestLoadPoints:
         with pytest.raises(ParseError, match="line 2"):
             load_points(path)
 
+    def test_huge_value_reports_line(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("1,2\n1e160,3\n")
+        with pytest.raises(ParseError, match="line 2.*beyond"):
+            load_points(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("")
@@ -72,6 +78,10 @@ class TestGenDataset:
         fit = lloyd_kmeans(pts, 3, restarts=10, seed=0)
         total = kmeans_cost(pts, [centroid(pts)])
         assert fit.cost <= 0.01 * total
+
+    def test_coordinates_beyond_the_limit_rejected(self):
+        with pytest.raises(ValueError, match="beyond"):
+            gen_dataset("uniform_box", {"n": 3, "d": 2, "side": 1e101}, seed=1)
 
     def test_sequence_generator_certified(self):
         pts = gen_dataset("alpha_k_sequence", {"k": 2, "alpha": 9.0, "length": 8}, seed=3)
@@ -237,8 +247,11 @@ class TestBulkKMeansCost:
         for start in range(0, len(X), 4096):
             chunk = X[start : start + 4096]
             expected += float(((chunk[:, None, :] - C[None, :, :]) ** 2).sum(axis=2).min(axis=1).sum())
-        assert _bulk_kmeans_cost(pts, centers) == expected
-        assert _bulk_kmeans_cost(pts, centers) == pytest.approx(kmeans_cost(pts, centers), rel=1e-9)
+        # R = 0 scans every center; the others take the grid, the largest
+        # with every row on it, the smallest with most rows falling back.
+        for threshold in (0.0, 1e-6, 1.0, 1e4, 1e12):
+            assert _bulk_kmeans_cost(pts, centers, threshold) == expected
+        assert _bulk_kmeans_cost(pts, centers, 1.0) == pytest.approx(kmeans_cost(pts, centers), rel=1e-9)
 
 
 class TestRunExperiment:

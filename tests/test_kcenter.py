@@ -240,6 +240,15 @@ class TestRejectsInvalidInsert:
             sketch.insert((bad,))
         assert sketch_state(sketch) == before
 
+    @pytest.mark.parametrize("big", [1e160, -1e101])
+    def test_huge_coordinate_leaves_sketch_unchanged(self, big):
+        sketch = KCenterSketch([(0.0,), (10.0,)], 2)
+        sketch.insert((3.0,))
+        before = sketch_state(sketch)
+        with pytest.raises(ValueError, match="beyond"):
+            sketch.insert((big,))
+        assert sketch_state(sketch) == before
+
     def test_dimension_mismatch_leaves_sketch_unchanged(self):
         sketch = KCenterSketch([(0.0,), (10.0,)], 2)
         before = sketch_state(sketch)
