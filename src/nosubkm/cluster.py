@@ -200,8 +200,9 @@ class OnlineClusterer:
         # Exact below R; at or above R only its size matters, since
         # prob = min(1, d2 / R) is then 1.0.
         d2 = self._selected.min_sq_dist(x)
-        if self.threshold > 0.0:
-            prob = min(1.0, d2 / self.threshold)
+        threshold = self._selected.threshold
+        if threshold > 0.0:
+            prob = min(1.0, d2 / threshold)
         else:
             # R can only still be 0 while the sketch radius is 0, i.e. there
             # were fewer than k+1 distinct arrivals; taking any novel point is

@@ -51,10 +51,9 @@ Point = tuple[float, ...]
 # certified greedy upper bound.
 EXACT_PARTITION_LIMIT = 12
 
-# Largest coordinate magnitude a point may have. Below it every squared
-# distance is at most (2 * COORD_LIMIT)**2 * d = 4e200 * d, so it, the
-# sketch radius squared and any sum of fewer than 1e100 such terms stay
-# finite for every d a tuple can have.
+# Largest Euclidean norm a point may have. Below it every squared distance
+# is at most (2 * COORD_LIMIT)**2 = 4e200, whatever d, so it, the sketch
+# radius squared and any sum of fewer than 1e100 such terms stay finite.
 COORD_LIMIT = 1e100
 
 # Relative margin of the grid's query radius over sqrt(R); it covers the
@@ -77,13 +76,14 @@ def as_point(coords: Sequence[float]) -> Point:
 
 def check_point(pt: Point) -> None:
     """Raise ValueError unless pt is nonempty with every coordinate finite
-    and at most COORD_LIMIT in magnitude."""
+    and its Euclidean norm at most COORD_LIMIT."""
     if not pt:
         raise ValueError("a point needs at least one coordinate")
-    if not all(map(math.isfinite, pt)):
-        raise ValueError(f"point has non-finite coordinates: {pt}")
-    if max(map(abs, pt)) > COORD_LIMIT:
-        raise ValueError(f"point has a coordinate beyond ±{COORD_LIMIT:g}: {pt}")
+    # hypot is NaN or inf when a coordinate is, and it does not overflow
+    if not math.hypot(*pt) <= COORD_LIMIT:
+        if not all(map(math.isfinite, pt)):
+            raise ValueError(f"point has non-finite coordinates: {pt}")
+        raise ValueError(f"point has a norm beyond {COORD_LIMIT:g}: {pt}")
 
 
 def dist(a: Point, b: Point) -> float:

@@ -213,13 +213,15 @@ class TestAsPoint:
         with pytest.raises(ValueError):
             as_point(())
 
-    @pytest.mark.parametrize("big", [1e101, -1e160, sys.float_info.max])
-    def test_rejects_coordinates_beyond_the_limit(self, big):
+    @pytest.mark.parametrize(
+        "pt", [(0.0, 1e101), (-1e160, 0.0), (sys.float_info.max,) * 2, (0.8e100, 0.8e100)]
+    )
+    def test_rejects_a_norm_beyond_the_limit(self, pt):
         with pytest.raises(ValueError, match="beyond"):
-            as_point((0.0, big))
+            as_point(pt)
 
     def test_accepts_the_limit(self):
-        assert as_point((COORD_LIMIT, -COORD_LIMIT)) == (COORD_LIMIT, -COORD_LIMIT)
+        assert as_point((-COORD_LIMIT, 0.0)) == (-COORD_LIMIT, 0.0)
 
 
 def broadcast_nearest_sq(X, C):

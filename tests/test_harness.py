@@ -79,7 +79,7 @@ class TestGenDataset:
         total = kmeans_cost(pts, [centroid(pts)])
         assert fit.cost <= 0.01 * total
 
-    def test_coordinates_beyond_the_limit_rejected(self):
+    def test_points_beyond_the_norm_limit_rejected(self):
         with pytest.raises(ValueError, match="beyond"):
             gen_dataset("uniform_box", {"n": 3, "d": 2, "side": 1e101}, seed=1)
 
