@@ -298,23 +298,41 @@ def grid_nearest_sq(X: np.ndarray, C: np.ndarray, threshold: float) -> np.ndarra
         start = np.searchsorted(keys, run)
         count = np.searchsorted(keys, run + span) - start
         rows = np.flatnonzero(count)
-        if not len(rows):
-            continue
-        count = count[rows]
-        first = np.cumsum(count) - count
-        pair_row = np.repeat(rows, count)
-        pair_center = np.arange(len(pair_row)) - np.repeat(first - start[rows], count)
-        sq = X[pair_row, 0] - C[pair_center, 0]
-        np.square(sq, out=sq)
-        for j in range(1, d):
-            tmp = X[pair_row, j] - C[pair_center, j]
-            np.square(tmp, out=tmp)
-            sq += tmp
-        best[rows] = np.minimum(best[rows], np.minimum.reduceat(sq, first))
+        # Row groups of about NEAREST_SQ_BUDGET row-center pairs each (one
+        # row's pairs more at most), so the pair temporaries stay bounded.
+        ends = np.cumsum(count[rows])
+        total = int(ends[-1]) if len(ends) else 0
+        cuts = np.searchsorted(ends, np.arange(NEAREST_SQ_BUDGET, total, NEAREST_SQ_BUDGET))
+        for part in np.split(rows, cuts):
+            if len(part):
+                _grid_pairs_min(X, C, part, start[part], count[part], best)
     miss = np.flatnonzero(~(best < threshold))
     if len(miss):
         best[miss] = nearest_sq(X[miss], C)[1]
     return best
+
+
+def _grid_pairs_min(
+    X: np.ndarray,
+    C: np.ndarray,
+    rows: np.ndarray,
+    start: np.ndarray,
+    count: np.ndarray,
+    best: np.ndarray,
+) -> None:
+    """Lower best[rows] to the smallest squared distance from each row to
+    the centers C[start : start + count] of its run, summed as in
+    nearest_sq."""
+    first = np.cumsum(count) - count
+    pair_row = np.repeat(rows, count)
+    pair_center = np.arange(len(pair_row)) - np.repeat(first - start, count)
+    sq = X[pair_row, 0] - C[pair_center, 0]
+    np.square(sq, out=sq)
+    for j in range(1, X.shape[1]):
+        tmp = X[pair_row, j] - C[pair_center, j]
+        np.square(tmp, out=tmp)
+        sq += tmp
+    best[rows] = np.minimum(best[rows], np.minimum.reduceat(sq, first))
 
 
 def kmeans_cost(points: Sequence[Point], centers: Sequence[Point]) -> float:

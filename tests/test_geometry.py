@@ -434,6 +434,30 @@ class TestGridNearestSq:
         with mock.patch.object(geometry, "_BATCH_ROWS_PER_PASS", 1e-9):
             assert grid_nearest_sq(X, C, R).tobytes() == nearest_sq(X, C)[1].tobytes()
 
+    @pytest.mark.parametrize("budget", [1, 7, 1 << 20])
+    def test_bits_independent_of_pair_budget(self, monkeypatch, budget):
+        monkeypatch.setattr(geometry, "NEAREST_SQ_BUDGET", budget)
+        monkeypatch.setattr(geometry, "_BATCH_ROWS_PER_PASS", 1e-9)
+        X, C = scaled_case(2)
+        assert grid_nearest_sq(X, C, 0.3).tobytes() == nearest_sq(X, C)[1].tobytes()
+
+    def test_pair_temporaries_within_budget(self, monkeypatch):
+        budget = 1 << 14
+        monkeypatch.setattr(geometry, "NEAREST_SQ_BUDGET", budget)
+        rng = np.random.default_rng(8)
+        X = rng.uniform(size=(20_000, 2))
+        C = X[:2000]
+        # About 180 centers in each row's cells: 3.6M pairs in one piece.
+        tracemalloc.start()
+        try:
+            grid_nearest_sq(X, C, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Some per-row arrays, then a dozen pair arrays of at most the
+        # budget plus one row's centers, and object overhead.
+        assert peak <= 12 * 8 * len(X) + 12 * 8 * (budget + len(C)) + (64 << 10)
+
     def test_fallback_rows_of_a_stream_with_type2_rejects(self):
         # The population rule rejects some points far from every selected
         # one, so their rows have no center below R and take nearest_sq;
