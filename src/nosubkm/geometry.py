@@ -31,7 +31,8 @@ scanned cell. The scan assumes no ±1 ring: it runs from the low cell to
 the high one, whatever their distance. Hence the smallest D over the
 scanned cells is the smallest over all centers whenever it is below R, and
 when no scanned center is below R no center is. The margin does not
-depend on d.
+depend on d. Every cell number is finite: points have coordinates within
+COORD_LIMIT and h >= sqrt(DBL_MIN), so |x_j ± r| / h < 2e254.
 """
 
 from __future__ import annotations
