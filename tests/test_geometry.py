@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nosubkm import geometry
+from nosubkm import geometry, harness
+from nosubkm.cluster import ClusterConfig, OnlineClusterer
 from nosubkm.geometry import (
     COORD_LIMIT,
     CellGrid,
@@ -462,9 +463,6 @@ class TestGridNearestSq:
         # The population rule rejects some points far from every selected
         # one, so their rows have no center below R and take nearest_sq;
         # the crossover keeps the grid for the rest (937 centers, d=2).
-        from nosubkm import harness
-        from nosubkm.cluster import ClusterConfig, OnlineClusterer
-
         spec = harness.TrialSpec(
             k=5,
             generator="gaussian_mixture",
