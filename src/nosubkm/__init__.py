@@ -4,7 +4,6 @@ from .cluster import ClusterConfig, Decision, OnlineClusterer, step_uniform
 from .geometry import (
     FoldDiameter,
     Point,
-    center_shift_residual,
     centroid,
     dist,
     kmeans_cost,
@@ -39,7 +38,6 @@ __all__ = [
     "SequenceOverflowError",
     "TrialSpec",
     "adversarial_order",
-    "center_shift_residual",
     "centroid",
     "dist",
     "gen_alpha_k_sequence",

@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 
-from . import checks
 from .harness import (
     GENERATORS,
     ORACLES,
@@ -74,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     lower.add_argument("--input", required=True)
     lower.add_argument("--k", type=int, required=True)
     lower.add_argument("--alpha", type=float, default=9.0)
-
-    sub.add_parser("check", help="run the built-in invariant suites")
     return parser
 
 
@@ -128,8 +125,6 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_gen(args)
     if args.command == "lower":
         return cmd_lower(args)
-    if args.command == "check":
-        return 0 if checks.run_all() else 1
     raise AssertionError(f"unhandled command {args.command}")
 
 

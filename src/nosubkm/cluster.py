@@ -22,14 +22,18 @@ the probability is 1 otherwise. The selected set therefore lives on a
 query from the cells next to x, with the bits of a full `nearest_sq` scan
 below R. The grid is rebuilt whenever R is raised or doubled; while R is
 0 (warm-up) the query scans every selected point.
+
+`OnlineClusterer.check()` tests the selector's invariants on a live
+object, and those of its grid and sketch; `process` never calls it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .geometry import CellGrid, Point, check_point
+from .geometry import CellGrid, Point, check_point, require
 from .kcenter import KCenterSketch
 
 _U64 = (1 << 64) - 1
@@ -66,7 +70,6 @@ class ClusterConfig:
     c_raise: float = 24.0  # divisor coefficient when raising R from the radius
     c_double: float = 289.0  # selection-count factor before R doubles
     c_type2: float = 12.0  # numerator coefficient of the population rule
-    log_base: float = 2.0
     mode: str = "full"  # "full" or "type1_only"
     seed: int = 0
 
@@ -78,10 +81,8 @@ class ClusterConfig:
                 f"bootstrap ({self.bootstrap}) must be >= k ({self.k})"
             )
         for name in ("c_raise", "c_double", "c_type2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.log_base <= 1:
-            raise ValueError("log_base must be > 1")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.mode not in ("full", "type1_only"):
             raise ValueError(f"unknown mode: {self.mode!r}")
 
@@ -143,6 +144,38 @@ class OnlineClusterer:
     def finalize(self) -> list[Point]:
         """Selected centers in arrival order. Idempotent."""
         return list(self.selected_points)
+
+    def check(self) -> None:
+        """Raise AssertionError unless the selector invariants hold, then
+        check the grid of selected points and the sketch.
+
+        The selected indices strictly increase within 1..t, one per
+        selected point; F is at most the doubling limit at t; the sketch
+        exists from t = k on and has seen every arrival.
+        """
+        t = self.t
+        indices = self.selected_indices
+        require(
+            all(a < b for a, b in itertools.pairwise([0, *indices, t + 1])),
+            f"selected indices do not strictly increase within 1..{t}",
+        )
+        require(
+            len(indices) == len(self.selected_points),
+            f"{len(indices)} selected indices for {len(self.selected_points)} selected points",
+        )
+        limit = self._doubling_limit(t) if t else 0.0
+        require(
+            self.selections_since_reset <= limit,
+            f"F = {self.selections_since_reset} is past the doubling limit {limit}",
+        )
+        seen = 0 if self.sketch is None else self.sketch.t
+        require(
+            seen == (t if t >= self.config.k else 0),
+            f"the sketch has seen {seen} arrivals at t = {t}",
+        )
+        self._selected.check()
+        if self.sketch is not None:
+            self.sketch.check()
 
     def process(self, x: Point) -> Decision:
         """Decide on arrival x.
@@ -214,12 +247,17 @@ class OnlineClusterer:
             self._take(x)
             self.selections_since_reset += 1
 
-        limit = cfg.c_double * cfg.k * self._ln_k10 * math.log(t, cfg.log_base)
-        if self.selections_since_reset > limit:
+        if self.selections_since_reset > self._doubling_limit(t):
             self._set_threshold(2.0 * self.threshold)
             self.counters.doublings += 1
 
         return self._decision(t, "type1", selected, prob)
+
+    def _doubling_limit(self, t: int) -> float:
+        """The count F of type-1 selections may reach at arrival t >= 1
+        before R doubles."""
+        cfg = self.config
+        return cfg.c_double * cfg.k * self._ln_k10 * math.log(t, 2.0)
 
     def _process_type2(self, t: int, x: Point) -> Decision:
         cfg = self.config

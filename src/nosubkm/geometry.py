@@ -87,6 +87,13 @@ def check_point(pt: Point) -> None:
         raise ValueError(f"point has a norm beyond {COORD_LIMIT:g}: {pt}")
 
 
+def require(ok: bool, message: str) -> None:
+    """Raise AssertionError(message) unless ok; the `check()` methods'
+    test, which `python -O` does not strip as it strips `assert`."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def dist(a: Point, b: Point) -> float:
     """Euclidean distance between two points of equal dimension."""
     if len(a) != len(b):
@@ -214,9 +221,35 @@ class CellGrid:
             for i, p in enumerate(self.points):
                 self._bucket(i, p)
 
-    def _bucket(self, i: int, p: Point) -> None:
+    def _key(self, p: Point) -> tuple[int, ...]:
         h = self._side
-        self._cells.setdefault(tuple([math.floor(c / h) for c in p]), []).append(i)
+        return tuple([math.floor(c / h) for c in p])
+
+    def _bucket(self, i: int, p: Point) -> None:
+        self._cells.setdefault(self._key(p), []).append(i)
+
+    def check(self) -> None:
+        """Raise AssertionError unless the grid matches its points.
+
+        The cell side is that of the threshold; the cells partition the
+        point ids (no cells without a grid), each id in the cell of its
+        point; the array rows equal the points.
+        """
+        n = len(self.points)
+        require(
+            self._side == grid_side(self.threshold),
+            f"cell side {self._side} is not that of R = {self.threshold}",
+        )
+        listed = sorted(i for ids in self._cells.values() for i in ids)
+        require(
+            listed == (list(range(n)) if self._side else []),
+            f"the cells hold ids {listed}, not a partition of the {n} points",
+        )
+        for key, ids in self._cells.items():
+            for i in ids:
+                require(key == self._key(self.points[i]), f"point {i} is not in cell {key}")
+        rows = [] if self._rows is None else self._rows[:n].tolist()
+        require(rows == [list(p) for p in self.points], "the array rows differ from the points")
 
     def min_sq_dist(self, x: Point) -> float:
         """Squared distance from x to its nearest point, with the bits of
@@ -352,20 +385,6 @@ def centroid(points: Sequence[Point]) -> Point:
     n = len(points)
     d = len(points[0])
     return tuple(sum(p[j] for p in points) / n for j in range(d))
-
-
-def center_shift_residual(points: Sequence[Point], s: Point) -> float:
-    """Test probe for the shift identity L(X,{s}) = L(X,{mu}) + |X| d(s,mu)^2.
-
-    Exact arithmetic gives 0; callers assert the result is 0 within floating
-    tolerance.
-    """
-    mu = centroid(points)
-    return (
-        kmeans_cost(points, [s])
-        - kmeans_cost(points, [mu])
-        - len(points) * sq_dist(s, mu)
-    )
 
 
 def diameter(points: Sequence[Point]) -> float:

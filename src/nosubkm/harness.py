@@ -106,8 +106,8 @@ def _gen_gaussian_mixture(
 ) -> list[Point]:
     if n < 1 or k < 1 or d < 1:
         raise ValueError("n, k, and d must be positive")
-    if spread < 0 or separation <= 0:
-        raise ValueError("spread must be >= 0 and separation > 0")
+    if not (0 <= spread < math.inf and 0 < separation < math.inf):
+        raise ValueError("spread must be >= 0 and separation > 0, both finite")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.0, separation, size=(k, d))
     comps = rng.integers(0, k, size=n)
@@ -116,8 +116,8 @@ def _gen_gaussian_mixture(
 
 
 def _gen_uniform_box(n: int, d: int = 2, side: float = 1.0, seed: int = 0) -> list[Point]:
-    if n < 1 or d < 1 or side <= 0:
-        raise ValueError("n and d must be positive, side > 0")
+    if n < 1 or d < 1 or not 0 < side < math.inf:
+        raise ValueError("n and d must be positive, side > 0 and finite")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, side, size=(n, d))
     return [as_point(row) for row in pts]
@@ -150,8 +150,9 @@ class TrialSpec:
             raise ValueError(f"ordering must be one of {ORDERINGS}")
         if self.oracle not in ORACLES:
             raise ValueError(f"oracle must be one of {ORACLES}")
-        if self.ordering == "adversarial" and self.alpha <= 1:
-            raise ValueError("adversarial ordering requires alpha > 1")
+        # every trial runs lower_estimate at this alpha, whatever the ordering
+        if not self.alpha > 1:
+            raise ValueError(f"alpha must be > 1, got {self.alpha}")
         if self.lloyd_restarts < 1:
             raise ValueError("lloyd_restarts must be >= 1")
 

@@ -21,7 +21,8 @@ points to a center at most 2P away, so a point is within
 
 The sketch is deterministic: the same input prefix always yields the same
 centers, counts, and radius. The minimum center gap is cached and only
-recomputed after the center set changes.
+recomputed after the center set changes. `check()` tests these invariants
+on a live sketch; `insert` never calls it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import Point, check_point, dist
+from .geometry import Point, check_point, dist, require
 
 
 @dataclass
@@ -86,11 +87,47 @@ class KCenterSketch:
     def min_center_gap(self) -> float:
         """Minimum pairwise distance among centers; +inf with fewer than 2."""
         if self._gap is None:
-            self._gap = min(
-                (dist(a.center, b.center) for a, b in itertools.combinations(self.centers, 2)),
-                default=math.inf,
-            )
+            self._gap = self._center_gap()
         return self._gap
+
+    def _center_gap(self) -> float:
+        return min(
+            (dist(a.center, b.center) for a, b in itertools.combinations(self.centers, 2)),
+            default=math.inf,
+        )
+
+    def check(self, prefix: Sequence[Point] | None = None) -> None:
+        """Raise AssertionError unless the sketch invariants hold.
+
+        |Z| <= k; the counts sum to t; births strictly increase within
+        1..t; the cached gap is stale (None) or exact; the centers are
+        pairwise more than 2P apart, which holds at every step, warm-up
+        included. Given `prefix`, the t points inserted so far, also every
+        one of them within 4P of a center, with no slack.
+        """
+        t = self.t
+        require(len(self.centers) <= self.k, f"{len(self.centers)} centers, more than k = {self.k}")
+        counts = sum(c.count for c in self.centers)
+        require(counts == t, f"counts sum to {counts}, not t = {t}")
+        births = [c.birth for c in self.centers]
+        require(
+            all(a < b for a, b in itertools.pairwise([0, *births, t + 1])),
+            f"births {births} do not strictly increase within 1..{t}",
+        )
+        gap = self._center_gap()
+        require(
+            self._gap is None or self._gap == gap,
+            f"cached gap {self._gap} is not the center gap {gap}",
+        )
+        require(gap > 2.0 * self.radius, f"center gap {gap} is not above 2P = {2.0 * self.radius}")
+        if prefix is not None:
+            if len(prefix) != t:
+                raise ValueError(f"prefix has {len(prefix)} points, not t = {t}")
+            cover = max(self.nearest_center(p)[1] for p in prefix)
+            require(
+                cover <= 4.0 * self.radius,
+                f"a prefix point is {cover} from the centers, beyond 4P = {4.0 * self.radius}",
+            )
 
     def insert(self, x: Point) -> None:
         """Absorb x into its nearest center, or add it as a center and fold.

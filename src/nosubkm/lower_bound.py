@@ -73,10 +73,7 @@ def is_alpha_k_sequence(
     points: Sequence[Point], order: Sequence[int], alpha: float, k: int
 ) -> bool:
     """Check the spread condition for every position of `order` (strictly)."""
-    if alpha <= 1:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _validate_alpha_k(alpha, k)
     if len(set(order)) != len(order):
         raise ValueError("order contains a repeated index")
     for idx in order:
@@ -299,7 +296,8 @@ def gen_alpha_k_sequence(
 
 
 def _validate_alpha_k(alpha: float, k: int) -> None:
-    if alpha <= 1:
+    # written so that NaN fails too
+    if not alpha > 1:
         raise ValueError(f"alpha must be > 1, got {alpha}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -70,10 +70,10 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["exact"] is False
 
-    def test_check_passes(self, capsys):
-        assert main(["check"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+    def test_run_rejects_nan_alpha(self):
+        with pytest.raises(ValueError, match="alpha"):
+            main(["run", "--gen", "uniform_box", "--gen-params", "n=8,d=1",
+                  "--k", "2", "--order", "adversarial", "--alpha", "nan"])
 
     def test_requires_source(self):
         with pytest.raises(SystemExit):

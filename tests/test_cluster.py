@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nosubkm import geometry
 from nosubkm.cluster import ClusterConfig, OnlineClusterer, step_uniform
 from nosubkm.geometry import COORD_LIMIT, CellGrid, nearest_sq
+from nosubkm.kcenter import KCenterSketch
 
 
 def run_stream(points, **config_kwargs):
@@ -28,6 +29,12 @@ class TestConfig:
 
     def test_bootstrap_defaults_to_k(self):
         assert ClusterConfig(k=4).bootstrap_size == 4
+
+    @pytest.mark.parametrize("name", ["c_raise", "c_double", "c_type2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_constants_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ClusterConfig(k=2, **{name: value})
 
 
 class TestBootstrap:
@@ -117,6 +124,7 @@ class TestInvariants:
         replayed = [pts[d.index - 1] for d in decisions if d.selected]
         assert replayed == clusterer.finalize()
         assert clusterer.finalize() == clusterer.finalize()  # idempotent
+        clusterer.check()
 
     def test_threshold_monotone(self):
         rng = np.random.default_rng(54)
@@ -271,6 +279,7 @@ class TestRejectsInvalidArrival:
         decisions += [clusterer.process(x) for x in pts[j:]]
         assert decisions == expected
         assert state_snapshot(clusterer) == state_snapshot(clean)
+        clusterer.check()
 
     def test_dimension_mismatch_leaves_state_unchanged(self):
         clusterer, _ = run_stream([(0.0, 0.0), (5.0, 1.0), (9.0, 9.0)], k=2, seed=0)
@@ -335,6 +344,7 @@ class TestGridQuery:
             scan_run, expected = run_stream(pts, k=k, c_double=c_double, seed=3)
         assert decisions == expected
         assert grid_run.counters == scan_run.counters
+        grid_run.check()
 
     def test_doublings_rebuild_the_grid(self):
         rng = np.random.default_rng(60)
@@ -344,6 +354,64 @@ class TestGridQuery:
             _, expected = run_stream(pts, k=3, c_double=0.05, seed=5)
         assert grid_run.counters.doublings > 3
         assert decisions == expected
-        grid = grid_run._selected
-        assert grid._side == geometry.grid_side(grid_run.threshold)
-        assert sorted(i for ids in grid._cells.values() for i in ids) == list(range(len(grid)))
+        grid_run.check()
+
+
+def live_clusterer():
+    """A clusterer on a stream whose threshold doubles several times."""
+    rng = np.random.default_rng(61)
+    pts = [tuple(rng.normal(0, 5, size=2)) for _ in range(300)]
+    clusterer, _ = run_stream(pts, k=3, c_double=0.05, seed=6)
+    return clusterer
+
+
+def swap_two_indices(clusterer):
+    idx = clusterer.selected_indices
+    idx[3], idx[4] = idx[4], idx[3]
+
+
+class TestCheck:
+    def test_passes_during_a_live_run(self):
+        rng = np.random.default_rng(62)
+        clusterer = OnlineClusterer(ClusterConfig(k=3, c_double=0.05, seed=6))
+        clusterer.check()
+        peak_f = 0
+        for x in rng.normal(0, 5, size=(300, 2)).tolist():
+            clusterer.process(tuple(x))
+            clusterer.check()
+            peak_f = max(peak_f, clusterer.selections_since_reset)
+        assert clusterer.counters.doublings > 1 and peak_f > 0
+
+    # Each mutation breaks one invariant of a live clusterer, its grid or
+    # its sketch.
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (swap_two_indices, "strictly increase"),
+            (lambda c: c.selected_indices.__setitem__(-1, c.t + 1), "strictly increase"),
+            (lambda c: c.selected_indices.pop(), "selected indices for"),
+            (
+                lambda c: setattr(
+                    c, "selections_since_reset", math.floor(c._doubling_limit(c.t)) + 1
+                ),
+                "doubling limit",
+            ),
+            (lambda c: setattr(c.sketch, "t", c.t + 1), "sketch has seen"),
+            (lambda c: setattr(c, "sketch", None), "sketch has seen"),
+            (lambda c: c._selected._rows.__setitem__((0, 0), 1e9), "array rows"),
+            (lambda c: setattr(c.sketch.centers[0], "count", 0), "counts sum"),
+        ],
+    )
+    def test_raises_on_a_broken_invariant(self, mutate, message):
+        clusterer = live_clusterer()
+        mutate(clusterer)
+        with pytest.raises(AssertionError, match=message):
+            clusterer.check()
+
+    def test_process_never_calls_check(self):
+        broken = mock.Mock(side_effect=AssertionError("check() was called"))
+        with mock.patch.object(OnlineClusterer, "check", broken), mock.patch.object(
+            KCenterSketch, "check", broken
+        ), mock.patch.object(CellGrid, "check", broken):
+            live_clusterer()
+        broken.assert_not_called()

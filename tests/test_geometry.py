@@ -15,7 +15,6 @@ from nosubkm.geometry import (
     COORD_LIMIT,
     CellGrid,
     as_point,
-    center_shift_residual,
     centroid,
     diameter,
     dist,
@@ -115,6 +114,13 @@ class TestCentroid:
     def test_empty(self):
         with pytest.raises(ValueError):
             centroid([])
+
+
+def center_shift_residual(points, s):
+    """L(X,{s}) - L(X,{mu}) - |X| d(s,mu)^2, which is 0 in exact arithmetic
+    (the center-shift identity)."""
+    mu = centroid(points)
+    return kmeans_cost(points, [s]) - kmeans_cost(points, [mu]) - len(points) * sq_dist(s, mu)
 
 
 class TestCenterShiftResidual:
@@ -414,6 +420,48 @@ class TestCellGrid:
         x = tuple(rng.normal(size=d).tolist())
         exact = float(nearest_sq(np.asarray(x)[None, :], np.asarray(grid.points))[1][0])
         assert grid.min_sq_dist(x) == (exact if d == 6 else math.inf)
+
+
+def live_grid():
+    """A grid with points added before and after its threshold was set."""
+    rng = np.random.default_rng(48)
+    grid = CellGrid()
+    for p in rng.normal(0, 3, size=(40, 2)).tolist():
+        grid.add(tuple(p))
+        if len(grid) == 20:
+            grid.set_threshold(0.7)
+    return grid
+
+
+def move_to_a_wrong_cell(grid):
+    key, ids = next(iter(grid._cells.items()))
+    wrong = (key[0] + 1, *key[1:])
+    grid._cells.setdefault(wrong, []).append(ids.pop())
+
+
+class TestCellGridCheck:
+    def test_passes_on_a_live_grid(self):
+        grid = live_grid()
+        grid.check()
+        CellGrid().check()
+
+    # Each mutation breaks one invariant of a live grid.
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda g: setattr(g, "_side", 2.0 * g._side), "cell side"),
+            (lambda g: next(iter(g._cells.values())).pop(), "partition"),
+            (lambda g: next(iter(g._cells.values())).append(0), "partition"),
+            (lambda g: [setattr(g, "threshold", 0.0), setattr(g, "_side", 0.0)], "partition"),
+            (move_to_a_wrong_cell, "not in cell"),
+            (lambda g: g._rows.__setitem__((7, 1), g._rows[7, 1] + 1.0), "array rows"),
+        ],
+    )
+    def test_raises_on_a_broken_invariant(self, mutate, message):
+        grid = live_grid()
+        mutate(grid)
+        with pytest.raises(AssertionError, match=message):
+            grid.check()
 
 
 class TestGridNearestSq:

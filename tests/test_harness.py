@@ -1,4 +1,6 @@
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -100,6 +102,23 @@ class TestGenDataset:
         with pytest.raises(ValueError):
             gen_dataset("uniform_box", {"n": 0, "d": 2}, seed=0)
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("gaussian_mixture", {"n": 4, "k": 2, "separation": math.inf}),
+            ("gaussian_mixture", {"n": 4, "k": 2, "separation": math.nan}),
+            ("gaussian_mixture", {"n": 4, "k": 2, "spread": math.inf}),
+            ("gaussian_mixture", {"n": 4, "k": 2, "spread": math.nan}),
+            ("uniform_box", {"n": 4, "side": math.inf}),
+            ("uniform_box", {"n": 4, "side": math.nan}),
+        ],
+    )
+    def test_non_finite_scale_rejected_before_any_draw(self, kind, params):
+        with mock.patch("numpy.random.default_rng") as rng:
+            with pytest.raises(ValueError, match="finite"):
+                gen_dataset(kind, params, seed=0)
+        rng.assert_not_called()
+
 
 class TestTrialSpec:
     def test_requires_exactly_one_source(self):
@@ -111,6 +130,13 @@ class TestTrialSpec:
     def test_adversarial_needs_alpha(self):
         with pytest.raises(ValueError):
             TrialSpec(k=2, generator="uniform_box", ordering="adversarial", alpha=1.0)
+
+    @pytest.mark.parametrize("ordering", ["given", "shuffled", "adversarial"])
+    @pytest.mark.parametrize("alpha", [math.nan, 1.0, 0.5])
+    def test_alpha_not_above_one_rejected_for_every_ordering(self, ordering, alpha):
+        # run_trial scores every ordering against lower_estimate at alpha
+        with pytest.raises(ValueError, match="alpha"):
+            TrialSpec(k=2, generator="uniform_box", ordering=ordering, alpha=alpha)
 
 
 class TestRunTrial:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nosubkm.geometry import dist
-from nosubkm.kcenter import KCenterSketch
+from nosubkm.kcenter import AugmentedCenter, KCenterSketch
 from nosubkm.oracle import optimal_kmeans
 
 
@@ -168,13 +168,6 @@ class TestQueries:
         assert center.center == (10.0,) and d == 0.0
 
 
-def gap_from_scratch(sketch):
-    return min(
-        (dist(a.center, b.center) for a, b in itertools.combinations(sketch.centers, 2)),
-        default=math.inf,
-    )
-
-
 def sketch_state(sketch):
     return (
         sketch.t,
@@ -199,10 +192,13 @@ class TestGapCache:
     def test_matches_recomputation_after_every_insert(self, k, dim, values):
         pts = [tuple(values[i : i + dim]) for i in range(0, len(values) - dim + 1, dim)]
         sketch = KCenterSketch(pts[:k], k)
-        assert sketch.min_center_gap() == gap_from_scratch(sketch)
+        # check() compares the cached gap with a recomputed one
+        sketch.min_center_gap()
+        sketch.check()
         for x in pts[k:]:
             sketch.insert(x)
-            assert sketch.min_center_gap() == gap_from_scratch(sketch)
+            sketch.min_center_gap()
+            sketch.check()
 
     def test_streams_exercise_merges_and_duplicates(self):
         rng = np.random.default_rng(46)
@@ -217,7 +213,8 @@ class TestGapCache:
                 sketch.insert(x)
                 merges += sketch.radius != radius
                 duplicates += x in centers
-                assert sketch.min_center_gap() == gap_from_scratch(sketch)
+                sketch.min_center_gap()
+                sketch.check()
         assert merges > 10 and duplicates > 100
 
 
@@ -267,15 +264,9 @@ class TestInvariants:
             prev_radius = sketch.radius
             for t in range(k + 1, len(pts) + 1):
                 sketch.insert(pts[t - 1])
-                assert len(sketch) <= k
-                assert sum(c.count for c in sketch.centers) == t
+                sketch.check(pts[:t])
                 assert sketch.radius >= prev_radius
                 prev_radius = sketch.radius
-                cover = max(
-                    min(dist(p, c.center) for c in sketch.centers)
-                    for p in pts[:t]
-                )
-                assert cover <= 4.0 * sketch.radius + 1e-9 * sketch.radius
 
     def test_spread_witnesses_exist_after_first_merge(self):
         # Once P is defined, some k+1 stream points are pairwise >= P apart:
@@ -328,11 +319,7 @@ class TestInvariants:
                 prev = sketch.radius
                 sketch.insert(pts[t - 1])
                 assert sketch.radius == prev or sketch.radius > 2.0 * prev
-            assert len(sketch) <= k
-            assert sum(c.count for c in sketch.centers) == t
-            assert sketch.min_center_gap() > 2.0 * sketch.radius
-            cover = max(min(dist(p, c.center) for c in sketch.centers) for p in pts[:t])
-            assert cover <= 4.0 * sketch.radius * (1 + 1e-9)
+            sketch.check(pts[:t])
 
     def test_optimal_cost_sandwich_attainable(self):
         # Upper half always: the centers cover every prefix point within 4P,
@@ -389,3 +376,51 @@ class TestSeparatedCounts:
         counts = sorted(c.count for c in sketch.centers)
         opt = optimal_kmeans(pts, k)
         assert counts == sorted(opt.cluster_sizes())
+
+
+def live_sketch():
+    """A sketch after several folds with its gap cached, and its prefix."""
+    rng = np.random.default_rng(47)
+    pts = [tuple(rng.uniform(0, 10 ** rng.integers(0, 4), size=2)) for _ in range(80)]
+    sketch = KCenterSketch(pts[:3], 3)
+    for x in pts[3:]:
+        sketch.insert(x)
+    sketch.min_center_gap()
+    return sketch, pts
+
+
+def swap_births(sketch):
+    first, second = sketch.centers[:2]
+    first.birth, second.birth = second.birth, first.birth
+
+
+class TestCheck:
+    def test_passes_on_a_live_sketch(self):
+        sketch, pts = live_sketch()
+        assert sketch.radius > 0.0 and len(sketch) == 3
+        sketch.check(pts)
+
+    # Each mutation breaks one invariant of a live sketch.
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda s: s.centers.append(AugmentedCenter((1e9, 1e9), 0, s.t)), "more than k"),
+            (lambda s: setattr(s.centers[1], "count", s.centers[1].count + 1), "counts sum"),
+            (swap_births, "births"),
+            (lambda s: setattr(s.centers[-1], "birth", s.t + 1), "births"),
+            (lambda s: setattr(s.centers[0], "birth", 0), "births"),
+            (lambda s: setattr(s, "_gap", math.nextafter(s._gap, math.inf)), "cached gap"),
+            (lambda s: setattr(s, "radius", s.min_center_gap() / 2.0), "above 2P"),
+            (lambda s: setattr(s, "radius", s.radius / 4.0), "beyond 4P"),
+        ],
+    )
+    def test_raises_on_a_broken_invariant(self, mutate, message):
+        sketch, pts = live_sketch()
+        mutate(sketch)
+        with pytest.raises(AssertionError, match=message):
+            sketch.check(pts)
+
+    def test_prefix_of_another_length_is_an_error(self):
+        sketch, pts = live_sketch()
+        with pytest.raises(ValueError):
+            sketch.check(pts[:-1])

@@ -50,6 +50,16 @@ class TestCertification:
         with pytest.raises(ValueError):
             is_alpha_k_sequence(POINTS_0_1_7_50, [0, 1], 1.0, 2)
 
+    @pytest.mark.parametrize("alpha", [math.nan, -math.inf, 1.0])
+    def test_alpha_that_is_not_above_one_is_rejected_everywhere(self, alpha):
+        # The order fails at alpha = 9; a NaN alpha used to certify it.
+        pts = [(0.0,), (1.0,), (7.0,), (43.0,)]
+        with pytest.raises(ValueError, match="alpha"):
+            is_alpha_k_sequence(pts, [0, 1, 2, 3], alpha, 2)
+        for search in (lower_exact, lower_greedy):
+            with pytest.raises(ValueError, match="alpha"):
+                search(pts, alpha, 2)
+
     def test_strictness_at_equality(self):
         # distance exactly equal to the threshold must fail
         pts = [(0.0,), (1.0,), (1.0 + math.sqrt(27),)]
