@@ -2,7 +2,6 @@
 
 from .cluster import ClusterConfig, Decision, OnlineClusterer, step_uniform
 from .geometry import (
-    FoldDiameter,
     Point,
     centroid,
     dist,
@@ -30,7 +29,6 @@ __all__ = [
     "ClusterConfig",
     "Clustering",
     "Decision",
-    "FoldDiameter",
     "KCenterSketch",
     "OnlineClusterer",
     "Point",

@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 
+from .cluster import MODES
 from .harness import (
     GENERATORS,
     ORACLES,
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--k", type=int, required=True)
     run.add_argument("--order", choices=ORDERINGS, default="given")
     run.add_argument("--alpha", type=float, default=9.0)
-    run.add_argument("--mode", choices=("full", "type1_only"), default="full")
+    run.add_argument("--mode", choices=MODES, default="full")
     run.add_argument("--trials", type=int, default=1)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--oracle", choices=ORACLES, default="exact")

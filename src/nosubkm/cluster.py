@@ -63,6 +63,10 @@ def step_uniform(seed: int, t: int) -> float:
     return (c0 >> 11) * 2.0**-53
 
 
+# "type1_only" never runs the population rule.
+MODES = ("full", "type1_only")
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     k: int
@@ -70,7 +74,7 @@ class ClusterConfig:
     c_raise: float = 24.0  # divisor coefficient when raising R from the radius
     c_double: float = 289.0  # selection-count factor before R doubles
     c_type2: float = 12.0  # numerator coefficient of the population rule
-    mode: str = "full"  # "full" or "type1_only"
+    mode: str = "full"  # one of MODES
     seed: int = 0
 
     def __post_init__(self):
@@ -83,7 +87,7 @@ class ClusterConfig:
         for name in ("c_raise", "c_double", "c_type2"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if self.mode not in ("full", "type1_only"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")
 
     @property
@@ -181,7 +185,8 @@ class OnlineClusterer:
         """Decide on arrival x.
 
         Raises ValueError, leaving every field unchanged, when x has a
-        non-finite coordinate or a dimension unlike the earlier arrivals.
+        non-finite coordinate, a Euclidean norm beyond COORD_LIMIT, or a
+        dimension unlike the earlier arrivals.
         """
         check_point(x)
         if self._dim is None:

@@ -40,15 +40,14 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 Point = tuple[float, ...]
 
-# Default cap for exhaustive partition search in l_fold_diameter. Partition
-# counts stay Bell-number feasible up to here; beyond it we fall back to a
+# Cap for exhaustive partition search in l_fold_diameter. Partition counts
+# stay Bell-number feasible up to here; beyond it we fall back to a
 # certified greedy upper bound.
 EXACT_PARTITION_LIMIT = 12
 
@@ -94,11 +93,9 @@ def require(ok: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def dist(a: Point, b: Point) -> float:
-    """Euclidean distance between two points of equal dimension."""
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return math.dist(a, b)
+# Euclidean distance between two points of equal dimension; math.dist
+# raises ValueError itself when the dimensions differ.
+dist = math.dist
 
 
 def sq_dist(a: Point, b: Point) -> float:
@@ -396,35 +393,24 @@ def diameter(points: Sequence[Point]) -> float:
     return max(dist(a, b) for a, b in itertools.combinations(points, 2))
 
 
-@dataclass(frozen=True)
-class FoldDiameter:
-    """l-fold diameter value plus whether it is exact or a greedy upper bound."""
-
-    value: float
-    exact: bool
-
-
-def l_fold_diameter(
-    points: Sequence[Point], l: int, exact_limit: int = EXACT_PARTITION_LIMIT
-) -> FoldDiameter:
+def l_fold_diameter(points: Sequence[Point], l: int) -> float:
     """Smallest D such that `points` splits into l parts of diameter <= D.
 
-    Exact (exhaustive partition search) when the instance is small enough;
-    otherwise a certified upper bound from greedy farthest-point splitting,
-    flagged as inexact. l = 1 and |points| <= l are exact at any size.
+    Exact (exhaustive partition search) up to EXACT_PARTITION_LIMIT points;
+    beyond, a certified upper bound from greedy farthest-point splitting.
+    l = 1 and |points| <= l are exact at any size.
     """
     if not points:
         raise ValueError("points must be nonempty")
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     if len(points) <= l:
-        return FoldDiameter(0.0, exact=True)
+        return 0.0
     if l == 1:
-        return FoldDiameter(diameter(points), exact=True)
-    if len(points) <= exact_limit:
-        table = distance_table(points)
-        return FoldDiameter(partition_diameter(table, range(len(points)), l), exact=True)
-    return FoldDiameter(_greedy_partition_diameter(points, l), exact=False)
+        return diameter(points)
+    if len(points) <= EXACT_PARTITION_LIMIT:
+        return partition_diameter(distance_table(points), range(len(points)), l)
+    return _greedy_partition_diameter(points, l)
 
 
 def distance_table(points: Sequence[Point]) -> list[list[float]]:
@@ -495,16 +481,20 @@ def partition_diameter(
 
 
 def _greedy_partition_diameter(points: Sequence[Point], l: int) -> float:
-    """Farthest-point seeding, nearest-seed assignment, max part diameter."""
-    seeds = [0]
+    """Farthest-point seeding, nearest-seed assignment, max part diameter.
+
+    Each point's nearest seed is recorded while seeding; a later seed takes
+    the point only when strictly nearer, so ties go to the earlier seed.
+    """
+    nearest = [0] * len(points)
     dist_to_seeds = [dist(p, points[0]) for p in points]
-    while len(seeds) < l:
+    for _ in range(l - 1):
         far = max(range(len(points)), key=dist_to_seeds.__getitem__)
-        seeds.append(far)
         for i, p in enumerate(points):
-            dist_to_seeds[i] = min(dist_to_seeds[i], dist(p, points[far]))
-    groups: dict[int, list[Point]] = {s: [] for s in seeds}
-    for p in points:
-        nearest = min(seeds, key=lambda s: dist(p, points[s]))
-        groups[nearest].append(p)
-    return max(diameter(g) for g in groups.values() if g)
+            d = dist(p, points[far])
+            if d < dist_to_seeds[i]:
+                dist_to_seeds[i], nearest[i] = d, far
+    groups: dict[int, list[Point]] = {}
+    for p, seed in zip(points, nearest):
+        groups.setdefault(seed, []).append(p)
+    return max(diameter(g) for g in groups.values())

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cluster import ClusterConfig, Decision, OnlineClusterer
+from .cluster import MODES, ClusterConfig, Decision, OnlineClusterer
 from .geometry import Point, as_point, check_point, grid_nearest_sq, kmeans_cost
 # lower_exact and lower_greedy are not called here but stay importable from
 # this module: the benchmark's traced run wraps them under these names too.
@@ -148,6 +148,8 @@ class TrialSpec:
             raise ValueError("provide exactly one of input_path or generator")
         if self.ordering not in ORDERINGS:
             raise ValueError(f"ordering must be one of {ORDERINGS}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
         if self.oracle not in ORACLES:
             raise ValueError(f"oracle must be one of {ORACLES}")
         # every trial runs lower_estimate at this alpha, whatever the ordering

@@ -42,6 +42,19 @@ class AugmentedCenter:
     birth: int  # arrival index, used for deterministic ordering
 
 
+def _nearest(centers: Sequence[AugmentedCenter], x: Point) -> tuple[AugmentedCenter, float]:
+    """Nearest of a nonempty center list to x, and its distance; the
+    comparison is strict, so ties go to the earliest in the list."""
+    it = iter(centers)
+    best = next(it)
+    best_d = math.dist(best.center, x)
+    for c in it:
+        d = math.dist(c.center, x)
+        if d < best_d:
+            best, best_d = c, d
+    return best, best_d
+
+
 class KCenterSketch:
     """Single-owner mutable sketch; one insert at a time."""
 
@@ -61,11 +74,6 @@ class KCenterSketch:
         for x in first_points[1:]:
             self.insert(x)
 
-    @property
-    def degenerate(self) -> bool:
-        """True while P is undefined: fewer than k+1 distinct arrivals."""
-        return self.radius == 0.0
-
     def __len__(self) -> int:
         return len(self.centers)
 
@@ -73,16 +81,9 @@ class KCenterSketch:
         """Nearest center and its distance; ties go to the earliest birth."""
         if not self.centers:
             raise ValueError("sketch has no centers")
-        centers = iter(self.centers)
-        best = next(centers)
-        if len(x) != len(best.center):
-            raise ValueError(f"dimension mismatch: {len(best.center)} vs {len(x)}")
-        best_d = math.dist(best.center, x)
-        for c in centers:
-            d = math.dist(c.center, x)
-            if d < best_d:
-                best, best_d = c, d
-        return best, best_d
+        if len(x) != len(self.centers[0].center):
+            raise ValueError(f"dimension mismatch: {len(self.centers[0].center)} vs {len(x)}")
+        return _nearest(self.centers, x)
 
     def min_center_gap(self) -> float:
         """Minimum pairwise distance among centers; +inf with fewer than 2."""
@@ -133,7 +134,8 @@ class KCenterSketch:
         """Absorb x into its nearest center, or add it as a center and fold.
 
         Raises ValueError, leaving the sketch unchanged, when x has a
-        non-finite coordinate or the wrong dimension.
+        non-finite coordinate, a Euclidean norm beyond COORD_LIMIT, or the
+        wrong dimension.
         """
         check_point(x)
         nearest, d = self.nearest_center(x)
@@ -159,17 +161,10 @@ class KCenterSketch:
         kept: list[AugmentedCenter] = []
         threshold = 2.0 * self.radius
         for c in self.centers:
-            if not kept:
-                kept.append(c)
-                continue
-            target = kept[0]
-            target_d = dist(target.center, c.center)
-            for other in kept[1:]:
-                d = dist(other.center, c.center)
-                if d < target_d:
-                    target, target_d = other, d
-            if target_d > threshold:
-                kept.append(c)
-            else:
-                target.count += c.count
+            if kept:
+                target, d = _nearest(kept, c.center)
+                if d <= threshold:
+                    target.count += c.count
+                    continue
+            kept.append(c)
         self.centers = kept

@@ -18,7 +18,6 @@ import numpy as np
 
 from .geometry import (
     COORD_LIMIT,
-    EXACT_PARTITION_LIMIT,
     Point,
     dist,
     distance_table,
@@ -46,7 +45,6 @@ class AlphaKSequence:
     alpha: float
     k: int
     indices: tuple[int, ...]
-    certified: bool
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -66,7 +64,7 @@ def _prefix_threshold(
         return math.inf if prefix else 0.0
     if len(prefix) < k:
         return 0.0
-    return math.sqrt(position * alpha) * l_fold_diameter(prefix, k - 1).value
+    return math.sqrt(position * alpha) * l_fold_diameter(prefix, k - 1)
 
 
 def is_alpha_k_sequence(
@@ -88,38 +86,33 @@ def is_alpha_k_sequence(
     return True
 
 
-def lower_exact(
-    points: Sequence[Point],
-    alpha: float,
-    k: int,
-    exact_limit: int = EXACT_SEARCH_LIMIT,
-) -> AlphaKSequence:
+def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence:
     """Longest spread sequence, exactly, by dynamic programming over subsets.
 
     A subset is reachable when some ordering of it certifies; it extends by
     any outside point that passes the condition against the whole subset at
-    the next position. Exponential in |points|, hence the size limit.
+    the next position. Exponential in |points|, hence EXACT_SEARCH_LIMIT.
 
     The search runs on indices into one table of pairwise distances, whose
     entries have the bits of `dist`. Each reachable subset inherits what it
     needs from the subset it grew from and updates it with the new point's
-    row. Thresholds use the exact fold diameters `is_alpha_k_sequence`
-    uses; past EXACT_PARTITION_LIMIT points, the greedy bound on the subset
-    in increasing-index order.
+    row. No subset passes EXACT_SEARCH_LIMIT <= EXACT_PARTITION_LIMIT
+    points, so thresholds use the exact fold diameters `is_alpha_k_sequence`
+    uses.
     """
     _validate_alpha_k(alpha, k)
     n = len(points)
-    if n > exact_limit:
+    if n > EXACT_SEARCH_LIMIT:
         raise ValueError(
             f"instance of size {n} exceeds the exact search limit "
-            f"{exact_limit}; use lower_greedy"
+            f"{EXACT_SEARCH_LIMIT}; use lower_greedy"
         )
     if n == 0:
-        return AlphaKSequence(alpha, k, (), certified=True)
+        return AlphaKSequence(alpha, k, ())
     table = distance_table(points)
     if k < 2:
         # Past the first point the threshold is infinite.
-        return AlphaKSequence(alpha, k, (0,), certified=True)
+        return AlphaKSequence(alpha, k, (0,))
 
     # parent[mask] = (previous mask, appended index); first marking wins so
     # reconstruction is deterministic (small masks and small indices first).
@@ -151,12 +144,8 @@ def lower_exact(
                 if all(d <= bar or mask | 1 << j in parent for j, d in enumerate(nearest)):
                     continue
                 members = [j for j in range(n) if mask >> j & 1]
-                if size <= EXACT_PARTITION_LIMIT:
-                    floor = partition_diameter(table, members, k - 1, floor)
-                    threshold = scale * floor
-                else:
-                    prefix = [points[j] for j in members]
-                    threshold = scale * l_fold_diameter(prefix, k - 1).value
+                floor = partition_diameter(table, members, k - 1, floor)
+                threshold = scale * floor
             # Members are at distance 0 from the subset, and no threshold is
             # negative, so only outside points pass.
             for j, d in enumerate(nearest):
@@ -184,7 +173,7 @@ def lower_exact(
         mask = prev
     order.append(mask.bit_length() - 1)
     order.reverse()
-    return AlphaKSequence(alpha, k, tuple(order), certified=True)
+    return AlphaKSequence(alpha, k, tuple(order))
 
 
 def lower_greedy(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence:
@@ -196,7 +185,7 @@ def lower_greedy(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequenc
     _validate_alpha_k(alpha, k)
     n = len(points)
     if n == 0:
-        return AlphaKSequence(alpha, k, (), certified=True)
+        return AlphaKSequence(alpha, k, ())
 
     order = [0]
     used = {0}
@@ -219,7 +208,7 @@ def lower_greedy(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequenc
             d = dist(points[j], points[best_j])
             if d < min_dist[j]:
                 min_dist[j] = d
-    return AlphaKSequence(alpha, k, tuple(order), certified=True)
+    return AlphaKSequence(alpha, k, tuple(order))
 
 
 def lower_estimate(

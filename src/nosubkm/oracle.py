@@ -15,16 +15,10 @@ import numpy as np
 
 from .geometry import Point, centroid, kmeans_cost, nearest_sq
 
-# Largest instance the exact solver accepts, by k. Chosen so the pruned
+# Largest instance the exact solver accepts, by k; 10 for every k above 3,
+# and none for k = 1, which has a closed form. Chosen so the pruned
 # assignment enumeration stays in the ~1e8 range (seconds, not minutes).
 EXACT_LIMITS = {2: 14, 3: 11}
-EXACT_LIMIT_HIGH_K = 10
-
-
-def exact_limit_for(k: int) -> int:
-    if k <= 1:
-        return 10**9  # closed form, no enumeration
-    return EXACT_LIMITS.get(k, EXACT_LIMIT_HIGH_K)
 
 
 @dataclass
@@ -34,12 +28,6 @@ class Clustering:
     assignment: list[int]
     centers: list[Point]
     cost: float
-
-    def cluster_sizes(self) -> list[int]:
-        sizes = [0] * len(self.centers)
-        for cid in self.assignment:
-            sizes[cid] += 1
-        return sizes
 
 
 def _clustering_from_assignment(
@@ -57,7 +45,7 @@ def _clustering_from_assignment(
     return Clustering(assignment=labels, centers=centers, cost=cost)
 
 
-def optimal_kmeans(points: Sequence[Point], k: int, exact_limit: int | None = None) -> Clustering:
+def optimal_kmeans(points: Sequence[Point], k: int) -> Clustering:
     """Globally optimal k-means of a small instance by partition enumeration.
 
     Centers are unrestricted (cluster centroids). Ties break toward the
@@ -68,14 +56,14 @@ def optimal_kmeans(points: Sequence[Point], k: int, exact_limit: int | None = No
         raise ValueError(f"k must be >= 1, got {k}")
     if not points:
         raise ValueError("points must be nonempty")
-    limit = exact_limit if exact_limit is not None else exact_limit_for(k)
+    if k == 1:
+        return _clustering_from_assignment(points, [0] * len(points))
+    limit = EXACT_LIMITS.get(k, 10)
     if len(points) > limit:
         raise ValueError(
             f"instance of size {len(points)} exceeds the exact limit {limit} "
             f"for k={k}; use lloyd_kmeans"
         )
-    if k == 1:
-        return _clustering_from_assignment(points, [0] * len(points))
 
     n = len(points)
     d = len(points[0])

@@ -231,7 +231,6 @@ def state_snapshot(clusterer):
         else (
             sketch.t,
             sketch.radius,
-            sketch.degenerate,
             sketch._gap,
             [(c.center, c.count, c.birth) for c in sketch.centers],
         ),

@@ -142,16 +142,13 @@ class TestCenterShiftResidual:
 
 class TestLFoldDiameter:
     def test_whole_set(self):
-        res = l_fold_diameter([(0.0,), (1.0,), (5.0,)], 1)
-        assert res.value == 5.0 and res.exact
+        assert l_fold_diameter([(0.0,), (1.0,), (5.0,)], 1) == 5.0
 
     def test_two_fold_split(self):
-        res = l_fold_diameter([(0.0,), (1.0,), (5.0,)], 2)
-        assert res.value == 1.0 and res.exact
+        assert l_fold_diameter([(0.0,), (1.0,), (5.0,)], 2) == 1.0
 
     def test_singletons(self):
-        res = l_fold_diameter([(0.0,), (9.0,)], 2)
-        assert res.value == 0.0 and res.exact
+        assert l_fold_diameter([(0.0,), (9.0,)], 2) == 0.0
 
     def test_invalid_l(self):
         with pytest.raises(ValueError):
@@ -161,7 +158,7 @@ class TestLFoldDiameter:
         rng = np.random.default_rng(6)
         for _ in range(30):
             pts = [tuple(rng.uniform(0, 10, size=2)) for _ in range(7)]
-            values = [l_fold_diameter(pts, l).value for l in range(1, 8)]
+            values = [l_fold_diameter(pts, l) for l in range(1, 8)]
             assert values[0] == diameter(pts)
             for lo, hi in zip(values, values[1:]):
                 assert hi <= lo + 1e-12
@@ -177,7 +174,7 @@ class TestLFoldDiameter:
             for l in (2, 3):
                 if n <= l:
                     continue
-                exact = l_fold_diameter(pts, l).value
+                exact = l_fold_diameter(pts, l)
                 greedy = _greedy_partition_diameter(pts, l)
                 assert greedy >= exact - 1e-12
 
@@ -208,7 +205,7 @@ class TestLFoldDiameter:
                         if len(part) > 1:
                             worst = max(worst, diameter(part))
                     best = min(best, worst)
-                assert l_fold_diameter(pts, l).value == pytest.approx(best, abs=1e-12)
+                assert l_fold_diameter(pts, l) == pytest.approx(best, abs=1e-12)
 
 
 class TestAsPoint:

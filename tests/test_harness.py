@@ -131,6 +131,10 @@ class TestTrialSpec:
         with pytest.raises(ValueError):
             TrialSpec(k=2, generator="uniform_box", ordering="adversarial", alpha=1.0)
 
+    def test_unknown_mode_rejected_before_the_dataset_is_built(self):
+        with pytest.raises(ValueError, match="mode"):
+            TrialSpec(k=2, generator="uniform_box", mode="type2_only")
+
     @pytest.mark.parametrize("ordering", ["given", "shuffled", "adversarial"])
     @pytest.mark.parametrize("alpha", [math.nan, 1.0, 0.5])
     def test_alpha_not_above_one_rejected_for_every_ordering(self, ordering, alpha):

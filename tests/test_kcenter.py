@@ -55,7 +55,6 @@ class TestInit:
         sketch = KCenterSketch([(0.0,), (10.0,)], 2)
         assert [(c.center, c.count) for c in sketch.centers] == [((0.0,), 1), ((10.0,), 1)]
         assert sketch.radius == 0.0
-        assert sketch.degenerate
 
     def test_duplicates_excluded_from_radius(self):
         # The duplicate is absorbed, not kept as a zero-gap witness; P is
@@ -69,12 +68,10 @@ class TestInit:
             ((0.0,), 3), ((20.0,), 1), ((45.0,), 1)
         ]
         assert sketch.radius == 5.0
-        assert not sketch.degenerate
 
     def test_all_coincident_is_degenerate(self):
         sketch = KCenterSketch([(7.0,), (7.0,)], 2)
         assert sketch.radius == 0.0
-        assert sketch.degenerate
 
     def test_wrong_count(self):
         with pytest.raises(ValueError):
@@ -111,12 +108,11 @@ class TestInsert:
         # Recovers on the first arrival that makes k+1 distinct points.
         sketch = KCenterSketch([(7.0,), (7.0,)], 2)
         sketch.insert((7.0,))
-        assert sketch.degenerate and sketch.radius == 0.0
+        assert sketch.radius == 0.0
         sketch.insert((9.0,))
-        assert sketch.degenerate and sketch.radius == 0.0
+        assert sketch.radius == 0.0
         assert [(c.center, c.count) for c in sketch.centers] == [((7.0,), 3), ((9.0,), 1)]
         sketch.insert((12.0,))
-        assert not sketch.degenerate
         assert sketch.radius == 2.0
         assert [(c.center, c.count) for c in sketch.centers] == [((7.0,), 4), ((12.0,), 1)]
 
@@ -172,7 +168,6 @@ def sketch_state(sketch):
     return (
         sketch.t,
         sketch.radius,
-        sketch.degenerate,
         sketch._gap,
         [(c.center, c.count, c.birth) for c in sketch.centers],
     )
@@ -375,7 +370,7 @@ class TestSeparatedCounts:
         assert sketch.min_center_gap() > 4 * (t + 2) * sketch.radius
         counts = sorted(c.count for c in sketch.centers)
         opt = optimal_kmeans(pts, k)
-        assert counts == sorted(opt.cluster_sizes())
+        assert counts == sorted(opt.assignment.count(c) for c in range(len(opt.centers)))
 
 
 def live_sketch():

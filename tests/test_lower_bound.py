@@ -89,7 +89,6 @@ class TestLowerExact:
         for _ in range(20):
             pts = [tuple(rng.uniform(0, 100, size=1)) for _ in range(7)]
             seq = lower_exact(pts, 9.0, 2)
-            assert seq.certified
             assert is_alpha_k_sequence(pts, seq.indices, 9.0, 2)
 
     def test_brute_force_cross_check(self):
@@ -247,28 +246,28 @@ def reference_partition_diameter(points, l):
     return best
 
 
-def reference_fold_diameter(points, l, exact_limit=EXACT_PARTITION_LIMIT):
+def reference_fold_diameter(points, l):
     if len(points) <= l:
         return 0.0
     if l == 1:
         return diameter(points)
-    if len(points) <= exact_limit:
+    if len(points) <= EXACT_PARTITION_LIMIT:
         return reference_partition_diameter(points, l)
     return _greedy_partition_diameter(points, l)
 
 
-def reference_lower_exact(points, alpha, k, exact_limit=10, partition_limit=EXACT_PARTITION_LIMIT):
+def reference_lower_exact(points, alpha, k):
     def threshold(prefix, position):
         if k < 2:
             return math.inf if prefix else 0.0
         if len(prefix) < k:
             return 0.0
-        return math.sqrt(position * alpha) * reference_fold_diameter(prefix, k - 1, partition_limit)
+        return math.sqrt(position * alpha) * reference_fold_diameter(prefix, k - 1)
 
     n = len(points)
-    assert n <= exact_limit
+    assert n <= lower_bound.EXACT_SEARCH_LIMIT
     if n == 0:
-        return AlphaKSequence(alpha, k, (), certified=True)
+        return AlphaKSequence(alpha, k, ())
     parent = {1 << i: None for i in range(n)}
     frontier = sorted(parent)
     best_mask = frontier[0]
@@ -298,7 +297,7 @@ def reference_lower_exact(points, alpha, k, exact_limit=10, partition_limit=EXAC
         mask = prev
     order.append(mask.bit_length() - 1)
     order.reverse()
-    return AlphaKSequence(alpha, k, tuple(order), certified=True)
+    return AlphaKSequence(alpha, k, tuple(order))
 
 
 # Coordinates from a small grid with super-exponential steps mixed in, so that
@@ -339,34 +338,6 @@ class TestReferenceEquivalence:
             assert lower_exact(pts, 4.0, k) == expected
             assert is_alpha_k_sequence(pts, expected.indices, 4.0, k)
 
-    def test_thirteen_points_past_the_partition_limit(self):
-        # exact_limit=13: the whole 13-point set is reachable, a prefix the
-        # reference scores with the greedy fold diameter.
-        line = gen_alpha_k_sequence(3, 4.0, 13, seed=0)
-        pts = [line[i] for i in np.random.default_rng(5).permutation(13)]
-        seq = lower_exact(pts, 4.0, 3, exact_limit=13)
-        assert len(seq) == 13
-        assert seq == reference_lower_exact(pts, 4.0, 3, exact_limit=13)
-
-    def test_prefixes_past_a_lowered_partition_limit(self, monkeypatch):
-        # With the partition limit at 4, prefixes of 5 or more points take
-        # the greedy bound, on the prefix in increasing-index order.
-        monkeypatch.setattr(lower_bound, "EXACT_PARTITION_LIMIT", 4)
-        monkeypatch.setattr(
-            lower_bound, "l_fold_diameter", lambda pts, l: geometry.l_fold_diameter(pts, l, exact_limit=4)
-        )
-        rng = np.random.default_rng(9)
-        longest = 0
-        for trial in range(12):
-            k = 3 + trial % 2
-            line = gen_alpha_k_sequence(k, 2.0, 9, seed=trial)
-            pts = [(x, float(rng.normal(0, 0.2))) for (x,) in line]
-            pts = [pts[i] for i in rng.permutation(len(pts))]
-            seq = lower_exact(pts, 2.0, k)
-            assert seq == reference_lower_exact(pts, 2.0, k, partition_limit=4)
-            longest = max(longest, len(seq))
-        assert longest > 5
-
     def test_subset_whose_fold_diameter_does_not_grow(self):
         # k=3: a unit equilateral triangle has 2-fold diameter 1, and so has
         # the triangle plus one far point. The fifth point must pass against
@@ -388,7 +359,7 @@ class TestReferenceEquivalence:
     def test_l_fold_diameter_matches_reference(self, case, l):
         pts, _, _ = case
         if pts:
-            assert geometry.l_fold_diameter(pts, l).value == reference_fold_diameter(pts, l)
+            assert geometry.l_fold_diameter(pts, l) == reference_fold_diameter(pts, l)
 
     def test_l_fold_diameter_matches_reference_on_random_sets(self):
         rng = np.random.default_rng(11)
@@ -397,10 +368,15 @@ class TestReferenceEquivalence:
             dim = int(rng.integers(1, 4))
             pts = [tuple(rng.normal(0, 5, size=dim)) for _ in range(n)]
             for l in (1, 2, 3, 4):
-                assert geometry.l_fold_diameter(pts, l).value == reference_fold_diameter(pts, l)
+                assert geometry.l_fold_diameter(pts, l) == reference_fold_diameter(pts, l)
 
 
 class TestLowerEstimate:
+    def test_every_subset_the_exact_search_scores_has_an_exact_fold_diameter(self):
+        # lower_exact scores subsets of at most EXACT_SEARCH_LIMIT points
+        # with partition_diameter alone, which is exact only up to here.
+        assert lower_bound.EXACT_SEARCH_LIMIT <= EXACT_PARTITION_LIMIT
+
     def test_exact_up_to_the_search_limit(self):
         rng = np.random.default_rng(12)
         pts = [tuple(rng.uniform(0, 100, size=1)) for _ in range(lower_bound.EXACT_SEARCH_LIMIT)]
