@@ -3,8 +3,10 @@
 A point is a plain tuple of floats; a point set is any sequence of points
 of equal dimension. Everything here except `CellGrid` is a pure function,
 so values can be shared freely across threads or processes. `nearest_sq`
-is the one numpy nearest-center kernel for point sets too large for the
-pure-Python loops.
+is the one squared-distance kernel: `kmeans_cost`, the grid's batch and
+the Lloyd oracle take their squared distances from it or from its
+coordinate loop `_sum_sq`. Only `CellGrid`'s query sums a few candidates
+in plain Python, with the same bits.
 
 The √R grid (Bentley, Stanat & Williams, IPL 1977) finds the squared
 distance from x to its nearest center exactly whenever that is below a
@@ -40,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -98,25 +100,6 @@ def require(ok: bool, message: str) -> None:
 dist = math.dist
 
 
-def sq_dist(a: Point, b: Point) -> float:
-    """Squared Euclidean distance, with the bits of `nearest_sq`.
-
-    Each difference is squared by a product, which is exactly rounded
-    (`** 2` goes through libm pow, which is not), and the squares are added
-    left to right.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum((x - y) * (x - y) for x, y in zip(a, b))
-
-
-def min_sq_dist(x: Point, centers: Sequence[Point]) -> float:
-    """Squared distance from x to the nearest of `centers`."""
-    if not centers:
-        raise ValueError("centers must be nonempty")
-    return min(sq_dist(x, c) for c in centers)
-
-
 def nearest_sq(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of, and squared distance to, the nearest row of C for each row of X.
 
@@ -142,15 +125,24 @@ def nearest_sq(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nearest_sq_chunk(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    sq = np.subtract.outer(X[:, 0], C[:, 0])
-    np.square(sq, out=sq)
-    tmp = None
-    for j in range(1, X.shape[1]):
-        tmp = np.subtract.outer(X[:, j], C[:, j], out=tmp)
-        np.square(tmp, out=tmp)
-        sq += tmp
+    sq = _sum_sq(lambda j: np.subtract.outer(X[:, j], C[:, j]), X.shape[1])
     labels = sq.argmin(axis=1)
     return labels, sq[np.arange(len(sq)), labels]
+
+
+def _sum_sq(diff: Callable[[int], np.ndarray], d: int) -> np.ndarray:
+    """Sum over j < d of diff(j) squared, exactly rounded and added left to
+    right over j: the one order that fixes every squared distance's bits.
+    diff(j) returns a fresh block of coordinate-j differences; it is
+    squared in place and dropped, so at most two blocks are live."""
+    sq = diff(0)
+    np.square(sq, out=sq)
+    for j in range(1, d):
+        tmp = diff(j)
+        np.square(tmp, out=tmp)
+        sq += tmp
+        del tmp
+    return sq
 
 
 def grid_side(threshold: float) -> float:
@@ -270,8 +262,11 @@ class CellGrid:
                 if len(found) > _QUERY_PY_CANDIDATES:
                     best = float(nearest_sq(np.asarray(x)[None, :], self._rows[found])[1][0])
                 else:
-                    # sq_dist's sum, inline: a call per candidate costs more
-                    # than the sum itself
+                    # _sum_sq's bits in plain Python. Routing these few
+                    # candidates through nearest_sq instead raised
+                    # sparse_stream from 22 to 38 us per arrival, and
+                    # lloyd_trial's process() self time from 90 to 150 ms
+                    # per trial (2-CPU Xeon, Python 3.11, numpy 2.4).
                     best = math.inf
                     points = self.points
                     for i in found:
@@ -357,22 +352,17 @@ def _grid_pairs_min(
     first = np.cumsum(count) - count
     pair_row = np.repeat(rows, count)
     pair_center = np.arange(len(pair_row)) - np.repeat(first - start, count)
-    sq = X[pair_row, 0] - C[pair_center, 0]
-    np.square(sq, out=sq)
-    for j in range(1, X.shape[1]):
-        tmp = X[pair_row, j] - C[pair_center, j]
-        np.square(tmp, out=tmp)
-        sq += tmp
+    sq = _sum_sq(lambda j: X[pair_row, j] - C[pair_center, j], X.shape[1])
     best[rows] = np.minimum(best[rows], np.minimum.reduceat(sq, first))
 
 
 def kmeans_cost(points: Sequence[Point], centers: Sequence[Point]) -> float:
-    """Sum over points of the squared distance to the nearest center."""
+    """Sum over points of the squared distance to the nearest center:
+    `nearest_sq`'s distances, added in point order by Python's `sum`."""
     if not points:
         raise ValueError("points must be nonempty")
-    if not centers:
-        raise ValueError("centers must be nonempty")
-    return sum(min_sq_dist(x, centers) for x in points)
+    X = np.asarray(points, dtype=float)
+    return sum(nearest_sq(X, np.asarray(centers, dtype=float))[1].tolist())
 
 
 def centroid(points: Sequence[Point]) -> Point:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cluster import MODES, ClusterConfig, Decision, OnlineClusterer
+from .cluster import ClusterConfig, Decision, OnlineClusterer
 from .geometry import Point, as_point, check_point, grid_nearest_sq, kmeans_cost
 # lower_exact and lower_greedy are not called here but stay importable from
 # this module: the benchmark's traced run wraps them under these names too.
@@ -144,12 +144,12 @@ class TrialSpec:
     bootstrap: int | None = None
 
     def __post_init__(self):
+        # k, bootstrap and mode go through the selector's own validator
+        ClusterConfig(k=self.k, bootstrap=self.bootstrap, mode=self.mode)
         if (self.input_path is None) == (self.generator is None):
             raise ValueError("provide exactly one of input_path or generator")
         if self.ordering not in ORDERINGS:
             raise ValueError(f"ordering must be one of {ORDERINGS}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
         if self.oracle not in ORACLES:
             raise ValueError(f"oracle must be one of {ORACLES}")
         # every trial runs lower_estimate at this alpha, whatever the ordering
@@ -192,7 +192,11 @@ class RunReport:
 def _bulk_kmeans_cost(
     points: Sequence[Point], centers: Sequence[Point], threshold: float
 ) -> float:
-    """kmeans_cost vectorized; needed once |S| reaches the hundreds.
+    """The k-means cost of `points` at `centers`, from `nearest_sq`'s bits.
+
+    Below 10,000 point-center pairs `kmeans_cost` adds the distances in
+    point order with Python's `sum`; above, the grid finds them and
+    4096-row numpy slices add them. That choice fixes the report's bits.
 
     `threshold` is the selector's final R. A type-1 reject was within
     sqrt(R) of a center when it arrived, and neither S nor R shrinks, so
@@ -202,7 +206,6 @@ def _bulk_kmeans_cost(
     if len(points) * len(centers) < 10_000:
         return kmeans_cost(points, centers)
     d2 = grid_nearest_sq(np.asarray(points), np.asarray(centers), threshold)
-    # Summed in 4096-row slices: the order that fixes the report's bits.
     return sum(float(d2[s : s + 4096].sum()) for s in range(0, len(d2), 4096))
 
 

@@ -144,11 +144,12 @@ def lloyd_kmeans(
                 members = X[labels == j]
                 if len(members):
                     centers[j] = members.mean(axis=0)
-            new_labels, _ = nearest_sq(X, centers)
+            new_labels, d2 = nearest_sq(X, centers)
             if np.array_equal(new_labels, labels):
                 break
             labels = new_labels
-        cost = float(((X - centers[labels]) ** 2).sum())
+        # labels are the last nearest_sq's, so d2 holds the distances to centers[labels]
+        cost = float(d2.sum())
         if best is None or cost < best[0]:
             best = (cost, labels)
 

@@ -22,9 +22,7 @@ from nosubkm.geometry import (
     grid_side,
     kmeans_cost,
     l_fold_diameter,
-    min_sq_dist,
     nearest_sq,
-    sq_dist,
 )
 
 coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -93,6 +91,10 @@ class TestKMeansCost:
         with pytest.raises(ValueError):
             kmeans_cost([], [(0.0,)])
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            kmeans_cost([(0.0, 1.0)], [(0.0,)])
+
     @settings(deadline=None)
     @given(points_strategy(2, min_size=1, max_size=6), points_strategy(2, min_size=1, max_size=4), st.tuples(coord, coord))
     def test_monotone_in_centers(self, pts, centers, extra):
@@ -120,7 +122,7 @@ def center_shift_residual(points, s):
     """L(X,{s}) - L(X,{mu}) - |X| d(s,mu)^2, which is 0 in exact arithmetic
     (the center-shift identity)."""
     mu = centroid(points)
-    return kmeans_cost(points, [s]) - kmeans_cost(points, [mu]) - len(points) * sq_dist(s, mu)
+    return kmeans_cost(points, [s]) - kmeans_cost(points, [mu]) - len(points) * kmeans_cost([s], [mu])
 
 
 class TestCenterShiftResidual:
@@ -242,6 +244,11 @@ def left_to_right_nearest_sq(X, C):
     return sq.argmin(axis=1), sq.min(axis=1)
 
 
+def min_sq_dist(x, centers):
+    """Reference: the squared distance to the nearest center, in plain Python."""
+    return min(sum((a - b) * (a - b) for a, b in zip(x, c)) for c in centers)
+
+
 def scaled_case(d):
     """300 rows spread over seven decades, and 25 centers, 5 of them rows."""
     rng = np.random.default_rng(d)
@@ -309,13 +316,35 @@ class TestNearestSq:
         # blocks of at most `budget` elements together, and object overhead.
         assert peak <= 2 * outputs + budget * 8 + (64 << 10)
 
+    def test_two_blocks_live_in_one_chunk(self, monkeypatch):
+        # The running sum and one coordinate's block (256 kB each), plus
+        # about 128 kB of ufunc buffers for the strided columns; a third
+        # block would be 256 kB more.
+        monkeypatch.setattr(geometry, "NEAREST_SQ_BUDGET", 1 << 16)
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(800, 5))
+        C = rng.normal(size=(40, 5))
+        tracemalloc.start()
+        try:
+            nearest_sq(X, C)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * len(X) * len(C) + (192 << 10)
+
     @pytest.mark.parametrize("d", range(1, 11))
-    def test_sq_dist_has_its_bits(self, d):
-        # Both square each difference exactly rounded and add left to right.
+    def test_sq_dist_has_its_bits(self, monkeypatch, d):
+        # CellGrid's query sums its candidates' squared distances in plain
+        # Python, the only such sum outside _sum_sq. Every center is below R
+        # and, with both crossovers lifted, every query takes that loop.
+        monkeypatch.setattr(geometry, "_QUERY_FREE_CELLS", math.inf)
+        monkeypatch.setattr(geometry, "_QUERY_PY_CANDIDATES", math.inf)
         X, C = scaled_case(d)
-        for j, c in enumerate(C):
-            _, d2 = nearest_sq(X, C[j : j + 1])
-            assert [sq_dist(tuple(x), tuple(c)) for x in X] == d2.tolist()
+        grid = CellGrid()
+        grid.set_threshold(1e300)
+        for c in C.tolist():
+            grid.add(tuple(c))
+        assert [grid.min_sq_dist(tuple(x)) for x in X.tolist()] == nearest_sq(X, C)[1].tolist()
 
     def test_empty_centers(self):
         with pytest.raises(ValueError):

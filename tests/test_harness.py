@@ -135,6 +135,15 @@ class TestTrialSpec:
         with pytest.raises(ValueError, match="mode"):
             TrialSpec(k=2, generator="uniform_box", mode="type2_only")
 
+    @pytest.mark.parametrize("k, bootstrap", [(0, None), (-1, None), (3, 2)])
+    def test_bad_k_or_bootstrap_rejected_before_the_dataset_is_built(self, k, bootstrap):
+        with mock.patch("nosubkm.harness.gen_dataset") as gen:
+            with pytest.raises(ValueError, match="k must|bootstrap"):
+                run_trial(
+                    TrialSpec(k=k, bootstrap=bootstrap, generator="uniform_box", gen_params={"n": 5})
+                )
+        gen.assert_not_called()
+
     @pytest.mark.parametrize("ordering", ["given", "shuffled", "adversarial"])
     @pytest.mark.parametrize("alpha", [math.nan, 1.0, 0.5])
     def test_alpha_not_above_one_rejected_for_every_ordering(self, ordering, alpha):
