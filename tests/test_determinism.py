@@ -9,6 +9,11 @@ The d=5 Lloyd digest was recorded while nearest_sq still reduced a
 row-by-center-by-dimension difference block. The d=3 doubling digest was
 recorded while the nearest-selected query and the final scoring still
 scanned every selected center.
+The three trials scored against Lloyd or the adversarial exact oracle
+also pin a companion digest: the same decisions and record without
+`oracle_cost` and `ratio`. A change to how the oracle cost is rounded
+moves only the full digest; one that also moves the companion changes
+something else.
 A change that moves one of them changes a decision, a probability,
 a threshold or a report value for a fixed seed, and has to say why in
 CHANGES.md.
@@ -31,6 +36,10 @@ def digest(decisions, record) -> str:
         )
     h.update(json.dumps(record, sort_keys=True).encode())
     return h.hexdigest()
+
+
+def without_oracle_cost(record) -> dict:
+    return {key: value for key, value in record.items() if key not in ("oracle_cost", "ratio")}
 
 
 def run_stream(spec, config):
@@ -103,6 +112,9 @@ def test_lloyd_trial():
     assert digest(decisions, report.to_record()) == (
         "bd0ec9931a36d5182987b7a8923f38ff2cf534efac4138d010d3007e09271324"
     )
+    assert digest(decisions, without_oracle_cost(report.to_record())) == (
+        "fdfe57de28f4b7072b0848a666c7a90e9758b992af2a598ff2053835a95354a7"
+    )
 
 
 def test_lloyd_trial_five_dimensions():
@@ -124,6 +136,9 @@ def test_lloyd_trial_five_dimensions():
     assert report.achieved_cost > 0.0
     assert digest(decisions, report.to_record()) == (
         "a5a4717cd5d6ba5186e88285c82b3addd07a838a28530b8d0fc8a44306daf007"
+    )
+    assert digest(decisions, without_oracle_cost(report.to_record())) == (
+        "edb31fa29727a6c246720e3548260f4b665d37333e3961f9096446cb7301c810"
     )
 
 
@@ -159,6 +174,9 @@ def test_exact_adversarial_mixture_trial():
     record = {**report.to_record(), "stream": harness.materialize_stream(spec)}
     assert digest(decisions, record) == (
         "8759912c1b8ce2f5c1d7066d6cba544bf050a385c7739ba1c625bf3699faaacc"
+    )
+    assert digest(decisions, without_oracle_cost(record)) == (
+        "b7c3b0a8cd2f3a4302d8f8b5a7644070bc73d80163fbbae25b631f7e6a3df5c7"
     )
 
 
