@@ -6,7 +6,8 @@ so values can be shared freely across threads or processes. `nearest_sq`
 is the one squared-distance kernel: `kmeans_cost`, the grid's batch and
 the Lloyd oracle take their squared distances from it or from its
 coordinate loop `_sum_sq`. Only `CellGrid`'s query sums a few candidates
-in plain Python, with the same bits.
+in plain Python, with the same bits. Every reported cost is the
+`math.fsum` of such distances.
 
 The √R grid (Bentley, Stanat & Williams, IPL 1977) finds the squared
 distance from x to its nearest center exactly whenever that is below a
@@ -358,20 +359,22 @@ def _grid_pairs_min(
 
 def kmeans_cost(points: Sequence[Point], centers: Sequence[Point]) -> float:
     """Sum over points of the squared distance to the nearest center:
-    `nearest_sq`'s distances, added in point order by Python's `sum`."""
+    `nearest_sq`'s distances added by `math.fsum`, so the sum is exactly
+    rounded, whatever the order of the points or the Python version."""
     if not points:
         raise ValueError("points must be nonempty")
     X = np.asarray(points, dtype=float)
-    return sum(nearest_sq(X, np.asarray(centers, dtype=float))[1].tolist())
+    return math.fsum(nearest_sq(X, np.asarray(centers, dtype=float))[1].tolist())
 
 
 def centroid(points: Sequence[Point]) -> Point:
-    """Coordinatewise mean of a nonempty point set."""
+    """Coordinatewise mean of a nonempty point set: each coordinate's
+    exactly rounded sum (`math.fsum`) divided by the count."""
     if not points:
         raise ValueError("cannot take the centroid of an empty set")
     n = len(points)
     d = len(points[0])
-    return tuple(sum(p[j] for p in points) / n for j in range(d))
+    return tuple(math.fsum(p[j] for p in points) / n for j in range(d))
 
 
 def diameter(points: Sequence[Point]) -> float:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .cluster import ClusterConfig, Decision, OnlineClusterer
-from .geometry import Point, as_point, check_point, grid_nearest_sq, kmeans_cost
+from .geometry import Point, as_point, check_point, grid_nearest_sq
 # lower_exact and lower_greedy are not called here but stay importable from
 # this module: the benchmark's traced run wraps them under these names too.
 from .lower_bound import (  # noqa: F401
@@ -189,26 +189,6 @@ class RunReport:
         return record
 
 
-def _bulk_kmeans_cost(
-    points: Sequence[Point], centers: Sequence[Point], threshold: float
-) -> float:
-    """The k-means cost of `points` at `centers`, from `nearest_sq`'s bits.
-
-    Below 10,000 point-center pairs `kmeans_cost` adds the distances in
-    point order with Python's `sum`; above, the grid finds them and
-    4096-row numpy slices add them. That choice fixes the report's bits.
-
-    `threshold` is the selector's final R. A type-1 reject was within
-    sqrt(R) of a center when it arrived, and neither S nor R shrinks, so
-    the grid of the final R finds every point's distance except the
-    type-2 rejects', which fall back to a full scan.
-    """
-    if len(points) * len(centers) < 10_000:
-        return kmeans_cost(points, centers)
-    d2 = grid_nearest_sq(np.asarray(points), np.asarray(centers), threshold)
-    return sum(float(d2[s : s + 4096].sum()) for s in range(0, len(d2), 4096))
-
-
 def _sub_seed(seed: int, domain: int) -> int:
     return int(np.random.SeedSequence([seed, domain]).generate_state(1, np.uint64)[0])
 
@@ -240,7 +220,11 @@ def _materialize(spec: TrialSpec) -> tuple[list[Point], tuple[int, bool] | None]
 
 
 def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
-    """Stream one dataset through a fresh clusterer and score the result."""
+    """Stream one dataset through a fresh clusterer and score the result.
+
+    The achieved cost is `kmeans_cost(stream, centers)` to the bit: the
+    `math.fsum` of `nearest_sq`'s distances, found on the √R grid.
+    """
     started = time.perf_counter()
     stream, lower = _materialize(spec)
     n = len(stream)
@@ -255,7 +239,12 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
     decisions = [clusterer.process(x) for x in stream]
     centers = clusterer.finalize()
 
-    achieved = _bulk_kmeans_cost(stream, centers, clusterer.threshold)
+    # A type-1 reject was within sqrt(R) of a center when it arrived, and
+    # neither S nor R shrinks, so the grid of the final R finds every
+    # point's distance but the type-2 rejects', which fall back to a scan.
+    achieved = math.fsum(
+        grid_nearest_sq(np.asarray(stream), np.asarray(centers), clusterer.threshold).tolist()
+    )
     if spec.oracle == "exact":
         oracle_cost = optimal_kmeans(stream, spec.k).cost
         oracle_exact = True
@@ -362,7 +351,7 @@ def summarize(reports: Sequence[RunReport]) -> dict:
 
 
 def _mean(values: Sequence[float]) -> float | None:
-    return sum(values) / len(values) if values else None
+    return math.fsum(values) / len(values) if values else None
 
 
 def _quantile(sorted_values: Sequence[float], q: float) -> float | None:

@@ -216,10 +216,15 @@ def lower_estimate(
 ) -> tuple[AlphaKSequence, bool]:
     """Longest-known spread sequence, and whether it is exactly the longest.
 
-    The exact search runs up to EXACT_SEARCH_LIMIT points, the greedy
-    estimate beyond. The exact length depends only on the point set; the
-    greedy one can change with the order of `points`.
+    A set already in certified order is its own longest sequence, as none
+    is longer than the set. Otherwise the exact search runs up to
+    EXACT_SEARCH_LIMIT points, the greedy estimate beyond. The exact length
+    depends only on the point set; the greedy one can change with the
+    order of `points`.
     """
+    identity = tuple(range(len(points)))
+    if is_alpha_k_sequence(points, identity, alpha, k):
+        return AlphaKSequence(alpha, k, identity), True
     if len(points) <= EXACT_SEARCH_LIMIT:
         return lower_exact(points, alpha, k), True
     return lower_greedy(points, alpha, k), False
@@ -234,17 +239,14 @@ def adversarial_order(
     """Permutation streaming a longest-known spread sequence first.
 
     The sequence is `sequence` when given, else `lower_estimate(points)`;
-    remaining points follow in their original order. A set already in
-    certified order is returned unchanged, without a search.
+    remaining points follow in their original order. `lower_estimate`
+    returns a set already in certified order as its own sequence, so such
+    a set comes back unchanged.
     """
-    n = len(points)
-    identity = list(range(n))
-    if is_alpha_k_sequence(points, identity, alpha, k):
-        return identity
     if sequence is None:
         sequence, _ = lower_estimate(points, alpha, k)
     chosen = set(sequence.indices)
-    return list(sequence.indices) + [i for i in identity if i not in chosen]
+    return list(sequence.indices) + [i for i in range(len(points)) if i not in chosen]
 
 
 def gen_alpha_k_sequence(

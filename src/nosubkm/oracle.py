@@ -8,12 +8,13 @@ labeled heuristic stand-in for instances beyond the exact limits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, centroid, kmeans_cost, nearest_sq
+from .geometry import Point, centroid, nearest_sq
 
 # Largest instance the exact solver accepts, by k; 10 for every k above 3,
 # and none for k = 1, which has a closed form. Chosen so the pruned
@@ -33,7 +34,11 @@ class Clustering:
 def _clustering_from_assignment(
     points: Sequence[Point], assignment: Sequence[int]
 ) -> Clustering:
-    """Score an assignment at per-cluster centroids (empty ids dropped)."""
+    """Score an assignment at per-cluster centroids (empty ids dropped).
+
+    The cost is one `math.fsum` over every point's squared distance to its
+    own centroid, each with the bits of `nearest_sq`.
+    """
     used = sorted(set(assignment))
     relabel = {old: new for new, old in enumerate(used)}
     labels = [relabel[a] for a in assignment]
@@ -41,7 +46,11 @@ def _clustering_from_assignment(
     for p, cid in zip(points, labels):
         clusters[cid].append(p)
     centers = [centroid(c) for c in clusters]
-    cost = sum(kmeans_cost(c, [ctr]) for c, ctr in zip(clusters, centers))
+    cost = math.fsum(
+        d2
+        for c, ctr in zip(clusters, centers)
+        for d2 in nearest_sq(np.asarray(c), np.asarray([ctr]))[1].tolist()
+    )
     return Clustering(assignment=labels, centers=centers, cost=cost)
 
 
@@ -67,20 +76,15 @@ def optimal_kmeans(points: Sequence[Point], k: int) -> Clustering:
 
     n = len(points)
     d = len(points[0])
-    # Per-part running stats for O(d) incremental centroid costs:
-    # cost(part) = sumsq - |sum|^2 / count.
-    counts: list[int] = []
-    sums: list[list[float]] = []
-    sumsqs: list[float] = []
+    # One (count, coordinate sums, sum of squared norms, cost) value per
+    # part, with cost = sumsq - |sums|^2 / count. A tried assignment puts
+    # the grown value in place and the old one back after, so a part's
+    # value depends only on its members, in order.
+    parts: list[tuple[int, list[float], float, float]] = []
+    sqnorms = [math.fsum(map(operator.mul, p, p)) for p in points]
     assignment = [0] * n
     best_cost = math.inf
     best_assignment: list[int] | None = None
-
-    def part_cost(pi: int) -> float:
-        c = counts[pi]
-        if c == 0:
-            return 0.0
-        return sumsqs[pi] - sum(v * v for v in sums[pi]) / c
 
     def recurse(i: int, total: float) -> None:
         nonlocal best_cost, best_assignment
@@ -91,28 +95,20 @@ def optimal_kmeans(points: Sequence[Point], k: int) -> Clustering:
             best_assignment = assignment.copy()
             return
         p = points[i]
-        psq = sum(v * v for v in p)
-        n_parts = len(counts)
-        for pi in range(min(n_parts + 1, k)):
-            if pi == n_parts:
-                counts.append(0)
-                sums.append([0.0] * d)
-                sumsqs.append(0.0)
-            before = part_cost(pi)
-            counts[pi] += 1
-            for j in range(d):
-                sums[pi][j] += p[j]
-            sumsqs[pi] += psq
+        n_parts = len(parts)
+        if n_parts < k:
+            parts.append((0, [0.0] * d, 0.0, 0.0))
+        for pi in range(len(parts)):
+            count, sums, sumsq, cost = old = parts[pi]
+            sums = list(map(operator.add, sums, p))
+            sumsq += sqnorms[i]
+            grown = sumsq - math.fsum(map(operator.mul, sums, sums)) / (count + 1)
+            parts[pi] = (count + 1, sums, sumsq, grown)
             assignment[i] = pi
-            recurse(i + 1, total - before + part_cost(pi))
-            counts[pi] -= 1
-            for j in range(d):
-                sums[pi][j] -= p[j]
-            sumsqs[pi] -= psq
-            if pi == n_parts:
-                counts.pop()
-                sums.pop()
-                sumsqs.pop()
+            recurse(i + 1, total - cost + grown)
+            parts[pi] = old
+        if n_parts < k:
+            parts.pop()
 
     recurse(0, 0.0)
     assert best_assignment is not None

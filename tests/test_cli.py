@@ -70,6 +70,18 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["exact"] is False
 
+    def test_lower_on_a_certified_file_is_its_length(self, tmp_path, capsys):
+        data = tmp_path / "sequence.csv"
+        assert main([
+            "gen", "--kind", "alpha_k_sequence", "--gen-params", "k=2,length=20",
+            "--seed", "2", "--out", str(data),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["lower", "--input", str(data), "--k", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["length"], out["exact"]) == (20, True)
+        assert out["indices"] == list(range(20))
+
     def test_run_rejects_nan_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             main(["run", "--gen", "uniform_box", "--gen-params", "n=8,d=1",

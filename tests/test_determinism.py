@@ -13,7 +13,9 @@ The three trials scored against Lloyd or the adversarial exact oracle
 also pin a companion digest: the same decisions and record without
 `oracle_cost` and `ratio`. A change to how the oracle cost is rounded
 moves only the full digest; one that also moves the companion changes
-something else.
+something else. Their full digests were re-recorded when every cost
+became a `math.fsum` (each oracle cost and ratio moved by one ulp), with
+the companions unchanged.
 A change that moves one of them changes a decision, a probability,
 a threshold or a report value for a fixed seed, and has to say why in
 CHANGES.md.
@@ -110,7 +112,7 @@ def test_lloyd_trial():
     report, decisions = harness.run_trial(spec)
     assert report.n * report.centers_selected >= 10_000
     assert digest(decisions, report.to_record()) == (
-        "bd0ec9931a36d5182987b7a8923f38ff2cf534efac4138d010d3007e09271324"
+        "db486d130dd05c939cffe89b57e44bd2897fe58e1cb943c8464fe8fd42d712c4"
     )
     assert digest(decisions, without_oracle_cost(report.to_record())) == (
         "fdfe57de28f4b7072b0848a666c7a90e9758b992af2a598ff2053835a95354a7"
@@ -135,7 +137,7 @@ def test_lloyd_trial_five_dimensions():
     assert report.n * report.centers_selected >= 10_000
     assert report.achieved_cost > 0.0
     assert digest(decisions, report.to_record()) == (
-        "a5a4717cd5d6ba5186e88285c82b3addd07a838a28530b8d0fc8a44306daf007"
+        "574d30dfc152e4885bb55773ca4c780f56154c49f2659f3cabb012d8f9160dea"
     )
     assert digest(decisions, without_oracle_cost(report.to_record())) == (
         "edb31fa29727a6c246720e3548260f4b665d37333e3961f9096446cb7301c810"
@@ -173,7 +175,7 @@ def test_exact_adversarial_mixture_trial():
     assert report.lower_exact and report.lower_estimate > spec.k
     record = {**report.to_record(), "stream": harness.materialize_stream(spec)}
     assert digest(decisions, record) == (
-        "8759912c1b8ce2f5c1d7066d6cba544bf050a385c7739ba1c625bf3699faaacc"
+        "112ce160e47f2dd7ac645e1f38af9bd798fee09bb71bbc23c61f346f01d55f81"
     )
     assert digest(decisions, without_oracle_cost(record)) == (
         "b7c3b0a8cd2f3a4302d8f8b5a7644070bc73d80163fbbae25b631f7e6a3df5c7"

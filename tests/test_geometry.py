@@ -2,6 +2,8 @@ import itertools
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -94,6 +96,23 @@ class TestKMeansCost:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             kmeans_cost([(0.0, 1.0)], [(0.0,)])
+
+    def test_exactly_rounded_sum(self):
+        # Added left to right in double precision, 1e16 + 1 + 1 is 1e16.
+        assert kmeans_cost([(1e8,), (1.0,), (-1.0,)], [(0.0,)]) == 1e16 + 2
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(coord, st.integers(-3, 3)).map(lambda c: (c[0] * 10.0 ** c[1],)),
+            min_size=1,
+            max_size=40,
+        ),
+        points_strategy(1, min_size=1, max_size=4),
+    )
+    def test_sum_of_nearest_sq_distances_exactly_rounded(self, pts, centers):
+        d2 = nearest_sq(np.asarray(pts), np.asarray(centers))[1].tolist()
+        assert kmeans_cost(pts, centers) == float(sum(map(Fraction, d2)))
 
     @settings(deadline=None)
     @given(points_strategy(2, min_size=1, max_size=6), points_strategy(2, min_size=1, max_size=4), st.tuples(coord, coord))
@@ -552,8 +571,9 @@ class TestGridNearestSq:
         assert any(d.processing == "type2" and not d.selected for d in decisions)
         assert (expected >= R).sum() > 0 and (expected < R).sum() > 0
         assert grid_nearest_sq(X, C, R).tobytes() == expected.tobytes()
-        expected_cost = sum(float(expected[s : s + 4096].sum()) for s in range(0, len(X), 4096))
-        assert harness._bulk_kmeans_cost(stream, clusterer.finalize(), R) == expected_cost
+        # The trial draws with its own selector seed; it has fallback rows too.
+        report, decisions = harness.run_trial(replace(spec, oracle="lloyd"))
+        assert report.achieved_cost == kmeans_cost(stream, [stream[d.index - 1] for d in decisions if d.selected])
 
     def test_dimension_mismatch_and_empty(self):
         with pytest.raises(ValueError, match="dimension"):

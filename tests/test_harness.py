@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from nosubkm import lower_bound
-from nosubkm.geometry import centroid, kmeans_cost
+from nosubkm.geometry import centroid, grid_nearest_sq, kmeans_cost
 from nosubkm.harness import (
     ParseError,
     TrialSpec,
-    _bulk_kmeans_cost,
     gen_dataset,
     load_points,
     materialize_stream,
@@ -237,11 +236,13 @@ class TestRunTrial:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(lower_bound, "lower_exact", counted)
+        # a set in certified order is its own longest sequence: no search
+        searches = 0 if generator == "alpha_k_sequence" else 1
         for seed in range(4):
             spec = TrialSpec(k=k, generator=generator, gen_params=gen_params, ordering="adversarial", seed=seed)
             calls.clear()
             report, _ = run_trial(spec)
-            assert len(calls) == 1
+            assert len(calls) == searches
             # the length found before reordering is the stream's own
             stream = materialize_stream(spec)
             assert report.lower_exact
@@ -252,8 +253,8 @@ class TestRunTrial:
         [
             # a greedy length depends on the order, so the stream gets its own
             ("gaussian_mixture", {"n": 11, "k": 3}, 3, 2),
-            # unless the adversarial order is the given one
-            ("alpha_k_sequence", {"k": 2, "length": 12}, 2, 1),
+            # a set in certified order needs no search: its length is n, exactly
+            ("alpha_k_sequence", {"k": 2, "length": 12}, 2, 0),
         ],
     )
     def test_greedy_past_the_limit(self, monkeypatch, generator, gen_params, k, greedy_calls):
@@ -269,28 +270,45 @@ class TestRunTrial:
         monkeypatch.setattr(lower_bound, "lower_greedy", counted)
         spec = TrialSpec(k=k, generator=generator, gen_params=gen_params, ordering="adversarial", seed=1)
         report, _ = run_trial(spec)
-        assert exact_calls == [] and not report.lower_exact
+        assert exact_calls == []
         assert len(calls) == greedy_calls
-        assert report.lower_estimate == len(real(calls[-1][0], spec.alpha, spec.k))
+        if greedy_calls:
+            assert not report.lower_exact
+            assert report.lower_estimate == len(real(calls[-1][0], spec.alpha, spec.k))
+        else:
+            assert report.lower_exact and report.lower_estimate == report.n == 12
+
+    @pytest.mark.parametrize("ordering", ["adversarial", "given"])
+    @pytest.mark.parametrize("length", [12, 20, 40])
+    def test_certified_stream_reports_its_length_exactly(self, ordering, length):
+        spec = TrialSpec(
+            k=2,
+            generator="alpha_k_sequence",
+            gen_params={"k": 2, "length": length},
+            ordering=ordering,
+            oracle="lloyd",
+            seed=3,
+        )
+        stream = materialize_stream(spec)
+        assert is_alpha_k_sequence(stream, range(length), spec.alpha, spec.k)
+        report, _ = run_trial(spec)
+        assert report.lower_estimate == length
+        assert report.lower_exact
 
 
-class TestBulkKMeansCost:
-    def test_bits_match_4096_row_slice_reference(self):
-        # Magnitudes spread over seven decades, so that summing the minima in
-        # another order changes the last bits (it does for this seed).
+class TestScoring:
+    def test_grid_scored_cost_is_kmeans_cost(self):
+        # Magnitudes spread over seven decades, so that adding the minima
+        # in another order or in slices would change the last bits.
         rng = np.random.default_rng(1)
         pts = [tuple(r) for r in rng.normal(size=(9000, 2)) * 10.0 ** rng.integers(-3, 4, size=(9000, 1))]
         centers = pts[::45]
         X, C = np.asarray(pts), np.asarray(centers)
-        expected = 0.0
-        for start in range(0, len(X), 4096):
-            chunk = X[start : start + 4096]
-            expected += float(((chunk[:, None, :] - C[None, :, :]) ** 2).sum(axis=2).min(axis=1).sum())
+        expected = kmeans_cost(pts, centers)
         # R = 0 scans every center; the others take the grid, the largest
         # with every row on it, the smallest with most rows falling back.
         for threshold in (0.0, 1e-6, 1.0, 1e4, 1e12):
-            assert _bulk_kmeans_cost(pts, centers, threshold) == expected
-        assert _bulk_kmeans_cost(pts, centers, 1.0) == pytest.approx(kmeans_cost(pts, centers), rel=1e-9)
+            assert math.fsum(grid_nearest_sq(X, C, threshold).tolist()) == expected
 
 
 class TestRunExperiment:
