@@ -132,6 +132,10 @@ class TestCentroid:
         square = [(0.0, 0.0), (0.0, 2.0), (2.0, 0.0), (2.0, 2.0)]
         assert centroid(square) == (1.0, 1.0)
 
+    def test_exactly_rounded_sum(self):
+        # Added left to right in double precision, 1e16 + 1 + 1 is 1e16.
+        assert centroid([(1e16,), (1.0,), (1.0,)]) == ((1e16 + 2) / 3,)
+
     def test_empty(self):
         with pytest.raises(ValueError):
             centroid([])

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from nosubkm.harness import (
     run_experiment,
     run_trial,
     save_points,
+    summarize,
 )
 from nosubkm.lower_bound import is_alpha_k_sequence
 from nosubkm.oracle import lloyd_kmeans
@@ -323,6 +325,15 @@ class TestRunExperiment:
             trial["within_nine"]
         )
         assert result["aggregate"]["max_peak_aux_points"] == trial["peak_aux_points"]
+
+    def test_aggregate_means_are_exactly_rounded(self):
+        # Added left to right in double precision, ten 0.1s make 0.9999999999999999.
+        reports = [
+            SimpleNamespace(ratio=0.1, within_nine=True, centers_selected=1, lower_estimate=10, peak_aux_points=0)
+        ] * 10
+        aggregate = summarize(reports)
+        assert aggregate["mean_ratio"] == 0.1
+        assert aggregate["mean_centers_over_lower"] == 0.1
 
     def test_fraction_in_unit_interval(self):
         spec = TrialSpec(
