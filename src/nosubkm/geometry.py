@@ -391,7 +391,7 @@ def l_fold_diameter(points: Sequence[Point], l: int) -> float:
 
     Exact (exhaustive partition search) up to EXACT_PARTITION_LIMIT points;
     beyond, a certified upper bound from greedy farthest-point splitting.
-    l = 1 and |points| <= l are exact at any size.
+    l = 1 (one part: the diameter) and |points| <= l are exact at any size.
     """
     if not points:
         raise ValueError("points must be nonempty")
@@ -399,8 +399,6 @@ def l_fold_diameter(points: Sequence[Point], l: int) -> float:
         raise ValueError(f"l must be >= 1, got {l}")
     if len(points) <= l:
         return 0.0
-    if l == 1:
-        return diameter(points)
     if len(points) <= EXACT_PARTITION_LIMIT:
         return partition_diameter(distance_table(points), range(len(points)), l)
     return _greedy_partition_diameter(points, l)
@@ -412,11 +410,6 @@ def distance_table(points: Sequence[Point]) -> list[list[float]]:
     Each pair is computed once. math.dist is symmetric to the bit, so the
     mirrored entry equals dist() with its arguments swapped.
     """
-    if points:
-        d = len(points[0])
-        for p in points:
-            if len(p) != d:
-                raise ValueError(f"dimension mismatch: {d} vs {len(p)}")
     n = len(points)
     table = [[0.0] * n for _ in range(n)]
     for i in range(1, n):

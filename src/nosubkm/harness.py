@@ -148,13 +148,15 @@ class TrialSpec:
         ClusterConfig(k=self.k, bootstrap=self.bootstrap, mode=self.mode)
         if (self.input_path is None) == (self.generator is None):
             raise ValueError("provide exactly one of input_path or generator")
+        if self.generator is not None and self.generator not in GENERATORS:
+            raise ValueError(f"unknown generator {self.generator!r}; choose from {GENERATORS}")
         if self.ordering not in ORDERINGS:
             raise ValueError(f"ordering must be one of {ORDERINGS}")
         if self.oracle not in ORACLES:
             raise ValueError(f"oracle must be one of {ORACLES}")
         # every trial runs lower_estimate at this alpha, whatever the ordering
-        if not self.alpha > 1:
-            raise ValueError(f"alpha must be > 1, got {self.alpha}")
+        if not 1 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be > 1 and finite, got {self.alpha}")
         if self.lloyd_restarts < 1:
             raise ValueError("lloyd_restarts must be >= 1")
 
@@ -214,9 +216,8 @@ def _materialize(spec: TrialSpec) -> tuple[list[Point], tuple[int, bool] | None]
     seq, exact = lower_estimate(points, spec.alpha, spec.k)
     order = adversarial_order(points, spec.alpha, spec.k, sequence=seq)
     # An exact length depends only on the point set; a greedy one depends on
-    # the order, so it holds for the stream only if the order is unchanged.
-    reuse = exact or order == list(range(len(points)))
-    return [points[i] for i in order], (len(seq), exact) if reuse else None
+    # the order, so the stream gets its own estimate.
+    return [points[i] for i in order], (len(seq), True) if exact else None
 
 
 def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
@@ -228,6 +229,15 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
     started = time.perf_counter()
     stream, lower = _materialize(spec)
     n = len(stream)
+
+    # The oracle reads only the stream, so it may refuse one before any arrival.
+    oracle_exact = spec.oracle == "exact"
+    if oracle_exact:
+        oracle_cost = optimal_kmeans(stream, spec.k).cost
+    else:
+        oracle_cost = lloyd_kmeans(
+            stream, spec.k, restarts=spec.lloyd_restarts, seed=_sub_seed(spec.seed, _SEED_LLOYD)
+        ).cost
 
     config = ClusterConfig(
         k=spec.k,
@@ -245,14 +255,6 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
     achieved = math.fsum(
         grid_nearest_sq(np.asarray(stream), np.asarray(centers), clusterer.threshold).tolist()
     )
-    if spec.oracle == "exact":
-        oracle_cost = optimal_kmeans(stream, spec.k).cost
-        oracle_exact = True
-    else:
-        oracle_cost = lloyd_kmeans(
-            stream, spec.k, restarts=spec.lloyd_restarts, seed=_sub_seed(spec.seed, _SEED_LLOYD)
-        ).cost
-        oracle_exact = False
 
     ratio: float | str
     if oracle_cost > 0.0:

@@ -42,8 +42,6 @@ class SequenceOverflowError(OverflowError):
 
 @dataclass(frozen=True)
 class AlphaKSequence:
-    alpha: float
-    k: int
     indices: tuple[int, ...]
 
     def __len__(self) -> int:
@@ -62,8 +60,6 @@ def _prefix_threshold(
     """
     if k < 2:
         return math.inf if prefix else 0.0
-    if len(prefix) < k:
-        return 0.0
     return math.sqrt(position * alpha) * l_fold_diameter(prefix, k - 1)
 
 
@@ -94,11 +90,11 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence
     the next position. Exponential in |points|, hence EXACT_SEARCH_LIMIT.
 
     The search runs on indices into one table of pairwise distances, whose
-    entries have the bits of `dist`. Each reachable subset inherits what it
-    needs from the subset it grew from and updates it with the new point's
-    row. No subset passes EXACT_SEARCH_LIMIT <= EXACT_PARTITION_LIMIT
-    points, so thresholds use the exact fold diameters `is_alpha_k_sequence`
-    uses.
+    entries have the bits of `dist`. A reachable subset keeps only every
+    point's distance to its nearest member and a floor on its (k-1)-fold
+    diameter, both taken from the subset it grew from and the new point's
+    row. No subset passes EXACT_SEARCH_LIMIT <= EXACT_PARTITION_LIMIT points,
+    so thresholds use the exact fold diameters `is_alpha_k_sequence` uses.
     """
     _validate_alpha_k(alpha, k)
     n = len(points)
@@ -108,42 +104,42 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence
             f"{EXACT_SEARCH_LIMIT}; use lower_greedy"
         )
     if n == 0:
-        return AlphaKSequence(alpha, k, ())
+        return AlphaKSequence(())
     table = distance_table(points)
     if k < 2:
         # Past the first point the threshold is infinite.
-        return AlphaKSequence(alpha, k, (0,))
+        return AlphaKSequence((0,))
 
     # parent[mask] = (previous mask, appended index); first marking wins so
     # reconstruction is deterministic (small masks and small indices first).
-    # state[mask] = (distance from every point to its nearest member and to
-    # its farthest member, the subset's diameter, a lower bound on its
-    # (k-1)-fold diameter). The bound is the fold diameter of a subset: it
-    # lets a subset whose candidates cannot pass skip the partition search,
-    # and stops the search once a partition reaches it.
+    # state[mask] = (distance from every point to its nearest member, a lower
+    # bound on its (k-1)-fold diameter). At k = 2 the bound is the subset's
+    # diameter, grown by the new point's row. Beyond, it is the fold diameter
+    # of a subset: it lets a subset whose candidates cannot pass skip the
+    # partition search, and stops the search once a partition reaches it.
     parent: dict[int, tuple[int, int] | None] = {}
-    state: dict[int, tuple[list[float], list[float], float, float]] = {}
+    state: dict[int, tuple[list[float], float]] = {}
     for i in range(n):
         parent[1 << i] = None
-        state[1 << i] = (table[i], table[i], 0.0, 0.0)
+        state[1 << i] = (table[i], 0.0)
     frontier = sorted(parent)
     best_mask = frontier[0]
 
     while frontier:
-        next_state: dict[int, tuple[list[float], list[float], float, float]] = {}
+        next_state: dict[int, tuple[list[float], float]] = {}
         for mask in frontier:
-            nearest, farthest, diam, floor = state[mask]
+            nearest, floor = state[mask]
             size = mask.bit_count()
+            members = [j for j in range(n) if mask >> j & 1]
             if size < k:
                 threshold = 0.0
             elif k == 2:
-                threshold = math.sqrt((size + 1) * alpha) * diam
+                threshold = math.sqrt((size + 1) * alpha) * floor
             else:
                 scale = math.sqrt((size + 1) * alpha)
                 bar = scale * floor
                 if all(d <= bar or mask | 1 << j in parent for j, d in enumerate(nearest)):
                     continue
-                members = [j for j in range(n) if mask >> j & 1]
                 floor = partition_diameter(table, members, k - 1, floor)
                 threshold = scale * floor
             # Members are at distance 0 from the subset, and no threshold is
@@ -156,9 +152,7 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence
                         row = table[j]
                         next_state[grown] = (
                             list(map(min, nearest, row)),
-                            list(map(max, farthest, row)),
-                            max(diam, farthest[j]),
-                            floor,
+                            max(floor, max(row[m] for m in members)) if k == 2 else floor,
                         )
         if next_state:
             best_mask = next(iter(next_state))
@@ -173,7 +167,7 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence
         mask = prev
     order.append(mask.bit_length() - 1)
     order.reverse()
-    return AlphaKSequence(alpha, k, tuple(order))
+    return AlphaKSequence(tuple(order))
 
 
 def lower_greedy(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence:
@@ -185,30 +179,27 @@ def lower_greedy(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequenc
     _validate_alpha_k(alpha, k)
     n = len(points)
     if n == 0:
-        return AlphaKSequence(alpha, k, ())
+        return AlphaKSequence(())
 
     order = [0]
-    used = {0}
     min_dist = [dist(p, points[0]) for p in points]
     while True:
         prefix = [points[j] for j in order]
         threshold = _prefix_threshold(prefix, len(order) + 1, alpha, k)
         best_j = -1
         best_d = -math.inf
+        # A prefix point has min_dist 0, above no threshold: it never passes.
         for j in range(n):
-            if j in used:
-                continue
             if min_dist[j] > threshold and min_dist[j] > best_d:
                 best_j, best_d = j, min_dist[j]
         if best_j < 0:
             break
         order.append(best_j)
-        used.add(best_j)
         for j in range(n):
             d = dist(points[j], points[best_j])
             if d < min_dist[j]:
                 min_dist[j] = d
-    return AlphaKSequence(alpha, k, tuple(order))
+    return AlphaKSequence(tuple(order))
 
 
 def lower_estimate(
@@ -224,7 +215,7 @@ def lower_estimate(
     """
     identity = tuple(range(len(points)))
     if is_alpha_k_sequence(points, identity, alpha, k):
-        return AlphaKSequence(alpha, k, identity), True
+        return AlphaKSequence(identity), True
     if len(points) <= EXACT_SEARCH_LIMIT:
         return lower_exact(points, alpha, k), True
     return lower_greedy(points, alpha, k), False
@@ -287,8 +278,8 @@ def gen_alpha_k_sequence(
 
 
 def _validate_alpha_k(alpha: float, k: int) -> None:
-    # written so that NaN fails too
-    if not alpha > 1:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
+    # NaN fails too; inf would give short prefixes a threshold inf * 0 = NaN
+    if not 1 < alpha < math.inf:
+        raise ValueError(f"alpha must be > 1 and finite, got {alpha}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -128,7 +128,6 @@ def lloyd_kmeans(
     if len(points) < k:
         raise ValueError(f"need at least k={k} points, got {len(points)}")
     X = np.asarray(points, dtype=np.float64)
-    n = X.shape[0]
 
     best: tuple[float, np.ndarray] | None = None
     for r in range(restarts):

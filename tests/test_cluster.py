@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nosubkm
 from nosubkm import geometry
 from nosubkm.cluster import ClusterConfig, OnlineClusterer, step_uniform
 from nosubkm.geometry import COORD_LIMIT, CellGrid, nearest_sq
@@ -406,6 +411,35 @@ class TestCheck:
         mutate(clusterer)
         with pytest.raises(AssertionError, match=message):
             clusterer.check()
+
+    def test_raises_under_python_O(self):
+        # -O strips assert statements; check() raises by an explicit raise.
+        # The script's own assert shows that -O is in force.
+        script = """
+import numpy as np
+from nosubkm.cluster import ClusterConfig, OnlineClusterer
+assert False, "python -O is not in force"
+rng = np.random.default_rng(61)
+clusterer = OnlineClusterer(ClusterConfig(k=3, c_double=0.05, seed=6))
+for _ in range(300):
+    clusterer.process(tuple(rng.normal(0, 5, size=2)))
+clusterer._selected._rows[0, 0] = 1e9
+clusterer.sketch.centers[0].count = 0
+for obj in (clusterer._selected, clusterer.sketch):
+    try:
+        obj.check()
+    except AssertionError as exc:
+        print(type(obj).__name__, exc)
+"""
+        src = str(Path(nosubkm.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == ["CellGrid", "KCenterSketch"]
+        assert "array rows" in lines[0] and "counts sum" in lines[1]
 
     def test_process_never_calls_check(self):
         broken = mock.Mock(side_effect=AssertionError("check() was called"))

@@ -24,7 +24,7 @@ CHANGES.md.
 import hashlib
 import json
 
-from nosubkm import harness
+from nosubkm import geometry, harness
 from nosubkm.cluster import ClusterConfig, OnlineClusterer
 
 
@@ -99,8 +99,8 @@ def test_doubling_stream_three_dimensions():
 
 
 def test_lloyd_trial():
-    # 600 points x ~500 centers takes the numpy branch of both the
-    # per-arrival nearest-selected query and the final scoring.
+    # ~450 centers in d=2: the final scoring runs on the grid, whose 3 passes
+    # (one per cell column) stay within what a scan of the centers costs.
     spec = harness.TrialSpec(
         k=5,
         generator="gaussian_mixture",
@@ -110,7 +110,7 @@ def test_lloyd_trial():
         seed=7,
     )
     report, decisions = harness.run_trial(spec)
-    assert report.n * report.centers_selected >= 10_000
+    assert 3 <= report.centers_selected * 2 // geometry._BATCH_ROWS_PER_PASS
     assert digest(decisions, report.to_record()) == (
         "db486d130dd05c939cffe89b57e44bd2897fe58e1cb943c8464fe8fd42d712c4"
     )
@@ -120,10 +120,12 @@ def test_lloyd_trial():
 
 
 def test_lloyd_trial_five_dimensions():
-    # d=5 on the nearest_sq kernel: the final scoring (1500 rows x 500
-    # centers) is split into row chunks, Lloyd's assignment (5 centers) is
-    # not. Type 2 takes nearly every arrival here, so the per-arrival
-    # nearest-selected query stays on its pure-Python branch.
+    # d=5 on the nearest_sq kernel: the grid's 3**4 passes outnumber what a
+    # scan of 500 centers costs, so the whole final scoring (1500 rows x 500
+    # centers) falls back to nearest_sq, split into row chunks; Lloyd's
+    # assignment (5 centers) is not. Type 2 takes nearly every arrival here,
+    # so the per-arrival nearest-selected query stays on its pure-Python
+    # branch.
     spec = harness.TrialSpec(
         k=5,
         generator="gaussian_mixture",
@@ -134,7 +136,7 @@ def test_lloyd_trial_five_dimensions():
     )
     report, decisions = harness.run_trial(spec)
     assert report.centers_selected > 16
-    assert report.n * report.centers_selected >= 10_000
+    assert 3**4 > report.centers_selected * 5 // geometry._BATCH_ROWS_PER_PASS
     assert report.achieved_cost > 0.0
     assert digest(decisions, report.to_record()) == (
         "574d30dfc152e4885bb55773ca4c780f56154c49f2659f3cabb012d8f9160dea"

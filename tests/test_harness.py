@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nosubkm import lower_bound
+from nosubkm.cluster import OnlineClusterer
 from nosubkm.geometry import centroid, grid_nearest_sq, kmeans_cost
 from nosubkm.harness import (
     ParseError,
@@ -152,6 +153,14 @@ class TestTrialSpec:
         with pytest.raises(ValueError, match="alpha"):
             TrialSpec(k=2, generator="uniform_box", ordering=ordering, alpha=alpha)
 
+    def test_unknown_generator_rejected_up_front(self):
+        with pytest.raises(ValueError, match="unknown generator 'nope'"):
+            TrialSpec(k=2, generator="nope")
+
+    def test_infinite_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha"):
+            TrialSpec(k=2, generator="uniform_box", alpha=math.inf)
+
 
 class TestRunTrial:
     def test_bootstrap_only_stream(self):
@@ -196,6 +205,24 @@ class TestRunTrial:
         )
         with pytest.raises(ValueError, match="lloyd"):
             run_trial(spec)
+
+    @pytest.mark.parametrize(
+        "oracle, n, k, message",
+        [("exact", 20, 2, "exact limit 14"), ("lloyd", 2, 3, "at least k=3")],
+    )
+    def test_oracle_refuses_before_any_arrival(self, oracle, n, k, message):
+        real = OnlineClusterer.process
+        calls = []
+
+        def counted(self, x):
+            calls.append(x)
+            return real(self, x)
+
+        spec = TrialSpec(k=k, generator="uniform_box", gen_params={"n": n}, oracle=oracle)
+        with mock.patch.object(OnlineClusterer, "process", counted):
+            with pytest.raises(ValueError, match=message):
+                run_trial(spec)
+        assert calls == []
 
     def test_lloyd_oracle_on_larger_instance(self):
         spec = TrialSpec(

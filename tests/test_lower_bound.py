@@ -60,6 +60,17 @@ class TestCertification:
             with pytest.raises(ValueError, match="alpha"):
                 search(pts, alpha, 2)
 
+    def test_infinite_alpha_is_rejected(self):
+        # A duplicate after one point would meet a threshold of inf * 0 = NaN.
+        pts = [(2.0,), (2.0,)]
+        with pytest.raises(ValueError, match="alpha"):
+            is_alpha_k_sequence(pts, [0, 1], math.inf, 2)
+        with pytest.raises(ValueError, match="alpha"):
+            gen_alpha_k_sequence(2, math.inf, 3)
+        for search in (lower_exact, lower_greedy):
+            with pytest.raises(ValueError, match="alpha"):
+                search(pts, math.inf, 2)
+
     def test_strictness_at_equality(self):
         # distance exactly equal to the threshold must fail
         pts = [(0.0,), (1.0,), (1.0 + math.sqrt(27),)]
@@ -267,7 +278,7 @@ def reference_lower_exact(points, alpha, k):
     n = len(points)
     assert n <= lower_bound.EXACT_SEARCH_LIMIT
     if n == 0:
-        return AlphaKSequence(alpha, k, ())
+        return AlphaKSequence(())
     parent = {1 << i: None for i in range(n)}
     frontier = sorted(parent)
     best_mask = frontier[0]
@@ -297,7 +308,7 @@ def reference_lower_exact(points, alpha, k):
         mask = prev
     order.append(mask.bit_length() - 1)
     order.reverse()
-    return AlphaKSequence(alpha, k, tuple(order))
+    return AlphaKSequence(tuple(order))
 
 
 # Coordinates from a small grid with super-exponential steps mixed in, so that
