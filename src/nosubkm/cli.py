@@ -48,6 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one experiment")
+    run.set_defaults(func=cmd_run)
     source = run.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="CSV dataset, one point per row, no header")
     source.add_argument("--gen", choices=GENERATORS, help="synthetic dataset kind")
@@ -65,12 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("json", "csv"), default="json")
 
     gen = sub.add_parser("gen", help="emit a synthetic dataset to CSV")
+    gen.set_defaults(func=cmd_gen)
     gen.add_argument("--kind", choices=GENERATORS, required=True)
     gen.add_argument("--gen-params", default=None)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 
     lower = sub.add_parser("lower", help="estimate the selection lower bound of a file")
+    lower.set_defaults(func=cmd_lower)
     lower.add_argument("--input", required=True)
     lower.add_argument("--k", type=int, required=True)
     lower.add_argument("--alpha", type=float, default=9.0)
@@ -120,13 +123,7 @@ def cmd_lower(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "gen":
-        return cmd_gen(args)
-    if args.command == "lower":
-        return cmd_lower(args)
-    raise AssertionError(f"unhandled command {args.command}")
+    return args.func(args)
 
 
 if __name__ == "__main__":

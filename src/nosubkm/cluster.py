@@ -128,7 +128,6 @@ class OnlineClusterer:
         self.sketch: KCenterSketch | None = None
         self.t = 0
         self.counters = _RunCounters()
-        self._dim: int | None = None
         self._ln_k10 = math.log(config.k + 10)
 
     @property
@@ -189,27 +188,22 @@ class OnlineClusterer:
         dimension unlike the earlier arrivals.
         """
         check_point(x)
-        if self._dim is None:
-            self._dim = len(x)
-        elif len(x) != self._dim:
+        # The first arrival is always taken, so it holds the dimension.
+        if self.t and len(x) != len(self.selected_points[0]):
             raise ValueError(
-                f"dimension mismatch: expected {self._dim}, got {len(x)}"
+                f"dimension mismatch: expected {len(self.selected_points[0])}, got {len(x)}"
             )
         self.t += 1
         t = self.t
         cfg = self.config
+        if t > cfg.k:
+            self.sketch.insert(x)
 
         if t <= cfg.bootstrap_size:
             self._take(x)
             if t == cfg.k:
                 self.sketch = KCenterSketch(self.selected_points[: cfg.k], cfg.k)
-            elif t > cfg.k:
-                assert self.sketch is not None
-                self.sketch.insert(x)
             return self._decision(t, "bootstrap", True, 1.0)
-
-        assert self.sketch is not None
-        self.sketch.insert(x)
 
         if self._population_rule_applies(t):
             return self._process_type2(t, x)

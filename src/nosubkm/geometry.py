@@ -369,12 +369,12 @@ def kmeans_cost(points: Sequence[Point], centers: Sequence[Point]) -> float:
 
 def centroid(points: Sequence[Point]) -> Point:
     """Coordinatewise mean of a nonempty point set: each coordinate's
-    exactly rounded sum (`math.fsum`) divided by the count."""
+    exactly rounded sum (`math.fsum`) divided by the count. Raises
+    ValueError when the points differ in dimension."""
     if not points:
         raise ValueError("cannot take the centroid of an empty set")
     n = len(points)
-    d = len(points[0])
-    return tuple(math.fsum(p[j] for p in points) / n for j in range(d))
+    return tuple(math.fsum(c) / n for c in zip(*points, strict=True))
 
 
 def diameter(points: Sequence[Point]) -> float:
@@ -391,7 +391,8 @@ def l_fold_diameter(points: Sequence[Point], l: int) -> float:
 
     Exact (exhaustive partition search) up to EXACT_PARTITION_LIMIT points;
     beyond, a certified upper bound from greedy farthest-point splitting.
-    l = 1 (one part: the diameter) and |points| <= l are exact at any size.
+    At l = 1 the greedy split is one part, whose diameter it returns, and
+    |points| <= l gives 0.0: both are exact at any size.
     """
     if not points:
         raise ValueError("points must be nonempty")
@@ -399,7 +400,7 @@ def l_fold_diameter(points: Sequence[Point], l: int) -> float:
         raise ValueError(f"l must be >= 1, got {l}")
     if len(points) <= l:
         return 0.0
-    if len(points) <= EXACT_PARTITION_LIMIT:
+    if l > 1 and len(points) <= EXACT_PARTITION_LIMIT:
         return partition_diameter(distance_table(points), range(len(points)), l)
     return _greedy_partition_diameter(points, l)
 

@@ -79,8 +79,6 @@ class KCenterSketch:
 
     def nearest_center(self, x: Point) -> tuple[AugmentedCenter, float]:
         """Nearest center and its distance; ties go to the earliest birth."""
-        if not self.centers:
-            raise ValueError("sketch has no centers")
         if len(x) != len(self.centers[0].center):
             raise ValueError(f"dimension mismatch: {len(self.centers[0].center)} vs {len(x)}")
         return _nearest(self.centers, x)

@@ -91,10 +91,11 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence
 
     The search runs on indices into one table of pairwise distances, whose
     entries have the bits of `dist`. A reachable subset keeps only every
-    point's distance to its nearest member and a floor on its (k-1)-fold
-    diameter, both taken from the subset it grew from and the new point's
-    row. No subset passes EXACT_SEARCH_LIMIT <= EXACT_PARTITION_LIMIT points,
-    so thresholds use the exact fold diameters `is_alpha_k_sequence` uses.
+    point's distance to its nearest member, a floor on its (k-1)-fold
+    diameter and the order that first reached it, all taken from the subset
+    it grew from and the new point. No subset passes EXACT_SEARCH_LIMIT <=
+    EXACT_PARTITION_LIMIT points, so thresholds use the exact fold
+    diameters `is_alpha_k_sequence` uses.
     """
     _validate_alpha_k(alpha, k)
     n = len(points)
@@ -110,27 +111,20 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence
         # Past the first point the threshold is infinite.
         return AlphaKSequence((0,))
 
-    # parent[mask] = (previous mask, appended index); first marking wins so
-    # reconstruction is deterministic (small masks and small indices first).
-    # state[mask] = (distance from every point to its nearest member, a lower
-    # bound on its (k-1)-fold diameter). At k = 2 the bound is the subset's
+    # layer[mask] = (distance from every point to its nearest member, a lower
+    # bound on its (k-1)-fold diameter, the order that first reached it) for
+    # the reachable subsets of one size. Subsets grow in mask order and the
+    # first to reach a subset keeps it, so the answer is deterministic (small
+    # masks and small indices first). At k = 2 the bound is the subset's
     # diameter, grown by the new point's row. Beyond, it is the fold diameter
     # of a subset: it lets a subset whose candidates cannot pass skip the
     # partition search, and stops the search once a partition reaches it.
-    parent: dict[int, tuple[int, int] | None] = {}
-    state: dict[int, tuple[list[float], float]] = {}
-    for i in range(n):
-        parent[1 << i] = None
-        state[1 << i] = (table[i], 0.0)
-    frontier = sorted(parent)
-    best_mask = frontier[0]
-
-    while frontier:
-        next_state: dict[int, tuple[list[float], float]] = {}
-        for mask in frontier:
-            nearest, floor = state[mask]
-            size = mask.bit_count()
-            members = [j for j in range(n) if mask >> j & 1]
+    layer = {1 << i: (table[i], 0.0, (i,)) for i in range(n)}
+    while True:
+        grown_layer: dict[int, tuple[list[float], float, tuple[int, ...]]] = {}
+        for mask in sorted(layer):
+            nearest, floor, order = layer[mask]
+            size = len(order)
             if size < k:
                 threshold = 0.0
             elif k == 2:
@@ -138,36 +132,25 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence
             else:
                 scale = math.sqrt((size + 1) * alpha)
                 bar = scale * floor
-                if all(d <= bar or mask | 1 << j in parent for j, d in enumerate(nearest)):
+                if all(d <= bar or mask | 1 << j in grown_layer for j, d in enumerate(nearest)):
                     continue
-                floor = partition_diameter(table, members, k - 1, floor)
+                floor = partition_diameter(table, sorted(order), k - 1, floor)
                 threshold = scale * floor
             # Members are at distance 0 from the subset, and no threshold is
             # negative, so only outside points pass.
             for j, d in enumerate(nearest):
                 if d > threshold:
                     grown = mask | 1 << j
-                    if grown not in parent:
-                        parent[grown] = (mask, j)
+                    if grown not in grown_layer:
                         row = table[j]
-                        next_state[grown] = (
+                        grown_layer[grown] = (
                             list(map(min, nearest, row)),
-                            max(floor, max(row[m] for m in members)) if k == 2 else floor,
+                            max(floor, max(row[m] for m in order)) if k == 2 else floor,
+                            order + (j,),
                         )
-        if next_state:
-            best_mask = next(iter(next_state))
-        frontier = sorted(next_state)
-        state = next_state
-
-    order: list[int] = []
-    mask = best_mask
-    while parent[mask] is not None:
-        prev, j = parent[mask]
-        order.append(j)
-        mask = prev
-    order.append(mask.bit_length() - 1)
-    order.reverse()
-    return AlphaKSequence(tuple(order))
+        if not grown_layer:
+            return AlphaKSequence(next(iter(layer.values()))[2])
+        layer = grown_layer
 
 
 def lower_greedy(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence:
@@ -261,20 +244,20 @@ def gen_alpha_k_sequence(
         raise ValueError("sequence generation needs k >= 2")
     if length < k:
         raise ValueError(f"length ({length}) must be >= k ({k})")
-    if margin <= 1:
-        raise ValueError(f"margin must be > 1, got {margin}")
+    if not 1 < margin < math.inf:
+        raise ValueError(f"margin must be > 1 and finite, got {margin}")
 
     rng = np.random.default_rng(seed)
-    coords = [float(i) for i in range(k)]
+    # Each point lands beyond the last, so the last has the largest coordinate.
+    points = [(float(i),) for i in range(k)]
     for i in range(k + 1, length + 1):
-        prefix = [(c,) for c in coords]
-        gap = _prefix_threshold(prefix, i, alpha, k)
+        gap = _prefix_threshold(points, i, alpha, k)
         factor = margin * (1.0 + 0.5 * float(rng.random()))
-        nxt = max(coords) + factor * gap
-        if not nxt <= COORD_LIMIT or nxt <= max(coords):
-            raise SequenceOverflowError(achievable=len(coords), requested=length)
-        coords.append(nxt)
-    return [(c,) for c in coords]
+        nxt = points[-1][0] + factor * gap
+        if not nxt <= COORD_LIMIT or nxt <= points[-1][0]:
+            raise SequenceOverflowError(achievable=len(points), requested=length)
+        points.append((nxt,))
+    return points
 
 
 def _validate_alpha_k(alpha: float, k: int) -> None:

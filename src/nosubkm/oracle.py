@@ -65,6 +65,8 @@ def optimal_kmeans(points: Sequence[Point], k: int) -> Clustering:
         raise ValueError(f"k must be >= 1, got {k}")
     if not points:
         raise ValueError("points must be nonempty")
+    if len(set(map(len, points))) > 1:
+        raise ValueError("points differ in dimension")
     if k == 1:
         return _clustering_from_assignment(points, [0] * len(points))
     limit = EXACT_LIMITS.get(k, 10)
@@ -127,6 +129,8 @@ def lloyd_kmeans(
         raise ValueError(f"k must be >= 1, got {k}")
     if len(points) < k:
         raise ValueError(f"need at least k={k} points, got {len(points)}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     X = np.asarray(points, dtype=np.float64)
 
     best: tuple[float, np.ndarray] | None = None

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -16,6 +17,10 @@ class TestParseGenParams:
     def test_empty(self):
         assert parse_gen_params(None) == {}
         assert parse_gen_params("") == {}
+
+    def test_item_without_value_refused(self):
+        with pytest.raises(argparse.ArgumentTypeError, match="'n'"):
+            parse_gen_params("n")
 
 
 class TestSubcommands:

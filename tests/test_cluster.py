@@ -229,7 +229,6 @@ def state_snapshot(clusterer):
         clusterer.selections_since_reset,
         list(clusterer.selected_points),
         list(clusterer.selected_indices),
-        clusterer._dim,
         (clusterer.counters.raises, clusterer.counters.doublings),
         None
         if sketch is None

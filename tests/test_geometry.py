@@ -140,6 +140,10 @@ class TestCentroid:
         with pytest.raises(ValueError):
             centroid([])
 
+    def test_mixed_dimensions_raise(self):
+        with pytest.raises(ValueError):
+            centroid([(0.0,), (2.0, 3.0)])
+
 
 def center_shift_residual(points, s):
     """L(X,{s}) - L(X,{mu}) - |X| d(s,mu)^2, which is 0 in exact arithmetic
@@ -168,6 +172,15 @@ class TestCenterShiftResidual:
 class TestLFoldDiameter:
     def test_whole_set(self):
         assert l_fold_diameter([(0.0,), (1.0,), (5.0,)], 1) == 5.0
+        # l = 1 takes the greedy split at every size: its one part gives the
+        # diameter, the value the one-part partition search finds too.
+        rng = np.random.default_rng(10)
+        for n in range(2, 13):
+            for _ in range(5):
+                pts = [tuple(rng.normal(0, 10.0 ** rng.integers(-3, 4), size=2)) for _ in range(n)]
+                table = geometry.distance_table(pts)
+                assert l_fold_diameter(pts, 1) == diameter(pts)
+                assert l_fold_diameter(pts, 1) == geometry.partition_diameter(table, range(n), 1)
 
     def test_two_fold_split(self):
         assert l_fold_diameter([(0.0,), (1.0,), (5.0,)], 2) == 1.0

@@ -59,6 +59,11 @@ class TestLoadPoints:
         with pytest.raises(ParseError):
             load_points(path)
 
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("\n1,2\n\n3,4\n\n")
+        assert load_points(path) == [(1.0, 2.0), (3.0, 4.0)]
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(70)
         pts = [tuple(rng.normal(0, 123.0, size=3)) for _ in range(20)]

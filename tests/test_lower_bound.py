@@ -153,6 +153,25 @@ class TestLowerGreedy:
         shuffled = [pts[i] for i in np.random.default_rng(0).permutation(len(pts))]
         assert len(lower_greedy(shuffled, 9.0, 2)) >= 2
 
+    def test_empty(self):
+        assert lower_greedy([], 9.0, 2) == AlphaKSequence(())
+
+
+class TestOneCenter:
+    # At k = 1 the threshold past the first point is infinite, so no
+    # sequence is longer than one point.
+    def test_two_distinct_points_do_not_certify(self):
+        assert not is_alpha_k_sequence([(0.0,), (5.0,)], [0, 1], 9.0, 1)
+
+    def test_searches_stop_at_the_first_point(self):
+        pts = [(0.0,), (1.0,), (7.0,), (50.0,)]
+        assert lower_exact(pts, 9.0, 1) == AlphaKSequence((0,))
+        assert lower_greedy(pts, 9.0, 1) == AlphaKSequence((0,))
+
+    def test_estimate_beyond_the_search_limit(self):
+        pts = [(float(3**i),) for i in range(12)]
+        assert lower_estimate(pts, 9.0, 1) == (AlphaKSequence((0,)), False)
+
 
 class TestAdversarialOrder:
     def test_identity_when_already_certified(self):
@@ -217,6 +236,11 @@ class TestGenerator:
             gen_alpha_k_sequence(2, 9.0, 1)
         with pytest.raises(ValueError):
             gen_alpha_k_sequence(2, 9.0, 5, margin=0.9)
+
+    @pytest.mark.parametrize("margin", [math.nan, math.inf])
+    def test_non_finite_margin_refused(self, margin):
+        with pytest.raises(ValueError, match="margin"):
+            gen_alpha_k_sequence(2, 9.0, 5, margin=margin)
 
 
 # Reference: the subset search and the exact fold diameter as they were

@@ -56,6 +56,11 @@ class TestOptimalKMeans:
         with pytest.raises(ValueError, match="lloyd_kmeans"):
             optimal_kmeans(pts, 2)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_mixed_dimensions_raise(self, k):
+        with pytest.raises(ValueError, match="dimension"):
+            optimal_kmeans([(0.0, 1.0), (2.0,)], k)
+
     def test_cost_consistency_invariant(self):
         rng = np.random.default_rng(24)
         pts = [tuple(rng.uniform(0, 5, size=2)) for _ in range(8)]
@@ -108,4 +113,12 @@ class TestLloydKMeans:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             lloyd_kmeans([(0.0,)], 2)
+
+    def test_no_restarts_refused(self):
+        with pytest.raises(ValueError, match="restarts"):
+            lloyd_kmeans([(0.0,), (1.0,)], 1, restarts=0)
+
+    def test_seeding_once_no_mass_is_left(self):
+        # two locations for three seeds: the third is drawn uniformly
+        assert lloyd_kmeans([(1.0,)] * 4 + [(2.0,)], 3).cost == 0.0
 
