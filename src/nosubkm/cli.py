@@ -5,12 +5,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .cluster import MODES
 from .harness import (
     GENERATORS,
     ORACLES,
     ORDERINGS,
+    REPORT_FORMATS,
     TrialSpec,
     gen_dataset,
     load_points,
@@ -47,28 +49,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one experiment")
+    # An omitted option is absent from the namespace, so TrialSpec and
+    # run_experiment supply its default; each dest is the name it fills.
+    run = sub.add_parser("run", help="run one experiment", argument_default=argparse.SUPPRESS)
     run.set_defaults(func=cmd_run)
     source = run.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", help="CSV dataset, one point per row, no header")
-    source.add_argument("--gen", choices=GENERATORS, help="synthetic dataset kind")
-    run.add_argument("--gen-params", default=None, help="K=V,... generator parameters")
+    source.add_argument(
+        "--input", dest="input_path", metavar="INPUT",
+        help="CSV dataset, one point per row, no header",
+    )
+    source.add_argument(
+        "--gen", dest="generator", choices=GENERATORS, help="synthetic dataset kind"
+    )
+    run.add_argument(
+        "--gen-params", type=parse_gen_params, metavar="GEN_PARAMS",
+        help="K=V,... generator parameters",
+    )
     run.add_argument("--k", type=int, required=True)
-    run.add_argument("--order", choices=ORDERINGS, default="given")
-    run.add_argument("--alpha", type=float, default=9.0)
-    run.add_argument("--mode", choices=MODES, default="full")
-    run.add_argument("--trials", type=int, default=1)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--oracle", choices=ORACLES, default="exact")
-    run.add_argument("--lloyd-restarts", type=int, default=20)
-    run.add_argument("--bootstrap", type=int, default=None)
-    run.add_argument("--out", default=None, help="report path (stdout if omitted)")
-    run.add_argument("--format", choices=("json", "csv"), default="json")
+    run.add_argument("--order", dest="ordering", choices=ORDERINGS)
+    run.add_argument("--alpha", type=float)
+    run.add_argument("--mode", choices=MODES)
+    run.add_argument("--trials", type=int)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--oracle", choices=ORACLES)
+    run.add_argument("--lloyd-restarts", type=int)
+    run.add_argument("--bootstrap", type=int)
+    run.add_argument(
+        "--out", dest="out_path", metavar="OUT", help="report path (stdout if omitted)"
+    )
+    run.add_argument("--format", dest="out_format", choices=REPORT_FORMATS)
 
     gen = sub.add_parser("gen", help="emit a synthetic dataset to CSV")
     gen.set_defaults(func=cmd_gen)
     gen.add_argument("--kind", choices=GENERATORS, required=True)
-    gen.add_argument("--gen-params", default=None)
+    gen.add_argument("--gen-params", type=parse_gen_params, default={})
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 
@@ -76,34 +90,25 @@ def build_parser() -> argparse.ArgumentParser:
     lower.set_defaults(func=cmd_lower)
     lower.add_argument("--input", required=True)
     lower.add_argument("--k", type=int, required=True)
-    lower.add_argument("--alpha", type=float, default=9.0)
+    lower.add_argument("--alpha", type=float, default=TrialSpec.alpha)
     return parser
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    spec = TrialSpec(
-        k=args.k,
-        input_path=args.input,
-        generator=args.gen,
-        gen_params=parse_gen_params(args.gen_params),
-        ordering=args.order,
-        alpha=args.alpha,
-        mode=args.mode,
-        seed=args.seed,
-        oracle=args.oracle,
-        lloyd_restarts=args.lloyd_restarts,
-        bootstrap=args.bootstrap,
-    )
-    result = run_experiment(spec, args.trials, out_path=args.out, out_format=args.format)
-    if args.out is None:
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(result["aggregate"], indent=2, sort_keys=True))
+    # What is left once the spec's fields and the dispatch entries are
+    # taken out is run_experiment's trials, out_path and out_format.
+    given = dict(vars(args))
+    del given["command"], given["func"]
+    spec = TrialSpec(**{f.name: given.pop(f.name) for f in fields(TrialSpec) if f.name in given})
+    result = run_experiment(spec, **given)
+    if "out_path" in given:
+        result = result["aggregate"]
+    print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    points = gen_dataset(args.kind, parse_gen_params(args.gen_params), args.seed)
+    points = gen_dataset(args.kind, args.gen_params, args.seed)
     save_points(points, args.out)
     print(f"wrote {len(points)} points to {args.out}")
     return 0

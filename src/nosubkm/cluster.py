@@ -206,8 +206,36 @@ class OnlineClusterer:
             return self._decision(t, "bootstrap", True, 1.0)
 
         if self._population_rule_applies(t):
-            return self._process_type2(t, x)
-        return self._process_type1(t, x)
+            processing = "type2"
+            nearest, _ = self.sketch.nearest_center(x)
+            prob = min(1.0, cfg.c_type2 * self._ln_k10 / nearest.count)
+        else:
+            processing = "type1"
+            raise_to = self.sketch.radius**2 / (cfg.c_raise * cfg.k * self._ln_k10)
+            if raise_to > self.threshold:
+                self._set_threshold(raise_to)
+                self.counters.raises += 1
+            # Exact below R; at or above R only its size matters, since
+            # prob = min(1, d2 / R) is then 1.0.
+            d2 = self._selected.min_sq_dist(x)
+            threshold = self.threshold
+            if threshold > 0.0:
+                prob = min(1.0, d2 / threshold)
+            else:
+                # R can only still be 0 while the sketch radius is 0, i.e.
+                # there were fewer than k+1 distinct arrivals; taking any
+                # novel point is the only cost-safe action.
+                prob = 1.0 if d2 > 0.0 else 0.0
+
+        selected = step_uniform(cfg.seed, t) < prob
+        if selected:
+            self._take(x)
+        if processing == "type1":
+            self.selections_since_reset += selected
+            if self.selections_since_reset > self._doubling_limit(t):
+                self._set_threshold(2.0 * self.threshold)
+                self.counters.doublings += 1
+        return self._decision(t, processing, selected, prob)
 
     def _population_rule_applies(self, t: int) -> bool:
         # The population rule needs a full complement of k centers and a
@@ -221,51 +249,11 @@ class OnlineClusterer:
             return False
         return sketch.min_center_gap() > 4.0 * (t + 2) * sketch.radius
 
-    def _process_type1(self, t: int, x: Point) -> Decision:
-        cfg = self.config
-        sketch = self.sketch
-        raise_to = sketch.radius**2 / (cfg.c_raise * cfg.k * self._ln_k10)
-        if raise_to > self.threshold:
-            self._set_threshold(raise_to)
-            self.counters.raises += 1
-
-        # Exact below R; at or above R only its size matters, since
-        # prob = min(1, d2 / R) is then 1.0.
-        d2 = self._selected.min_sq_dist(x)
-        threshold = self._selected.threshold
-        if threshold > 0.0:
-            prob = min(1.0, d2 / threshold)
-        else:
-            # R can only still be 0 while the sketch radius is 0, i.e. there
-            # were fewer than k+1 distinct arrivals; taking any novel point is
-            # the only cost-safe action.
-            prob = 1.0 if d2 > 0.0 else 0.0
-
-        selected = step_uniform(cfg.seed, t) < prob
-        if selected:
-            self._take(x)
-            self.selections_since_reset += 1
-
-        if self.selections_since_reset > self._doubling_limit(t):
-            self._set_threshold(2.0 * self.threshold)
-            self.counters.doublings += 1
-
-        return self._decision(t, "type1", selected, prob)
-
     def _doubling_limit(self, t: int) -> float:
         """The count F of type-1 selections may reach at arrival t >= 1
         before R doubles."""
         cfg = self.config
         return cfg.c_double * cfg.k * self._ln_k10 * math.log(t, 2.0)
-
-    def _process_type2(self, t: int, x: Point) -> Decision:
-        cfg = self.config
-        nearest, _ = self.sketch.nearest_center(x)
-        prob = min(1.0, cfg.c_type2 * self._ln_k10 / nearest.count)
-        selected = step_uniform(cfg.seed, t) < prob
-        if selected:
-            self._take(x)
-        return self._decision(t, "type2", selected, prob)
 
     def _set_threshold(self, threshold: float) -> None:
         self.selections_since_reset = 0

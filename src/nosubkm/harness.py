@@ -5,17 +5,17 @@ the final centers against the whole dataset and against an optimal-cost
 oracle (exact brute force, or Lloyd labeled as heuristic). Experiments run
 many seeded trials and aggregate.
 
-Everything is deterministic given the trial/master seed. Report files
-deliberately exclude wall-clock timings so identical seeds reproduce
-byte-identical output; timings stay on the in-memory reports.
+Everything is deterministic given the trial/master seed. Reports carry
+no wall-clock timings, so identical seeds reproduce byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
-import time
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -32,6 +32,7 @@ from .lower_bound import (  # noqa: F401
     lower_estimate,
     lower_exact,
     lower_greedy,
+    _validate_alpha_k,
 )
 from .oracle import lloyd_kmeans, optimal_kmeans
 
@@ -40,7 +41,7 @@ RATIO_INFINITE = "infinite"  # oracle zero, achieved positive
 
 ORDERINGS = ("given", "shuffled", "adversarial")
 ORACLES = ("exact", "lloyd")
-GENERATORS = ("gaussian_mixture", "uniform_box", "alpha_k_sequence")
+REPORT_FORMATS = ("json", "csv")
 
 # Sub-seed domains, mixed with the trial seed to derive independent streams.
 _SEED_DATASET = 0
@@ -87,13 +88,25 @@ def save_points(points: Sequence[Point], path: str | Path) -> None:
 
 def gen_dataset(kind: str, params: dict, seed: int) -> list[Point]:
     """Deterministic synthetic dataset of the given kind."""
-    if kind == "gaussian_mixture":
-        return _gen_gaussian_mixture(seed=seed, **params)
-    if kind == "uniform_box":
-        return _gen_uniform_box(seed=seed, **params)
-    if kind == "alpha_k_sequence":
-        return _gen_sequence(seed=seed, **params)
-    raise ValueError(f"unknown generator {kind!r}; choose from {GENERATORS}")
+    return _generator(kind, params)(seed=seed, **params)
+
+
+def _generator(kind: str, params: dict):
+    """The generator of this kind, once it is known to take these params.
+
+    Raises ValueError for an unknown kind, a parameter the generator does
+    not take, or a count that is not an int.
+    """
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown generator {kind!r}; choose from {tuple(GENERATORS)}")
+    generate = GENERATORS[kind]
+    known = inspect.signature(generate).parameters.keys() - {"seed"}
+    for name, value in params.items():
+        if name not in known:
+            raise ValueError(f"{kind} takes no parameter {name!r}; choose from {sorted(known)}")
+        if name in _COUNTS and not isinstance(value, numbers.Integral):
+            raise ValueError(f"{kind} parameter {name!r} must be an int, got {value!r}")
+    return generate
 
 
 def _gen_gaussian_mixture(
@@ -129,6 +142,14 @@ def _gen_sequence(
     return gen_alpha_k_sequence(k, alpha, length, margin=margin, seed=seed)
 
 
+GENERATORS = {
+    "gaussian_mixture": _gen_gaussian_mixture,
+    "uniform_box": _gen_uniform_box,
+    "alpha_k_sequence": _gen_sequence,
+}
+_COUNTS = ("n", "k", "d", "length")  # generator parameters that must be ints
+
+
 @dataclass(frozen=True)
 class TrialSpec:
     k: int
@@ -145,20 +166,28 @@ class TrialSpec:
 
     def __post_init__(self):
         # k, bootstrap and mode go through the selector's own validator
-        ClusterConfig(k=self.k, bootstrap=self.bootstrap, mode=self.mode)
+        self.cluster_config()
         if (self.input_path is None) == (self.generator is None):
             raise ValueError("provide exactly one of input_path or generator")
-        if self.generator is not None and self.generator not in GENERATORS:
-            raise ValueError(f"unknown generator {self.generator!r}; choose from {GENERATORS}")
+        if self.generator is not None:
+            _generator(self.generator, self.gen_params)
         if self.ordering not in ORDERINGS:
             raise ValueError(f"ordering must be one of {ORDERINGS}")
         if self.oracle not in ORACLES:
             raise ValueError(f"oracle must be one of {ORACLES}")
         # every trial runs lower_estimate at this alpha, whatever the ordering
-        if not 1 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be > 1 and finite, got {self.alpha}")
+        _validate_alpha_k(self.alpha, self.k)
         if self.lloyd_restarts < 1:
             raise ValueError("lloyd_restarts must be >= 1")
+
+    def cluster_config(self) -> ClusterConfig:
+        """The selector's configuration, seeded from this spec's seed."""
+        return ClusterConfig(
+            k=self.k,
+            bootstrap=self.bootstrap,
+            mode=self.mode,
+            seed=_sub_seed(self.seed, _SEED_ALGORITHM),
+        )
 
 
 @dataclass
@@ -181,14 +210,10 @@ class RunReport:
     threshold_raises: int
     threshold_doublings: int
     seed: int
-    wall_time_s: float
 
     def to_record(self) -> dict:
-        """Flat mapping for report files; timing is excluded on purpose so
-        identical seeds produce byte-identical files."""
-        record = asdict(self)
-        del record["wall_time_s"]
-        return record
+        """Flat mapping for report files."""
+        return asdict(self)
 
 
 def _sub_seed(seed: int, domain: int) -> int:
@@ -214,7 +239,7 @@ def _materialize(spec: TrialSpec) -> tuple[list[Point], tuple[int, bool] | None]
         rng = np.random.default_rng([spec.seed, _SEED_ORDER])
         return [points[i] for i in rng.permutation(len(points))], None
     seq, exact = lower_estimate(points, spec.alpha, spec.k)
-    order = adversarial_order(points, spec.alpha, spec.k, sequence=seq)
+    order = adversarial_order(points, seq)
     # An exact length depends only on the point set; a greedy one depends on
     # the order, so the stream gets its own estimate.
     return [points[i] for i in order], (len(seq), True) if exact else None
@@ -226,7 +251,6 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
     The achieved cost is `kmeans_cost(stream, centers)` to the bit: the
     `math.fsum` of `nearest_sq`'s distances, found on the √R grid.
     """
-    started = time.perf_counter()
     stream, lower = _materialize(spec)
     n = len(stream)
 
@@ -239,13 +263,7 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
             stream, spec.k, restarts=spec.lloyd_restarts, seed=_sub_seed(spec.seed, _SEED_LLOYD)
         ).cost
 
-    config = ClusterConfig(
-        k=spec.k,
-        bootstrap=spec.bootstrap,
-        mode=spec.mode,
-        seed=_sub_seed(spec.seed, _SEED_ALGORITHM),
-    )
-    clusterer = OnlineClusterer(config)
+    clusterer = OnlineClusterer(spec.cluster_config())
     decisions = [clusterer.process(x) for x in stream]
     centers = clusterer.finalize()
 
@@ -292,7 +310,6 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
         threshold_raises=clusterer.counters.raises,
         threshold_doublings=clusterer.counters.doublings,
         seed=spec.seed,
-        wall_time_s=time.perf_counter() - started,
     )
     return report, decisions
 
@@ -304,7 +321,7 @@ def trial_seeds(master_seed: int, trials: int) -> list[int]:
 
 def run_experiment(
     spec: TrialSpec,
-    trials: int,
+    trials: int = 1,
     out_path: str | Path | None = None,
     out_format: str = "json",
 ) -> dict:
@@ -315,8 +332,8 @@ def run_experiment(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if out_format not in ("json", "csv"):
-        raise ValueError("out_format must be json or csv")
+    if out_format not in REPORT_FORMATS:
+        raise ValueError(f"out_format must be one of {REPORT_FORMATS}")
 
     reports: list[RunReport] = []
     for trial_seed in trial_seeds(spec.seed, trials):

@@ -204,21 +204,9 @@ def lower_estimate(
     return lower_greedy(points, alpha, k), False
 
 
-def adversarial_order(
-    points: Sequence[Point],
-    alpha: float,
-    k: int,
-    sequence: AlphaKSequence | None = None,
-) -> list[int]:
-    """Permutation streaming a longest-known spread sequence first.
-
-    The sequence is `sequence` when given, else `lower_estimate(points)`;
-    remaining points follow in their original order. `lower_estimate`
-    returns a set already in certified order as its own sequence, so such
-    a set comes back unchanged.
-    """
-    if sequence is None:
-        sequence, _ = lower_estimate(points, alpha, k)
+def adversarial_order(points: Sequence[Point], sequence: AlphaKSequence) -> list[int]:
+    """Permutation streaming `sequence` first; remaining points follow in
+    their original order."""
     chosen = set(sequence.indices)
     return list(sequence.indices) + [i for i in range(len(points)) if i not in chosen]
 

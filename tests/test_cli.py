@@ -1,9 +1,31 @@
 import argparse
 import json
+from dataclasses import fields, replace
 
 import pytest
 
+from nosubkm import cli
 from nosubkm.cli import main, parse_gen_params
+from nosubkm.harness import TrialSpec, run_experiment
+
+# The spec `run --gen uniform_box --k 2` builds; RUN_OPTIONS change one field each.
+SOURCE = ["--gen", "uniform_box", "--k", "2"]
+BASE_SPEC = TrialSpec(k=2, generator="uniform_box")
+RUN_OPTIONS = {
+    "k": (["--gen", "uniform_box", "--k", "3"], {"k": 3}),
+    "input_path": (
+        ["--input", "data.csv", "--k", "2"], {"input_path": "data.csv", "generator": None}
+    ),
+    "generator": (["--gen", "alpha_k_sequence", "--k", "2"], {"generator": "alpha_k_sequence"}),
+    "gen_params": ([*SOURCE, "--gen-params", "n=8,d=1"], {"gen_params": {"n": 8, "d": 1}}),
+    "ordering": ([*SOURCE, "--order", "shuffled"], {"ordering": "shuffled"}),
+    "alpha": ([*SOURCE, "--alpha", "4.5"], {"alpha": 4.5}),
+    "mode": ([*SOURCE, "--mode", "type1_only"], {"mode": "type1_only"}),
+    "seed": ([*SOURCE, "--seed", "7"], {"seed": 7}),
+    "oracle": ([*SOURCE, "--oracle", "lloyd"], {"oracle": "lloyd"}),
+    "lloyd_restarts": ([*SOURCE, "--lloyd-restarts", "3"], {"lloyd_restarts": 3}),
+    "bootstrap": ([*SOURCE, "--bootstrap", "4"], {"bootstrap": 4}),
+}
 
 
 class TestParseGenParams:
@@ -95,3 +117,29 @@ class TestSubcommands:
     def test_requires_source(self):
         with pytest.raises(SystemExit):
             main(["run", "--k", "2"])
+
+    def test_malformed_gen_params_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", *SOURCE, "--gen-params", "n"])
+        assert exit_info.value.code == 2
+        assert "bad generator parameter 'n'" in capsys.readouterr().err
+
+
+class TestRunOptions:
+    def test_omitted_options_take_the_spec_defaults(self, capsys):
+        assert main(["run", "--gen", "uniform_box", "--gen-params", "n=8,d=1", "--k", "2"]) == 0
+        expected = run_experiment(
+            TrialSpec(k=2, generator="uniform_box", gen_params={"n": 8, "d": 1}), 1
+        )
+        assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    def test_the_cases_cover_every_field(self):
+        assert set(RUN_OPTIONS) == {f.name for f in fields(TrialSpec)}
+
+    @pytest.mark.parametrize("field", RUN_OPTIONS)
+    def test_each_option_fills_its_own_field(self, monkeypatch, capsys, field):
+        specs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda spec, *_, **__: specs.append(spec) or {})
+        options, changed = RUN_OPTIONS[field]
+        assert main(["run", *options]) == 0
+        assert specs == [replace(BASE_SPEC, **changed)]

@@ -126,6 +126,24 @@ class TestGenDataset:
                 gen_dataset(kind, params, seed=0)
         rng.assert_not_called()
 
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("gaussian_mixture", {"n": 1e3, "k": 2}, "'n' must be an int"),
+            ("gaussian_mixture", {"n": 10, "k": 2.0}, "'k' must be an int"),
+            ("uniform_box", {"n": 10, "d": 1.5}, "'d' must be an int"),
+            ("alpha_k_sequence", {"k": 2, "length": 10.0}, "'length' must be an int"),
+            ("uniform_box", {"n": 10, "foo": 1}, "no parameter 'foo'"),
+            ("alpha_k_sequence", {"k": 2, "length": 10, "d": 1}, "no parameter 'd'"),
+            ("uniform_box", {"n": 10, "seed": 1}, "no parameter 'seed'"),
+        ],
+    )
+    def test_bad_parameter_named_before_any_draw(self, kind, params, message):
+        with mock.patch("numpy.random.default_rng") as rng:
+            with pytest.raises(ValueError, match=message):
+                gen_dataset(kind, params, seed=0)
+        rng.assert_not_called()
+
 
 class TestTrialSpec:
     def test_requires_exactly_one_source(self):
@@ -161,6 +179,12 @@ class TestTrialSpec:
     def test_unknown_generator_rejected_up_front(self):
         with pytest.raises(ValueError, match="unknown generator 'nope'"):
             TrialSpec(k=2, generator="nope")
+
+    def test_bad_generator_parameter_rejected_up_front(self):
+        with pytest.raises(ValueError, match="'n' must be an int"):
+            TrialSpec(k=2, generator="uniform_box", gen_params={"n": 1e3})
+        with pytest.raises(ValueError, match="no parameter 'foo'"):
+            TrialSpec(k=2, generator="uniform_box", gen_params={"n": 10, "foo": 1})
 
     def test_infinite_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):

@@ -175,14 +175,15 @@ class TestOneCenter:
 
 class TestAdversarialOrder:
     def test_identity_when_already_certified(self):
-        assert adversarial_order(POINTS_0_1_7_50, 9.0, 2) == [0, 1, 2, 3]
+        sequence = lower_estimate(POINTS_0_1_7_50, 9.0, 2)[0]
+        assert adversarial_order(POINTS_0_1_7_50, sequence) == [0, 1, 2, 3]
 
     def test_shuffled_instance_restored_as_prefix(self):
         rng = np.random.default_rng(65)
         for _ in range(10):
             perm = rng.permutation(4)
             shuffled = [POINTS_0_1_7_50[i] for i in perm]
-            order = adversarial_order(shuffled, 9.0, 2)
+            order = adversarial_order(shuffled, lower_estimate(shuffled, 9.0, 2)[0])
             assert sorted(order) == [0, 1, 2, 3]
             assert is_alpha_k_sequence(shuffled, order[:4], 9.0, 2)
 
@@ -191,7 +192,7 @@ class TestAdversarialOrder:
         for _ in range(15):
             n = int(rng.integers(3, 9))
             pts = [tuple(rng.uniform(0, 500, size=1)) for _ in range(n)]
-            order = adversarial_order(pts, 9.0, 2)
+            order = adversarial_order(pts, lower_estimate(pts, 9.0, 2)[0])
             assert sorted(order) == list(range(n))
             length = len(lower_exact(pts, 9.0, 2))
             assert is_alpha_k_sequence(pts, order[:length], 9.0, 2)
@@ -199,7 +200,7 @@ class TestAdversarialOrder:
     def test_large_instance_uses_greedy(self):
         rng = np.random.default_rng(67)
         pts = [tuple(rng.uniform(0, 100, size=2)) for _ in range(60)]
-        order = adversarial_order(pts, 9.0, 2)
+        order = adversarial_order(pts, lower_estimate(pts, 9.0, 2)[0])
         assert sorted(order) == list(range(60))
 
 
