@@ -8,8 +8,9 @@ adversarial ordering shared its search with the trial's lower estimate.
 The d=5 Lloyd digest was recorded while nearest_sq still reduced a
 row-by-center-by-dimension difference block. The d=3 doubling digest was
 recorded while the nearest-selected query and the final scoring still
-scanned every selected center.
-The three trials scored against Lloyd or the adversarial exact oracle
+scanned every selected center. The d=1 Lloyd digest was recorded while
+Lloyd's centroid step still took each cluster's numpy mean.
+The trials scored against Lloyd or the adversarial exact oracle
 also pin a companion digest: the same decisions and record without
 `oracle_cost` and `ratio`. A change to how the oracle cost is rounded
 moves only the full digest; one that also moves the companion changes
@@ -143,6 +144,28 @@ def test_lloyd_trial_five_dimensions():
     )
     assert digest(decisions, without_oracle_cost(report.to_record())) == (
         "edb31fa29727a6c246720e3548260f4b665d37333e3961f9096446cb7301c810"
+    )
+
+
+def test_lloyd_trial_one_dimension():
+    # d=1, where a per-cluster numpy mean sums pairwise and a bincount sum
+    # runs left to right: at this seed 10 of the 20 restart costs differ by
+    # an ulp between the two, but the chosen restart and its final labels,
+    # from which the reported oracle cost is computed, do not.
+    spec = harness.TrialSpec(
+        k=3,
+        generator="gaussian_mixture",
+        gen_params={"n": 1500, "k": 3, "d": 1, "spread": 2.0, "separation": 10.0},
+        ordering="shuffled",
+        oracle="lloyd",
+        seed=2,
+    )
+    report, decisions = harness.run_trial(spec)
+    assert digest(decisions, report.to_record()) == (
+        "db6f4ebd136865128f763910ce2b9d4b7167f609fdeb224c9425bad4d75908c8"
+    )
+    assert digest(decisions, without_oracle_cost(report.to_record())) == (
+        "574b80bd402201db5488921619e4606ff657a3bcfb88682e2967751e60cf8d91"
     )
 
 
