@@ -124,6 +124,14 @@ def lloyd_kmeans(
 
     Deterministic given the seed; equidistant points go to the lower cluster
     id. A heuristic upper bound on the optimum, not an oracle.
+
+    The centroid step sets each live cluster's center to its members'
+    coordinate sums, added in point order by one `np.bincount` per
+    coordinate, over its count; an empty cluster keeps its center. For
+    d >= 2 that has the bits of numpy's per-cluster `mean(axis=0)`, which
+    also adds the rows in order. For d = 1 numpy's mean sums pairwise, so a
+    center can differ from it by an ulp; the reported cost is computed from
+    the final labels alone, through `math.fsum` centroids.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -139,10 +147,11 @@ def lloyd_kmeans(
         centers = _seed_centers(X, k, rng)
         labels, _ = nearest_sq(X, centers)
         for _ in range(200):
-            for j in range(k):
-                members = X[labels == j]
-                if len(members):
-                    centers[j] = members.mean(axis=0)
+            counts = np.bincount(labels, minlength=k)
+            live = counts > 0
+            for j in range(X.shape[1]):
+                sums = np.bincount(labels, weights=X[:, j], minlength=k)
+                centers[live, j] = sums[live] / counts[live]
             new_labels, d2 = nearest_sq(X, centers)
             if np.array_equal(new_labels, labels):
                 break

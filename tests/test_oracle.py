@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from nosubkm.geometry import centroid, kmeans_cost
+from nosubkm import oracle
+from nosubkm.geometry import centroid, kmeans_cost, nearest_sq
+from nosubkm.harness import gen_dataset
 from nosubkm.oracle import lloyd_kmeans, optimal_kmeans
 
 
@@ -19,6 +21,44 @@ def brute_force_cost(points, k):
                 cost += kmeans_cost(part, [centroid(part)])
         best = min(best, cost)
     return best
+
+
+def reference_lloyd(points, k, restarts=20, seed=0):
+    """lloyd_kmeans with its centroid step written as one boolean mask and
+    one numpy mean per cluster: the reference for the bincount step."""
+    X = np.asarray(points, dtype=np.float64)
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        centers = oracle._seed_centers(X, k, rng)
+        labels, _ = oracle.nearest_sq(X, centers)
+        for _ in range(200):
+            for j in range(k):
+                members = X[labels == j]
+                if len(members):
+                    centers[j] = members.mean(axis=0)
+            new_labels, d2 = oracle.nearest_sq(X, centers)
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+        cost = float(d2.sum())
+        if best is None or cost < best[0]:
+            best = (cost, labels)
+    return oracle._clustering_from_assignment(points, [int(a) for a in best[1]])
+
+
+def recording_nearest_sq(monkeypatch):
+    """Make the oracle's nearest_sq record a copy of its centers and labels
+    at every call; returns the list the calls are appended to."""
+    calls = []
+
+    def record(X, C):
+        labels, d2 = nearest_sq(X, C)
+        calls.append((C.copy(), labels))
+        return labels, d2
+
+    monkeypatch.setattr(oracle, "nearest_sq", record)
+    return calls
 
 
 class TestOptimalKMeans:
@@ -117,6 +157,41 @@ class TestLloydKMeans:
     def test_no_restarts_refused(self):
         with pytest.raises(ValueError, match="restarts"):
             lloyd_kmeans([(0.0,), (1.0,)], 1, restarts=0)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_centroid_step_has_the_per_cluster_mean_bits(self, monkeypatch, d):
+        # overlapping clusters, so each restart runs several centroid steps
+        points = gen_dataset(
+            "gaussian_mixture",
+            {"n": 500, "k": 5, "d": d, "spread": 4.0, "separation": 10.0},
+            seed=d,
+        )
+        calls = recording_nearest_sq(monkeypatch)
+        result = lloyd_kmeans(points, 5, restarts=4, seed=d)
+        new_calls, calls[:] = calls[:], []
+        expected = reference_lloyd(points, 5, restarts=4, seed=d)
+        assert result.assignment == expected.assignment
+        assert result.cost == expected.cost
+        # every center every step saw, not only the chosen restart's labels
+        assert len(new_calls) == len(calls) > 4 * 5
+        for (c_new, _), (c_ref, _) in zip(new_calls, calls):
+            assert np.array_equal(c_new, c_ref)
+
+    def test_empty_cluster_keeps_its_center(self, monkeypatch):
+        # Seeded at -2, 0 and 2 on a line, the middle cluster takes -0.9 and
+        # 0.9 and moves to 0; the outer centers then move to -1.2 and 1.2 and
+        # take both, so the middle cluster is empty from the second step on.
+        points = [(-1.2, 0.0)] * 4 + [(-0.9, 0.0), (0.9, 0.0)] + [(1.2, 0.0)] * 4
+        seeds = np.array([[-2.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
+        monkeypatch.setattr(oracle, "_seed_centers", lambda X, k, rng: seeds.copy())
+        calls = recording_nearest_sq(monkeypatch)
+        result = lloyd_kmeans(points, 3, restarts=1)
+        # the first three calls are Lloyd's; the scoring of its labels follows
+        (_, first), (emptied, second), (kept, _) = calls[:3]
+        assert 1 in first and 1 not in second
+        assert emptied[1].tolist() == kept[1].tolist() == [0.0, 0.0]
+        assert result.assignment == [0] * 5 + [1] * 5
+        assert result == reference_lloyd(points, 3, restarts=1)
 
     def test_seeding_once_no_mass_is_left(self):
         # two locations for three seeds: the third is drawn uniformly
