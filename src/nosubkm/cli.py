@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     # An omitted option is absent from the namespace, so TrialSpec and
     # run_experiment supply its default; each dest is the name it fills.
     run = sub.add_parser("run", help="run one experiment", argument_default=argparse.SUPPRESS)
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(func=cmd_run, error=run.error)
     source = run.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--input", dest="input_path", metavar="INPUT",
@@ -97,9 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_run(args: argparse.Namespace) -> int:
     # What is left once the spec's fields and the dispatch entries are
     # taken out is run_experiment's trials, out_path and out_format.
+    # An invalid spec is a usage error (exit 2), as a malformed option is.
     given = dict(vars(args))
-    del given["command"], given["func"]
-    spec = TrialSpec(**{f.name: given.pop(f.name) for f in fields(TrialSpec) if f.name in given})
+    del given["command"], given["func"], given["error"]
+    try:
+        spec = TrialSpec(**{f.name: given.pop(f.name) for f in fields(TrialSpec) if f.name in given})
+    except ValueError as exc:
+        args.error(str(exc))
     result = run_experiment(spec, **given)
     if "out_path" in given:
         result = result["aggregate"]

@@ -95,17 +95,24 @@ def _generator(kind: str, params: dict):
     """The generator of this kind, once it is known to take these params.
 
     Raises ValueError for an unknown kind, a parameter the generator does
-    not take, or a count that is not an int.
+    not take, a missing parameter that has no default, or a count that is
+    not an int.
     """
     if kind not in GENERATORS:
         raise ValueError(f"unknown generator {kind!r}; choose from {tuple(GENERATORS)}")
     generate = GENERATORS[kind]
-    known = inspect.signature(generate).parameters.keys() - {"seed"}
+    parameters = inspect.signature(generate).parameters
+    known = parameters.keys() - {"seed"}
     for name, value in params.items():
         if name not in known:
             raise ValueError(f"{kind} takes no parameter {name!r}; choose from {sorted(known)}")
         if name in _COUNTS and not isinstance(value, numbers.Integral):
             raise ValueError(f"{kind} parameter {name!r} must be an int, got {value!r}")
+    missing = sorted(
+        name for name in known - params.keys() if parameters[name].default is inspect.Parameter.empty
+    )
+    if missing:
+        raise ValueError(f"{kind} is missing required parameters {missing}")
     return generate
 
 

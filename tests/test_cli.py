@@ -8,16 +8,24 @@ from nosubkm import cli
 from nosubkm.cli import main, parse_gen_params
 from nosubkm.harness import TrialSpec, run_experiment
 
-# The spec `run --gen uniform_box --k 2` builds; RUN_OPTIONS change one field each.
-SOURCE = ["--gen", "uniform_box", "--k", "2"]
-BASE_SPEC = TrialSpec(k=2, generator="uniform_box")
+# The spec `run --gen uniform_box --gen-params n=8 --k 2` builds; RUN_OPTIONS
+# change one field each, except that a new source brings its own gen_params.
+SOURCE = ["--gen", "uniform_box", "--gen-params", "n=8", "--k", "2"]
+BASE_SPEC = TrialSpec(k=2, generator="uniform_box", gen_params={"n": 8})
 RUN_OPTIONS = {
-    "k": (["--gen", "uniform_box", "--k", "3"], {"k": 3}),
+    "k": (["--gen", "uniform_box", "--gen-params", "n=8", "--k", "3"], {"k": 3}),
     "input_path": (
-        ["--input", "data.csv", "--k", "2"], {"input_path": "data.csv", "generator": None}
+        ["--input", "data.csv", "--k", "2"],
+        {"input_path": "data.csv", "generator": None, "gen_params": {}},
     ),
-    "generator": (["--gen", "alpha_k_sequence", "--k", "2"], {"generator": "alpha_k_sequence"}),
-    "gen_params": ([*SOURCE, "--gen-params", "n=8,d=1"], {"gen_params": {"n": 8, "d": 1}}),
+    "generator": (
+        ["--gen", "alpha_k_sequence", "--gen-params", "k=2,length=8", "--k", "2"],
+        {"generator": "alpha_k_sequence", "gen_params": {"k": 2, "length": 8}},
+    ),
+    "gen_params": (
+        ["--gen", "uniform_box", "--gen-params", "n=8,d=1", "--k", "2"],
+        {"gen_params": {"n": 8, "d": 1}},
+    ),
     "ordering": ([*SOURCE, "--order", "shuffled"], {"ordering": "shuffled"}),
     "alpha": ([*SOURCE, "--alpha", "4.5"], {"alpha": 4.5}),
     "mode": ([*SOURCE, "--mode", "type1_only"], {"mode": "type1_only"}),
@@ -109,10 +117,28 @@ class TestSubcommands:
         assert (out["length"], out["exact"]) == (20, True)
         assert out["indices"] == list(range(20))
 
-    def test_run_rejects_nan_alpha(self):
-        with pytest.raises(ValueError, match="alpha"):
+    def test_run_rejects_nan_alpha(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["run", "--gen", "uniform_box", "--gen-params", "n=8,d=1",
                   "--k", "2", "--order", "adversarial", "--alpha", "nan"])
+        assert exit_info.value.code == 2
+        assert "nosubkm run: error: alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--gen-params", "n=1e3"], "'n' must be an int"),
+            (["--gen-params", "n=8", "--bootstrap", "1"], "bootstrap (1) must be >= k (2)"),
+            ([], "missing required parameters ['n']"),
+        ],
+    )
+    def test_invalid_spec_is_a_usage_error(self, capsys, options, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--gen", "uniform_box", "--k", "2", *options])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: nosubkm run")
+        assert "nosubkm run: error: " in err and message in err
 
     def test_requires_source(self):
         with pytest.raises(SystemExit):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -153,8 +154,10 @@ class TestTrialSpec:
             TrialSpec(k=2, input_path="x.csv", generator="uniform_box")
 
     def test_adversarial_needs_alpha(self):
-        with pytest.raises(ValueError):
-            TrialSpec(k=2, generator="uniform_box", ordering="adversarial", alpha=1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            TrialSpec(
+                k=2, generator="uniform_box", gen_params={"n": 5}, ordering="adversarial", alpha=1.0
+            )
 
     def test_unknown_mode_rejected_before_the_dataset_is_built(self):
         with pytest.raises(ValueError, match="mode"):
@@ -174,7 +177,9 @@ class TestTrialSpec:
     def test_alpha_not_above_one_rejected_for_every_ordering(self, ordering, alpha):
         # run_trial scores every ordering against lower_estimate at alpha
         with pytest.raises(ValueError, match="alpha"):
-            TrialSpec(k=2, generator="uniform_box", ordering=ordering, alpha=alpha)
+            TrialSpec(
+                k=2, generator="uniform_box", gen_params={"n": 5}, ordering=ordering, alpha=alpha
+            )
 
     def test_unknown_generator_rejected_up_front(self):
         with pytest.raises(ValueError, match="unknown generator 'nope'"):
@@ -186,9 +191,21 @@ class TestTrialSpec:
         with pytest.raises(ValueError, match="no parameter 'foo'"):
             TrialSpec(k=2, generator="uniform_box", gen_params={"n": 10, "foo": 1})
 
+    @pytest.mark.parametrize(
+        "generator, gen_params, missing",
+        [
+            ("uniform_box", {}, "['n']"),
+            ("gaussian_mixture", {"d": 1}, "['k', 'n']"),
+            ("alpha_k_sequence", {"k": 2}, "['length']"),
+        ],
+    )
+    def test_missing_generator_parameter_rejected_up_front(self, generator, gen_params, missing):
+        with pytest.raises(ValueError, match=re.escape(f"missing required parameters {missing}")):
+            TrialSpec(k=2, generator=generator, gen_params=gen_params)
+
     def test_infinite_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
-            TrialSpec(k=2, generator="uniform_box", alpha=math.inf)
+            TrialSpec(k=2, generator="uniform_box", gen_params={"n": 5}, alpha=math.inf)
 
 
 class TestRunTrial:
