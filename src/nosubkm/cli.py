@@ -101,7 +101,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     given = dict(vars(args))
     del given["command"], given["func"], given["error"]
     try:
-        spec = TrialSpec(**{f.name: given.pop(f.name) for f in fields(TrialSpec) if f.name in given})
+        spec = TrialSpec(
+            **{f.name: given.pop(f.name) for f in fields(TrialSpec) if f.name in given}
+        )
     except ValueError as exc:
         args.error(str(exc))
     result = run_experiment(spec, **given)

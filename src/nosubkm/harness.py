@@ -109,7 +109,9 @@ def _generator(kind: str, params: dict):
         if name in _COUNTS and not isinstance(value, numbers.Integral):
             raise ValueError(f"{kind} parameter {name!r} must be an int, got {value!r}")
     missing = sorted(
-        name for name in known - params.keys() if parameters[name].default is inspect.Parameter.empty
+        name
+        for name in known - params.keys()
+        if parameters[name].default is inspect.Parameter.empty
     )
     if missing:
         raise ValueError(f"{kind} is missing required parameters {missing}")
