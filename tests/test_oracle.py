@@ -168,19 +168,21 @@ class TestLloydKMeans:
         )
         calls = recording_nearest_sq(monkeypatch)
         result = lloyd_kmeans(points, 5, restarts=4, seed=d)
-        new_calls, calls[:] = calls[:], []
+        reference_calls = recording_nearest_sq(monkeypatch)
         expected = reference_lloyd(points, 5, restarts=4, seed=d)
         assert result.assignment == expected.assignment
         assert result.cost == expected.cost
-        # every center every step saw, not only the chosen restart's labels
-        assert len(new_calls) == len(calls) > 4 * 5
-        for (c_new, _), (c_ref, _) in zip(new_calls, calls):
-            assert np.array_equal(c_new, c_ref)
+        # every center of every step, not only the chosen restart's labels;
+        # a call with all 5 centers that does not start a restart follows a step
+        assert len(calls) == len(reference_calls)
+        assert sum(len(c) == 5 for c, _ in calls) - 4 > 4 * 5
+        for (c, _), (c_ref, _) in zip(calls, reference_calls):
+            assert np.array_equal(c, c_ref)
 
     def test_empty_cluster_keeps_its_center(self, monkeypatch):
         # Seeded at -2, 0 and 2 on a line, the middle cluster takes -0.9 and
-        # 0.9 and moves to 0; the outer centers then move to -1.2 and 1.2 and
-        # take both, so the middle cluster is empty from the second step on.
+        # 0.9, whose mean is 0; the outer centers move to -1.2 and 1.2 and
+        # then take both, so the middle cluster is empty from the second step.
         points = [(-1.2, 0.0)] * 4 + [(-0.9, 0.0), (0.9, 0.0)] + [(1.2, 0.0)] * 4
         seeds = np.array([[-2.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
         monkeypatch.setattr(oracle, "_seed_centers", lambda X, k, rng: seeds.copy())
