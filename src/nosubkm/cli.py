@@ -13,13 +13,14 @@ from .harness import (
     ORACLES,
     ORDERINGS,
     REPORT_FORMATS,
+    ParseError,
     TrialSpec,
     gen_dataset,
     load_points,
     run_experiment,
     save_points,
 )
-from .lower_bound import lower_estimate
+from .lower_bound import SequenceOverflowError, lower_estimate
 
 
 def parse_gen_params(text: str | None) -> dict:
@@ -40,6 +41,13 @@ def parse_gen_params(text: str | None) -> dict:
                 value = raw
         params[key.strip()] = value
     return params
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--order", dest="ordering", choices=ORDERINGS)
     run.add_argument("--alpha", type=float)
     run.add_argument("--mode", choices=MODES)
-    run.add_argument("--trials", type=int)
+    run.add_argument("--trials", type=positive_int)
     run.add_argument("--seed", type=int)
     run.add_argument("--oracle", choices=ORACLES)
     run.add_argument("--lloyd-restarts", type=int)
@@ -80,14 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", dest="out_format", choices=REPORT_FORMATS)
 
     gen = sub.add_parser("gen", help="emit a synthetic dataset to CSV")
-    gen.set_defaults(func=cmd_gen)
+    gen.set_defaults(func=cmd_gen, error=gen.error)
     gen.add_argument("--kind", choices=GENERATORS, required=True)
     gen.add_argument("--gen-params", type=parse_gen_params, default={})
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 
     lower = sub.add_parser("lower", help="estimate the selection lower bound of a file")
-    lower.set_defaults(func=cmd_lower)
+    lower.set_defaults(func=cmd_lower, error=lower.error)
     lower.add_argument("--input", required=True)
     lower.add_argument("--k", type=int, required=True)
     lower.add_argument("--alpha", type=float, default=TrialSpec.alpha)
@@ -97,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_run(args: argparse.Namespace) -> int:
     # What is left once the spec's fields and the dispatch entries are
     # taken out is run_experiment's trials, out_path and out_format.
-    # An invalid spec is a usage error (exit 2), as a malformed option is.
+    # An invalid spec or an unreadable input is a usage error (exit 2), as
+    # a malformed option is.
     given = dict(vars(args))
     del given["command"], given["func"], given["error"]
     try:
@@ -106,7 +115,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         args.error(str(exc))
-    result = run_experiment(spec, **given)
+    try:
+        result = run_experiment(spec, **given)
+    except (OSError, ParseError, SequenceOverflowError) as exc:
+        args.error(str(exc))
     if "out_path" in given:
         result = result["aggregate"]
     print(json.dumps(result, indent=2, sort_keys=True))
@@ -114,15 +126,20 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    points = gen_dataset(args.kind, args.gen_params, args.seed)
-    save_points(points, args.out)
+    try:
+        points = gen_dataset(args.kind, args.gen_params, args.seed)
+        save_points(points, args.out)
+    except (OSError, ValueError, SequenceOverflowError) as exc:
+        args.error(str(exc))
     print(f"wrote {len(points)} points to {args.out}")
     return 0
 
 
 def cmd_lower(args: argparse.Namespace) -> int:
-    points = load_points(args.input)
-    seq, exact = lower_estimate(points, args.alpha, args.k)
+    try:
+        seq, exact = lower_estimate(load_points(args.input), args.alpha, args.k)
+    except (OSError, ValueError) as exc:
+        args.error(str(exc))
     print(
         json.dumps(
             {"length": len(seq), "exact": exact, "indices": list(seq.indices)},

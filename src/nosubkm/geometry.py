@@ -5,9 +5,12 @@ of equal dimension. Everything here except `CellGrid` is a pure function,
 so values can be shared freely across threads or processes. `nearest_sq`
 is the one squared-distance kernel: `kmeans_cost`, the grid's batch and
 the Lloyd oracle take their squared distances from it or from its
-coordinate loop `_sum_sq`. Only `CellGrid`'s query sums a few candidates
-in plain Python, with the same bits. Every reported cost is the
-`math.fsum` of such distances.
+coordinate loop `_sum_sq`. It lays out a long chunk of rows against a
+few centers center-major, so that each numpy pass runs one inner loop per
+center rather than one per row, and any other chunk row-major; both give
+the same bits, and a tie goes to the lowest center index either way. Only
+`CellGrid`'s query sums a few candidates in plain Python, with the same
+bits. Every reported cost is the `math.fsum` of such distances.
 
 The √R grid (Bentley, Stanat & Williams, IPL 1977) finds the squared
 distance from x to its nearest center exactly whenever that is below a
@@ -66,8 +69,21 @@ GRID_MARGIN = 2.0**-40
 
 # Float64 elements (8 MiB) that nearest_sq's temporaries may hold at once:
 # the running sum and the current coordinate's squared differences, each
-# one row-by-center block for a chunk of rows.
+# one block of a chunk's rows by the centers. The center-major label step
+# holds less: the sum and a bool block, then the bool block and a rank
+# block, at most 9 bytes per element.
 NEAREST_SQ_BUDGET = 1 << 20
+
+# Where a center-major block pays. Row-major, each numpy pass loops over
+# the centers once per row, and argmin makes one call per row; center-major
+# loops over the rows once per center, but its labels take four passes
+# (min, compare, rank, max) and a fixed ~10 us more. Measured on a 2-CPU
+# Xeon (Python 3.11, numpy 2.4, d = 1..3), center-major took 0.3-0.5x the
+# row-major time at 4,000 rows and 1 or 5 centers and at most 1.0x from
+# 512 rows with 1 to 16 centers; with fewer rows it took up to 2x, and at
+# 512-1,024 rows with 32 centers up to 1.07x.
+_CENTER_MAJOR_MIN_ROWS = 512
+_CENTER_MAJOR_MAX_CENTERS = 16
 
 
 def as_point(coords: Sequence[float]) -> Point:
@@ -109,9 +125,15 @@ def nearest_sq(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     coordinates, ((dx0**2 + dx1**2) + dx2**2) + ...; for d <= 7 that has
     the bits of numpy's sum over the last axis, which switches to pairwise
     summation from 8 elements up. Rows of X are taken in chunks so that the
-    two row-by-center temporaries together hold at most NEAREST_SQ_BUDGET
-    elements, except that a chunk is never less than one row; the bits do
-    not depend on the chunk size.
+    two rows-by-centers temporaries together hold at most NEAREST_SQ_BUDGET
+    elements, except that a chunk is never less than one row.
+
+    A chunk of at least _CENTER_MAJOR_MIN_ROWS rows against at most
+    _CENTER_MAJOR_MAX_CENTERS centers is summed center-major, as a
+    centers-by-rows block: its minimum over the centers is the distance,
+    and the label is the first center that reaches it. Any other chunk is
+    summed row-major and takes argmin's label. Neither the bits nor the
+    labels depend on the chunk size or the orientation.
     """
     n, d = X.shape
     if len(C) == 0:
@@ -126,9 +148,20 @@ def nearest_sq(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nearest_sq_chunk(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    sq = _sum_sq(lambda j: np.subtract.outer(X[:, j], C[:, j]), X.shape[1])
-    labels = sq.argmin(axis=1)
-    return labels, sq[np.arange(len(sq)), labels]
+    k = len(C)
+    if len(X) < _CENTER_MAJOR_MIN_ROWS or k > _CENTER_MAJOR_MAX_CENTERS:
+        sq = _sum_sq(lambda j: np.subtract.outer(X[:, j], C[:, j]), X.shape[1])
+        labels = sq.argmin(axis=1)
+        return labels, sq[np.arange(len(sq)), labels]
+    # fl(c - x) is -fl(x - c), so every square has the row-major bits. The
+    # label is the first center at the minimum, argmin's tie rule: the
+    # largest rank k - i among the centers i that reach it.
+    sq = _sum_sq(lambda j: np.subtract.outer(C[:, j], X[:, j]), X.shape[1])
+    d2 = sq.min(axis=0)
+    at_min = sq == d2
+    del sq
+    rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
+    return k - (at_min * rank).max(axis=0).astype(np.intp), d2
 
 
 def _sum_sq(diff: Callable[[int], np.ndarray], d: int) -> np.ndarray:
@@ -263,11 +296,12 @@ class CellGrid:
                 if len(found) > _QUERY_PY_CANDIDATES:
                     best = float(nearest_sq(np.asarray(x)[None, :], self._rows[found])[1][0])
                 else:
-                    # _sum_sq's bits in plain Python. Routing these few
-                    # candidates through nearest_sq instead raised
-                    # sparse_stream from 22 to 38 us per arrival, and
-                    # lloyd_trial's process() self time from 90 to 150 ms
-                    # per trial (2-CPU Xeon, Python 3.11, numpy 2.4).
+                    # _sum_sq's bits in plain Python. A one-row nearest_sq
+                    # call runs row-major and took 14-17 us at d = 1 and
+                    # 17-24 us at d = 2 for 8 to 48 candidates; this loop
+                    # took about 0.5 us a candidate, so it is the cheaper
+                    # up to about 28 candidates at d = 1 and 32 at d = 2
+                    # (2-CPU Xeon, Python 3.11, numpy 2.4).
                     best = math.inf
                     points = self.points
                     for i in found:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .cluster import ClusterConfig, Decision, OnlineClusterer
-from .geometry import Point, as_point, check_point, grid_nearest_sq
+from .geometry import Point, check_point, grid_nearest_sq
 # lower_exact and lower_greedy are not called here but stay importable from
 # this module: the benchmark's traced run wraps them under these names too.
 from .lower_bound import (  # noqa: F401
@@ -134,7 +134,7 @@ def _gen_gaussian_mixture(
     centers = rng.uniform(0.0, separation, size=(k, d))
     comps = rng.integers(0, k, size=n)
     pts = centers[comps] + rng.normal(0.0, spread, size=(n, d))
-    return [as_point(row) for row in pts]
+    return _checked_points(pts)
 
 
 def _gen_uniform_box(n: int, d: int = 2, side: float = 1.0, seed: int = 0) -> list[Point]:
@@ -142,7 +142,15 @@ def _gen_uniform_box(n: int, d: int = 2, side: float = 1.0, seed: int = 0) -> li
         raise ValueError("n and d must be positive, side > 0 and finite")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, side, size=(n, d))
-    return [as_point(row) for row in pts]
+    return _checked_points(pts)
+
+
+def _checked_points(pts: np.ndarray) -> list[Point]:
+    """The rows of pts as checked points, converted in one `tolist` call."""
+    points = [tuple(row) for row in pts.tolist()]
+    for p in points:
+        check_point(p)
+    return points
 
 
 def _gen_sequence(

@@ -140,6 +140,35 @@ class TestSubcommands:
         assert err.startswith("usage: nosubkm run")
         assert "nosubkm run: error: " in err and message in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "--kind", "uniform_box", "--out", "x.csv"], "missing required parameters ['n']"),
+            (
+                ["gen", "--kind", "alpha_k_sequence", "--gen-params", "k=2,length=100", "--out", "x.csv"],
+                "achievable length is 75",
+            ),
+            (["gen", "--kind", "uniform_box", "--gen-params", "n=4", "--out", "no/x.csv"], "No such file"),
+            (["run", *SOURCE, "--trials", "0"], "argument --trials: must be >= 1, got 0"),
+            (["run", "--input", "missing.csv", "--k", "2"], "No such file"),
+            (["run", "--input", "ragged.csv", "--k", "2"], "line 2: expected 2 values, got 1"),
+            (["lower", "--input", "missing.csv", "--k", "2"], "No such file"),
+            (["lower", "--input", "ragged.csv", "--k", "2"], "line 2: expected 2 values, got 1"),
+            (["lower", "--input", "data.csv", "--k", "0"], "k must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data.csv").write_text("0,0\n1,1\n")
+        (tmp_path / "ragged.csv").write_text("0,0\n1\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: nosubkm {argv[0]}")
+        assert f"nosubkm {argv[0]}: error: " in err and message in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_requires_source(self):
         with pytest.raises(SystemExit):
             main(["run", "--k", "2"])

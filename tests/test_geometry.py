@@ -272,12 +272,50 @@ def broadcast_nearest_sq(X, C):
     return sq.argmin(axis=1), sq.min(axis=1)
 
 
-def left_to_right_nearest_sq(X, C):
-    """Unchunked reference: squared differences summed coordinate by coordinate."""
-    sq = (X[:, None, 0] - C[None, :, 0]) ** 2
+def row_major_nearest_sq(X, C):
+    """Unchunked reference: the row-major kernel, a rows-by-centers block
+    summed left to right over the coordinates, its argmin and the distances
+    it takes."""
+    sq = np.subtract.outer(X[:, 0], C[:, 0]) ** 2
     for j in range(1, X.shape[1]):
-        sq = sq + (X[:, None, j] - C[None, :, j]) ** 2
-    return sq.argmin(axis=1), sq.min(axis=1)
+        sq += np.subtract.outer(X[:, j], C[:, j]) ** 2
+    labels = sq.argmin(axis=1)
+    return labels, sq[np.arange(len(sq)), labels]
+
+
+def tied_case(rows, centers, d, scaled=False):
+    """Rows and centers on a small integer lattice, or spread over seven
+    decades, with every other center a repeat, so exact ties are common."""
+    rng = np.random.default_rng([rows, centers, d])
+    if scaled:
+        X = rng.normal(size=(rows, d)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+        C = rng.normal(size=(centers, d)) * 10.0 ** rng.integers(-3, 4, size=(centers, 1))
+    else:
+        X = rng.integers(-2, 3, size=(rows, d)).astype(float)
+        C = rng.integers(-2, 3, size=(centers, d)).astype(float)
+    C[1::2] = C[: centers // 2]
+    return X, C
+
+
+# nearest_sq's crossover constants that make every chunk run in one orientation
+ORIENTATIONS = {"row": (math.inf, 0), "center": (0, math.inf)}
+
+
+def force_orientation(monkeypatch, orientation):
+    min_rows, max_centers = ORIENTATIONS[orientation]
+    monkeypatch.setattr(geometry, "_CENTER_MAJOR_MIN_ROWS", min_rows)
+    monkeypatch.setattr(geometry, "_CENTER_MAJOR_MAX_CENTERS", max_centers)
+
+
+def traced_peak(f, *args):
+    """f(*args) and the peak of the allocations traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = f(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def min_sq_dist(x, centers):
@@ -330,7 +368,42 @@ class TestNearestSq:
         monkeypatch.setattr(geometry, "NEAREST_SQ_BUDGET", budget)
         X, C = scaled_case(d)
         labels, d2 = nearest_sq(X, C)
-        ref_labels, ref_d2 = left_to_right_nearest_sq(X, C)
+        ref_labels, ref_d2 = row_major_nearest_sq(X, C)
+        assert np.array_equal(labels, ref_labels)
+        assert d2.tobytes() == ref_d2.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
+    @pytest.mark.parametrize(
+        "rows, centers", [(5, 9), (9, 9), (40, 9), (1, 1), (1, 6), (6, 1), (700, 4)]
+    )
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("orientation", ORIENTATIONS)
+    def test_bits_of_the_row_major_kernel(self, monkeypatch, orientation, rows, centers, d, scaled):
+        force_orientation(monkeypatch, orientation)
+        X, C = tied_case(rows, centers, d, scaled)
+        labels, d2 = nearest_sq(X, C)
+        ref_labels, ref_d2 = row_major_nearest_sq(X, C)
+        assert labels.dtype == ref_labels.dtype
+        assert np.array_equal(labels, ref_labels)
+        assert d2.tobytes() == ref_d2.tobytes()
+
+    def test_orientation_switches_within_one_call(self, monkeypatch):
+        # Chunks of 600 rows against 3 centers run center-major; the last,
+        # of 100 rows, runs row-major.
+        monkeypatch.setattr(geometry, "NEAREST_SQ_BUDGET", 2 * 3 * 600)
+        shapes = []
+        sum_sq = geometry._sum_sq
+
+        def spy(diff, d):
+            sq = sum_sq(diff, d)
+            shapes.append(sq.shape)
+            return sq
+
+        monkeypatch.setattr(geometry, "_sum_sq", spy)
+        X, C = tied_case(1300, 3, 2)
+        labels, d2 = nearest_sq(X, C)
+        assert shapes == [(3, 600), (3, 600), (100, 3)]
+        ref_labels, ref_d2 = row_major_nearest_sq(X, C)
         assert np.array_equal(labels, ref_labels)
         assert d2.tobytes() == ref_d2.tobytes()
 
@@ -340,33 +413,29 @@ class TestNearestSq:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(20_000, 3))
         C = rng.normal(size=(40, 3))
-        # Unchunked, the two row-by-center blocks would be 1.6M elements (13 MB).
-        tracemalloc.start()
-        try:
-            labels, d2 = nearest_sq(X, C)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        outputs = labels.nbytes + d2.nbytes
-        # Per-chunk outputs plus their concatenation, two row-by-center
-        # blocks of at most `budget` elements together, and object overhead.
-        assert peak <= 2 * outputs + budget * 8 + (64 << 10)
+        # Unchunked, the two blocks of rows by centers would be 1.6M
+        # elements (13 MB).
+        for orientation in ORIENTATIONS:
+            force_orientation(monkeypatch, orientation)
+            (labels, d2), peak = traced_peak(nearest_sq, X, C)
+            outputs = labels.nbytes + d2.nbytes
+            # Per-chunk outputs plus their concatenation, two blocks of at
+            # most `budget` elements together, and object overhead.
+            assert peak <= 2 * outputs + budget * 8 + (64 << 10), orientation
 
     def test_two_blocks_live_in_one_chunk(self, monkeypatch):
         # The running sum and one coordinate's block (256 kB each), plus
         # about 128 kB of ufunc buffers for the strided columns; a third
-        # block would be 256 kB more.
+        # block would be 256 kB more. The center-major label step holds the
+        # sum and a bool block (32 kB), then that and a uint8 rank block.
         monkeypatch.setattr(geometry, "NEAREST_SQ_BUDGET", 1 << 16)
         rng = np.random.default_rng(9)
         X = rng.normal(size=(800, 5))
         C = rng.normal(size=(40, 5))
-        tracemalloc.start()
-        try:
-            nearest_sq(X, C)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 8 * len(X) * len(C) + (192 << 10)
+        for orientation in ORIENTATIONS:
+            force_orientation(monkeypatch, orientation)
+            _, peak = traced_peak(nearest_sq, X, C)
+            assert peak <= 2 * 8 * len(X) * len(C) + (192 << 10), orientation
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_sq_dist_has_its_bits(self, monkeypatch, d):
@@ -559,12 +628,7 @@ class TestGridNearestSq:
         X = rng.uniform(size=(20_000, 2))
         C = X[:2000]
         # About 180 centers in each row's cells: 3.6M pairs in one piece.
-        tracemalloc.start()
-        try:
-            grid_nearest_sq(X, C, 0.01)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(grid_nearest_sq, X, C, 0.01)
         # Some per-row arrays, then a dozen pair arrays of at most the
         # budget plus one row's centers, and object overhead.
         assert peak <= 12 * 8 * len(X) + 12 * 8 * (budget + len(C)) + (64 << 10)

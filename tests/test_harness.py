@@ -93,6 +93,19 @@ class TestGenDataset:
         with pytest.raises(ValueError, match="beyond"):
             gen_dataset("uniform_box", {"n": 3, "d": 2, "side": 1e101}, seed=1)
 
+    def test_mixture_points_beyond_the_norm_limit_rejected(self):
+        with pytest.raises(ValueError, match="beyond"):
+            gen_dataset("gaussian_mixture", {"n": 3, "k": 1, "separation": 1e101}, seed=1)
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("uniform_box", {"n": 5, "d": 3}), ("gaussian_mixture", {"n": 5, "k": 2, "d": 3})],
+    )
+    def test_points_are_tuples_of_floats(self, kind, params):
+        for p in gen_dataset(kind, params, seed=4):
+            assert type(p) is tuple and len(p) == 3
+            assert all(type(c) is float for c in p)
+
     def test_sequence_generator_certified(self):
         pts = gen_dataset("alpha_k_sequence", {"k": 2, "alpha": 9.0, "length": 8}, seed=3)
         assert is_alpha_k_sequence(pts, list(range(8)), 9.0, 2)
