@@ -143,12 +143,16 @@ class TestSubcommands:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["gen", "--kind", "uniform_box", "--out", "x.csv"], "missing required parameters ['n']"),
+            (["gen", "--kind", "uniform_box", "--out", "x.csv"], "missing required parameters"),
             (
-                ["gen", "--kind", "alpha_k_sequence", "--gen-params", "k=2,length=100", "--out", "x.csv"],
+                ["gen", "--kind", "alpha_k_sequence", "--gen-params", "k=2,length=100",
+                 "--out", "x.csv"],
                 "achievable length is 75",
             ),
-            (["gen", "--kind", "uniform_box", "--gen-params", "n=4", "--out", "no/x.csv"], "No such file"),
+            (
+                ["gen", "--kind", "uniform_box", "--gen-params", "n=4", "--out", "no/x.csv"],
+                "No such file",
+            ),
             (["run", *SOURCE, "--trials", "0"], "argument --trials: must be >= 1, got 0"),
             (["run", "--input", "missing.csv", "--k", "2"], "No such file"),
             (["run", "--input", "ragged.csv", "--k", "2"], "line 2: expected 2 values, got 1"),

@@ -378,7 +378,9 @@ class TestNearestSq:
     )
     @pytest.mark.parametrize("scaled", [False, True])
     @pytest.mark.parametrize("orientation", ORIENTATIONS)
-    def test_bits_of_the_row_major_kernel(self, monkeypatch, orientation, rows, centers, d, scaled):
+    def test_bits_of_the_row_major_kernel(
+        self, monkeypatch, orientation, rows, centers, d, scaled
+    ):
         force_orientation(monkeypatch, orientation)
         X, C = tied_case(rows, centers, d, scaled)
         labels, d2 = nearest_sq(X, C)
