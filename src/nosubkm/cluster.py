@@ -14,7 +14,14 @@ sketch of the stream decides between two randomized selection rules:
 
 Selection randomness is counter-based: the draw at arrival t depends only
 on (seed, t), so runs are reproducible and the branch taken at each step is
-a deterministic function of the input prefix alone.
+a deterministic function of the input prefix alone. `process(x)` checks x
+and draws one scalar `step_uniform`. `_run(stream)`, for a stream checked
+when it was made, takes every draw from one `uniform_draws` block, which
+evaluates Philox on a numpy array of counters and falls back to scalar
+draws below _BLOCK_MIN_DRAWS, where the block's fixed cost does not pay.
+Both feed the one transition `_step`. `process` keeps scalar draws because
+a caller that records every call's latency keeps memory per call: a faster
+call makes more calls in a run of fixed length, and holds more.
 
 The distance rule needs d(x, S)^2 exactly only when it is below R, since
 the probability is 1 otherwise. The selected set therefore lives on a
@@ -32,6 +39,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .geometry import CellGrid, Point, check_point, require
 from .kcenter import KCenterSketch
@@ -61,6 +71,49 @@ def step_uniform(seed: int, t: int) -> float:
         k0 = (k0 + _PHILOX_W0) & _U64
         k1 = (k1 + _PHILOX_W1) & _U64
     return (c0 >> 11) * 2.0**-53
+
+
+# Fewest draws worth a numpy block. The block costs a fixed ~0.45 ms (ten
+# rounds of about thirty uint64 array operations) plus ~0.2 us a draw; a
+# scalar `step_uniform` costs ~8 us. Measured on a 2-CPU Xeon (Python 3.11,
+# numpy 2.4): 48 scalar draws took 0.39 ms and 64 took 0.52, against
+# 0.45 ms for a block of either size.
+_BLOCK_MIN_DRAWS = 64
+
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def uniform_draws(seed: int, t0: int, n: int) -> list[float]:
+    """`[step_uniform(seed, t) for t in range(t0, t0 + n)]`, to the bit.
+
+    From _BLOCK_MIN_DRAWS draws on, the ten rounds run once on a uint64
+    array of the counters.
+    """
+    if n < _BLOCK_MIN_DRAWS:
+        return [step_uniform(seed, t) for t in range(t0, t0 + n)]
+    k0 = seed & _U64
+    k1 = np.uint64(t0) + np.arange(n, dtype=np.uint64)
+    c0 = np.ones(n, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros(n, dtype=np.uint64)
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M0)
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M1)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+        k0 = (k0 + _PHILOX_W0) & _U64
+        k1 = k1 + np.uint64(_PHILOX_W1)  # wraps mod 2^64, as step_uniform masks it
+    return ((c0 >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of each a * m, from 32-bit halves."""
+    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    a_hi, a_lo = a >> _SHIFT32, a & _LO32
+    lh = a_lo * m_hi
+    hl = a_hi * m_lo
+    # at most 2 (2^32 - 1) + (2^32 - 1)^2 = 2^64 - 1, so it cannot wrap
+    cross = ((a_lo * m_lo) >> _SHIFT32) + (lh & _LO32) + hl
+    return a_hi * m_hi + (lh >> _SHIFT32) + (cross >> _SHIFT32), a * np.uint64(m)
 
 
 # "type1_only" never runs the population rule.
@@ -186,6 +239,9 @@ class OnlineClusterer:
         Raises ValueError, leaving every field unchanged, when x has a
         non-finite coordinate, a Euclidean norm beyond COORD_LIMIT, or a
         dimension unlike the earlier arrivals.
+
+        The draw is one scalar `step_uniform` (the module docstring says
+        why the block draws are `_run`'s).
         """
         check_point(x)
         # The first arrival is always taken, so it holds the dimension.
@@ -193,6 +249,27 @@ class OnlineClusterer:
             raise ValueError(
                 f"dimension mismatch: expected {len(self.selected_points[0])}, got {len(x)}"
             )
+        return self._step(x, None)
+
+    def _run(self, stream: Sequence[Point]) -> list[Decision]:
+        """Decide on every point of stream, in order, as `process` would.
+
+        Only for a stream whose points were checked when it was made, as
+        `check_point` checks them, with one dimension, that of any earlier
+        arrivals: nothing here checks them again. Every draw the stream
+        reads comes from one `uniform_draws` call.
+        """
+        # The bootstrap arrivals are taken without a draw.
+        skip = min(len(stream), max(0, self.config.bootstrap_size - self.t))
+        draws = [None] * skip + uniform_draws(
+            self.config.seed, self.t + skip + 1, len(stream) - skip
+        )
+        step = self._step
+        return [step(x, u) for x, u in zip(stream, draws)]
+
+    def _step(self, x: Point, u: float | None) -> Decision:
+        """The transition on a checked arrival x; u is its draw, or None
+        to draw `step_uniform(seed, t)` here."""
         self.t += 1
         t = self.t
         cfg = self.config
@@ -227,7 +304,9 @@ class OnlineClusterer:
                 # novel point is the only cost-safe action.
                 prob = 1.0 if d2 > 0.0 else 0.0
 
-        selected = step_uniform(cfg.seed, t) < prob
+        if u is None:
+            u = step_uniform(cfg.seed, t)
+        selected = u < prob
         if selected:
             self._take(x)
         if processing == "type1":

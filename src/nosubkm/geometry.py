@@ -86,13 +86,6 @@ _CENTER_MAJOR_MIN_ROWS = 512
 _CENTER_MAJOR_MAX_CENTERS = 16
 
 
-def as_point(coords: Sequence[float]) -> Point:
-    """Build a validated point: nonempty, all coordinates finite."""
-    pt = tuple(float(c) for c in coords)
-    check_point(pt)
-    return pt
-
-
 def check_point(pt: Point) -> None:
     """Raise ValueError unless pt is nonempty with every coordinate finite
     and its Euclidean norm at most COORD_LIMIT."""

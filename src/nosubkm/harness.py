@@ -281,7 +281,7 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
         ).cost
 
     clusterer = OnlineClusterer(spec.cluster_config())
-    decisions = [clusterer.process(x) for x in stream]
+    decisions = clusterer._run(stream)  # the stream was checked when it was made
     centers = clusterer.finalize()
 
     # A type-1 reject was within sqrt(R) of a center when it arrived, and

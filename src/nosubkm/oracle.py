@@ -173,7 +173,11 @@ def _seed_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
-            idx = rng.choice(n, p=d2 / total)
+            # numpy's `rng.choice(n, p=d2 / total)` without its check of p:
+            # the same index from the same single `random()` draw
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             idx = rng.integers(n)  # all remaining mass at chosen locations
         centers[j] = X[idx]

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nosubkm
-from nosubkm import geometry
-from nosubkm.cluster import ClusterConfig, OnlineClusterer, step_uniform
+from nosubkm import cluster, geometry, harness
+from nosubkm.cluster import ClusterConfig, OnlineClusterer, step_uniform, uniform_draws
 from nosubkm.geometry import COORD_LIMIT, CellGrid, nearest_sq
 from nosubkm.kcenter import KCenterSketch
 
@@ -214,6 +214,108 @@ class TestStepUniform:
     def test_seed_sensitivity(self):
         assert step_uniform(1, 5) != step_uniform(2, 5)
         assert step_uniform(1, 5) != step_uniform(1, 6)
+
+
+class TestUniformDraws:
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 0x9B1F_53C2_04E7_6AD5])
+    @pytest.mark.parametrize("t0", [1, 2**40])
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, 2, cluster._BLOCK_MIN_DRAWS - 1, cluster._BLOCK_MIN_DRAWS, 1000],
+    )
+    def test_equals_step_uniform(self, seed, t0, n):
+        expected = [step_uniform(seed, t) for t in range(t0, t0 + n)]
+        assert uniform_draws(seed, t0, n) == expected
+
+    def test_block_wraps_the_key_as_step_uniform_does(self):
+        # the counters near 2^64 wrap when the key is bumped each round
+        t0 = 2**64 - 200
+        assert uniform_draws(7, t0, 200) == [step_uniform(7, t) for t in range(t0, 2**64)]
+
+
+def run_both(stream, **config_kwargs):
+    """Decisions of a process loop and of `_run` on the same stream; the
+    `_run` clusterer is checked."""
+    _, by_process = run_stream(stream, **config_kwargs)
+    clusterer = OnlineClusterer(ClusterConfig(**config_kwargs))
+    by_run = clusterer._run(stream)
+    clusterer.check()
+    return by_process, by_run
+
+
+def trial_stream(**spec_kwargs):
+    spec = harness.TrialSpec(**spec_kwargs)
+    return spec, harness.materialize_stream(spec)
+
+
+class TestRun:
+    def test_lloyd_trial_stream(self):
+        spec, stream = trial_stream(
+            k=5, generator="gaussian_mixture", gen_params={"n": 4000, "k": 5, "d": 2},
+            ordering="shuffled", seed=3,
+        )
+        by_process, by_run = run_both(stream, k=5, seed=spec.cluster_config().seed)
+        assert by_run == by_process
+        assert sum(d.selected for d in by_run) > 1000
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_exact_small_adversarial_stream(self, n):
+        spec, stream = trial_stream(
+            k=3, generator="gaussian_mixture", gen_params={"n": n, "k": 3},
+            ordering="adversarial", seed=1,
+        )
+        assert n < cluster._BLOCK_MIN_DRAWS
+        by_process, by_run = run_both(stream, k=3, seed=spec.cluster_config().seed)
+        assert by_run == by_process
+
+    def test_type1_only(self):
+        _, stream = trial_stream(
+            k=3, generator="gaussian_mixture",
+            gen_params={"n": 500, "k": 3, "d": 2, "spread": 0.01, "separation": 1000.0},
+            ordering="shuffled", seed=4,
+        )
+        by_process, by_run = run_both(stream, k=3, seed=4, mode="type1_only")
+        assert by_run == by_process
+        assert all(d.processing != "type2" for d in by_run)
+
+    def test_type2_steps(self):
+        _, stream = trial_stream(
+            k=5, generator="gaussian_mixture",
+            gen_params={"n": 1500, "k": 5, "d": 5, "spread": 0.01, "separation": 1000.0},
+            ordering="shuffled", seed=7,
+        )
+        by_process, by_run = run_both(stream, k=5, seed=7)
+        assert by_run == by_process
+        assert sum(d.processing == "type2" for d in by_run) > 1000
+
+    @pytest.mark.parametrize("bootstrap", [None, 36])
+    @pytest.mark.parametrize("first", [0, 1, 2, 40])
+    def test_after_process_calls(self, bootstrap, first):
+        # _run continues a clusterer that process started, in or after the bootstrap
+        rng = np.random.default_rng(63)
+        stream = [tuple(p) for p in rng.normal(0, 5, size=(120, 2)).tolist()]
+        _, by_process = run_stream(stream, k=3, bootstrap=bootstrap, seed=8)
+        clusterer = OnlineClusterer(ClusterConfig(k=3, bootstrap=bootstrap, seed=8))
+        head = [clusterer.process(x) for x in stream[:first]]
+        assert head + clusterer._run(stream[first:]) == by_process
+        clusterer.check()
+
+    def test_empty_stream(self):
+        clusterer = OnlineClusterer(ClusterConfig(k=2, seed=0))
+        assert clusterer._run([]) == []
+        assert clusterer.t == 0
+
+    def test_run_trial_feeds_through_run(self):
+        spec = harness.TrialSpec(
+            k=2, generator="uniform_box", gen_params={"n": 200, "d": 2},
+            oracle="lloyd", seed=9,
+        )
+        with mock.patch.object(
+            OnlineClusterer, "process", side_effect=AssertionError("process was called")
+        ):
+            _, decisions = harness.run_trial(spec)
+        _, by_process = run_stream(harness.materialize_stream(spec), **vars(spec.cluster_config()))
+        assert decisions == by_process
 
 
 def state_snapshot(clusterer):

@@ -16,8 +16,8 @@ from nosubkm.cluster import ClusterConfig, OnlineClusterer
 from nosubkm.geometry import (
     COORD_LIMIT,
     CellGrid,
-    as_point,
     centroid,
+    check_point,
     diameter,
     dist,
     grid_nearest_sq,
@@ -246,24 +246,24 @@ class TestLFoldDiameter:
                 assert l_fold_diameter(pts, l) == pytest.approx(best, abs=1e-12)
 
 
-class TestAsPoint:
+class TestCheckPoint:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            as_point((float("nan"), 0.0))
+            check_point((float("nan"), 0.0))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            as_point(())
+            check_point(())
 
     @pytest.mark.parametrize(
         "pt", [(0.0, 1e101), (-1e160, 0.0), (sys.float_info.max,) * 2, (0.8e100, 0.8e100)]
     )
     def test_rejects_a_norm_beyond_the_limit(self, pt):
         with pytest.raises(ValueError, match="beyond"):
-            as_point(pt)
+            check_point(pt)
 
     def test_accepts_the_limit(self):
-        assert as_point((-COORD_LIMIT, 0.0)) == (-COORD_LIMIT, 0.0)
+        check_point((-COORD_LIMIT, 0.0))
 
 
 def broadcast_nearest_sq(X, C):
