@@ -24,6 +24,7 @@ CHANGES.md.
 
 import hashlib
 import json
+from dataclasses import replace
 
 from nosubkm import geometry, harness
 from nosubkm.cluster import ClusterConfig, OnlineClusterer
@@ -223,4 +224,42 @@ def test_exact_alpha_k_sequence_trial():
     assert sum(d.processing == "type2" for d in decisions) > 0
     assert digest(decisions, report.to_record()) == (
         "d982df966138a08f318c2285c101dac9929bef480243e5b945c546eaeccd46aa"
+    )
+
+
+# The three instance families of the exact_small benchmark workload, cycled
+# over the trial seeds of a master seed as that workload cycles them.
+EXACT_FAMILIES = [
+    dict(k=3, generator="gaussian_mixture", gen_params={"n": 10, "k": 3}, ordering="adversarial"),
+    dict(k=3, generator="gaussian_mixture", gen_params={"n": 11, "k": 3}, ordering="adversarial"),
+    dict(k=2, generator="alpha_k_sequence", gen_params={"k": 2, "length": 10}, ordering="shuffled"),
+]
+
+
+def exact_searches_digest(master_seed: int, trials: int) -> str:
+    """SHA-256 of the two exact searches' answers on every trial input: the
+    lower estimate of the dataset and of the ordered stream, and the exact
+    oracle's assignment and cost on the stream."""
+    h = hashlib.sha256()
+    for i, seed in enumerate(harness.trial_seeds(master_seed, trials)):
+        family = EXACT_FAMILIES[i % len(EXACT_FAMILIES)]
+        spec = harness.TrialSpec(oracle="exact", seed=seed, **family)
+        stream = harness.materialize_stream(spec)
+        for points in (harness.materialize_stream(replace(spec, ordering="given")), stream):
+            seq, exact = harness.lower_estimate(points, spec.alpha, spec.k)
+            h.update(repr((seq.indices, exact)).encode())
+        best = harness.optimal_kmeans(stream, spec.k)
+        h.update(repr((best.assignment, best.cost)).encode())
+    return h.hexdigest()
+
+
+def test_exact_searches_on_exact_small_inputs():
+    # A companion to the exact_small decision digest: it pins what the
+    # lower-bound search and the exact oracle answer on the workload's 60
+    # inputs at masters 1 and 7, apart from the selector's decisions.
+    assert exact_searches_digest(1, 60) == (
+        "2c386f756cb271eaaf507b3b32cbe07c09e4c5c35faa903d255dce55e1317d44"
+    )
+    assert exact_searches_digest(7, 60) == (
+        "b52d85dd932d9798207374db94986a8c368cfb343fc9ce9e0c3731f4e00c674f"
     )
