@@ -3,14 +3,14 @@
 A point is a plain tuple of floats; a point set is any sequence of points
 of equal dimension. Everything here except `CellGrid` is a pure function,
 so values can be shared freely across threads or processes. `nearest_sq`
-is the one squared-distance kernel: `kmeans_cost`, the grid's batch and
-the Lloyd oracle take their squared distances from it or from its
-coordinate loop `_sum_sq`. It lays out a long chunk of rows against a
-few centers center-major, so that each numpy pass runs one inner loop per
-center rather than one per row, and any other chunk row-major; both give
-the same bits, and a tie goes to the lowest center index either way. Only
-`CellGrid`'s query sums a few candidates in plain Python, with the same
-bits. Every reported cost is the `math.fsum` of such distances.
+is the one squared-distance kernel: `kmeans_cost`, the grid's batch, the
+Lloyd oracle and the exact oracle's pairwise table take their squared
+distances from it or from its coordinate loop `_sum_sq`. It lays out a
+long chunk of rows against a few centers center-major, so that each numpy
+pass runs one inner loop per center rather than one per row, and any
+other chunk row-major; both give the same bits, and a tie goes to the
+lowest center index either way. Only `CellGrid`'s query sums a few
+candidates in plain Python, with the same bits. Every reported cost is the `math.fsum` of such distances.
 
 The √R grid (Bentley, Stanat & Williams, IPL 1977) finds the squared
 distance from x to its nearest center exactly whenever that is below a
@@ -447,16 +447,12 @@ def distance_table(points: Sequence[Point]) -> list[list[float]]:
     return table
 
 
-def partition_diameter(
-    table: Sequence[Sequence[float]], members: Sequence[int], l: int, floor: float = 0.0
-) -> float:
+def partition_diameter(table: Sequence[Sequence[float]], members: Sequence[int], l: int) -> float:
     """Exact l-fold diameter of the points that `members` index in `table`.
 
     Exhaustive search over partitions into <= l parts, pruned on the running
-    maximum. `floor` is a known lower bound on the result, such as the
-    l-fold diameter of a subset; the search stops once a partition reaches
-    it. The result is a maximum over table entries (0.0 when no part has two
-    points), so it has the bits of the distances in the table.
+    maximum. The result is a maximum over table entries (0.0 when no part
+    has two points), so it has the bits of the distances in the table.
     """
     m = len(members)
     best = math.inf
@@ -481,8 +477,6 @@ def partition_diameter(
                 recurse(i + 1, max(cur_max, grown))
                 part_diam[pi] = old
                 parts[pi].pop()
-                if best <= floor:
-                    return
         if len(parts) < l:
             parts.append([x])
             part_diam.append(0.0)

@@ -100,22 +100,26 @@ def _generator(kind: str, params: dict):
     """
     if kind not in GENERATORS:
         raise ValueError(f"unknown generator {kind!r}; choose from {tuple(GENERATORS)}")
-    generate = GENERATORS[kind]
-    parameters = inspect.signature(generate).parameters
-    known = parameters.keys() - {"seed"}
+    known, required = _PARAMETERS[kind]
     for name, value in params.items():
         if name not in known:
             raise ValueError(f"{kind} takes no parameter {name!r}; choose from {sorted(known)}")
         if name in _COUNTS and not isinstance(value, numbers.Integral):
             raise ValueError(f"{kind} parameter {name!r} must be an int, got {value!r}")
-    missing = sorted(
-        name
-        for name in known - params.keys()
-        if parameters[name].default is inspect.Parameter.empty
-    )
+    missing = sorted(required - params.keys())
     if missing:
         raise ValueError(f"{kind} is missing required parameters {missing}")
-    return generate
+    return GENERATORS[kind]
+
+
+def _parameter_names(generate) -> tuple[frozenset[str], frozenset[str]]:
+    """A generator's parameter names but seed, and those without a default."""
+    parameters = inspect.signature(generate).parameters
+    known = frozenset(parameters.keys() - {"seed"})
+    required = frozenset(
+        name for name in known if parameters[name].default is inspect.Parameter.empty
+    )
+    return known, required
 
 
 def _gen_gaussian_mixture(
@@ -165,6 +169,7 @@ GENERATORS = {
     "alpha_k_sequence": _gen_sequence,
 }
 _COUNTS = ("n", "k", "d", "length")  # generator parameters that must be ints
+_PARAMETERS = {kind: _parameter_names(generate) for kind, generate in GENERATORS.items()}
 
 
 @dataclass(frozen=True)

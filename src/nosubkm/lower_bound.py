@@ -10,6 +10,7 @@ take when the set is streamed worst-case-first.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,7 +23,6 @@ from .geometry import (
     dist,
     distance_table,
     l_fold_diameter,
-    partition_diameter,
 )
 
 EXACT_SEARCH_LIMIT = 10
@@ -89,13 +89,18 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence
     any outside point that passes the condition against the whole subset at
     the next position. Exponential in |points|, hence EXACT_SEARCH_LIMIT.
 
-    The search runs on indices into one table of pairwise distances, whose
-    entries have the bits of `dist`. A reachable subset keeps only every
-    point's distance to its nearest member, a floor on its (k-1)-fold
-    diameter and the order that first reached it, all taken from the subset
-    it grew from and the new point. No subset passes EXACT_SEARCH_LIMIT <=
-    EXACT_PARTITION_LIMIT points, so thresholds use the exact fold
-    diameters `is_alpha_k_sequence` uses.
+    The search runs on tables over all 2**n subsets, built once per call
+    from one table of pairwise distances whose entries have the bits of
+    `dist`: every point's distance to the subset's nearest member, and the
+    subset's (k-1)-fold diameter (`_fold_diameters`). Each is a minimum or
+    maximum of table entries, so a threshold has the bits of the one
+    `is_alpha_k_sequence` computes, which is exact on subsets of up to
+    EXACT_PARTITION_LIMIT >= EXACT_SEARCH_LIMIT points. A layer of reachable
+    subsets of one size grows by one compare of their nearest-member rows
+    against their thresholds. Subsets grow in mask order and the first to
+    reach a subset keeps it, so the answer is deterministic (small masks and
+    small indices first), and the sequence returned is the one that first
+    reached the first subset of the last layer.
     """
     _validate_alpha_k(alpha, k)
     n = len(points)
@@ -106,51 +111,98 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence
         )
     if n == 0:
         return AlphaKSequence(())
-    table = distance_table(points)
+    table = np.array(distance_table(points))
     if k < 2:
         # Past the first point the threshold is infinite.
         return AlphaKSequence((0,))
 
-    # layer[mask] = (distance from every point to its nearest member, a lower
-    # bound on its (k-1)-fold diameter, the order that first reached it) for
-    # the reachable subsets of one size. Subsets grow in mask order and the
-    # first to reach a subset keeps it, so the answer is deterministic (small
-    # masks and small indices first). At k = 2 the bound is the subset's
-    # diameter, grown by the new point's row. Beyond, it is the fold diameter
-    # of a subset: it lets a subset whose candidates cannot pass skip the
-    # partition search, and stops the search once a partition reaches it.
-    layer = {1 << i: (table[i], 0.0, (i,)) for i in range(n)}
+    # nearest[mask, j] and farthest[mask, j]: the distance from point j to
+    # the nearest and the farthest member of mask; diam[mask]: its diameter.
+    # The subsets whose highest member is i are those below 1 << i plus i,
+    # so each table doubles once per point.
+    nearest = np.empty((1 << n, n))
+    nearest[0] = math.inf
+    farthest = np.zeros((1 << n, n))
+    diam = np.zeros(1 << n)
+    for i in range(n):
+        lo, hi = 1 << i, 2 << i
+        np.minimum(nearest[:lo], table[i], out=nearest[lo:hi])
+        np.maximum(diam[:lo], farthest[:lo, i], out=diam[lo:hi])
+        np.maximum(farthest[:lo], table[i], out=farthest[lo:hi])
+    del farthest
+    fold = diam  # l-fold diameters, from l = 1 to k - 1, or to n: all 0 from there
+    for _ in range(min(k - 1, n) - 1):
+        fold = _fold_diameters(diam, fold)
+
+    # One layer per size: its masks in increasing order, and for each the
+    # position of its first parent in the layer before and the point added.
+    masks = np.left_shift(1, np.arange(n))
+    grown_layers = []
+    first = 0  # position of the layer's first-reached subset
+    size = 1
     while True:
-        grown_layer: dict[int, tuple[list[float], float, tuple[int, ...]]] = {}
-        for mask in sorted(layer):
-            nearest, floor, order = layer[mask]
-            size = len(order)
-            if size < k:
-                threshold = 0.0
-            elif k == 2:
-                threshold = math.sqrt((size + 1) * alpha) * floor
-            else:
-                scale = math.sqrt((size + 1) * alpha)
-                bar = scale * floor
-                if all(d <= bar or mask | 1 << j in grown_layer for j, d in enumerate(nearest)):
-                    continue
-                floor = partition_diameter(table, sorted(order), k - 1, floor)
-                threshold = scale * floor
-            # Members are at distance 0 from the subset, and no threshold is
-            # negative, so only outside points pass.
-            for j, d in enumerate(nearest):
-                if d > threshold:
-                    grown = mask | 1 << j
-                    if grown not in grown_layer:
-                        row = table[j]
-                        grown_layer[grown] = (
-                            list(map(min, nearest, row)),
-                            max(floor, max(row[m] for m in order)) if k == 2 else floor,
-                            order + (j,),
-                        )
-        if not grown_layer:
-            return AlphaKSequence(next(iter(layer.values()))[2])
-        layer = grown_layer
+        # Members are at distance 0 from the subset, and no threshold is
+        # negative, so only outside points pass.
+        thresholds = fold[masks] * math.sqrt((size + 1) * alpha)
+        parents, added = np.nonzero(nearest[masks] > thresholds[:, None])
+        if not len(parents):
+            break
+        masks, reached = np.unique(masks[parents] | 1 << added, return_index=True)
+        grown_layers.append((parents[reached], added[reached]))
+        first = int(reached.argmin())
+        size += 1
+
+    order = []
+    for parents, added in reversed(grown_layers):
+        order.append(int(added[first]))
+        first = int(parents[first])
+    order.append(first)  # the first layer holds point i at position i
+    return AlphaKSequence(tuple(reversed(order)))
+
+
+# Masks per pass of `_fold_diameters`, bounding its temporaries.
+_FOLD_CHUNK = 128
+
+
+@functools.cache
+def _splits() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every nonempty mask S below 2**EXACT_SEARCH_LIMIT, in increasing
+    order, every split of S into a part A holding S's lowest member and the
+    rest S \\ A, as read-only (A, rest, starts). starts[S - 1] is where the
+    splits of S begin and starts[-1] their total, so the splits of the masks
+    below 2**n are a prefix. Built on first use.
+
+    The splits of bit | r, for r below bit, are those of r with bit added
+    to the rest or to A; bit alone has the one split (bit, 0).
+    """
+    part = rest = np.zeros(0, np.uint16)
+    sizes = np.zeros(1, np.int64)
+    for i in range(EXACT_SEARCH_LIMIT):
+        bit = np.uint16(1 << i)
+        part = np.concatenate([part, [bit], np.stack([part, part | bit], axis=1).ravel()])
+        rest = np.concatenate([rest, [np.uint16(0)], np.stack([rest | bit, rest], axis=1).ravel()])
+        sizes = np.concatenate([sizes, [1], 2 * sizes[1:]])
+    starts = np.concatenate([[0], np.cumsum(sizes[1:])])
+    for table in (part, rest, starts):
+        table.flags.writeable = False
+    return part, rest, starts
+
+
+def _fold_diameters(diam: np.ndarray, fold: np.ndarray) -> np.ndarray:
+    """The (l+1)-fold diameter of every subset, from the diameters and the
+    l-fold diameters (both indexed by mask): the least, over the parts A
+    holding the subset's lowest member, of max(diam A, l-fold diameter of
+    the rest). A part may hold every member, as partitions into fewer
+    parts count too."""
+    part, rest, starts = _splits()
+    out = np.zeros_like(fold)
+    for lo in range(1, len(fold), _FOLD_CHUNK):
+        hi = min(lo + _FOLD_CHUNK, len(fold))
+        a, b = starts[lo - 1], starts[hi - 1]
+        scores = diam[part[a:b]]
+        np.maximum(scores, fold[rest[a:b]], out=scores)
+        out[lo:hi] = np.minimum.reduceat(scores, starts[lo - 1 : hi - 1] - a)
+    return out
 
 
 def lower_greedy(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, centroid, nearest_sq
+from .geometry import Point, _sum_sq, centroid, nearest_sq
 
 # Largest instance the exact solver accepts, by k; 10 for every k above 3,
 # and none for k = 1, which has a closed form. Chosen so the pruned
@@ -57,9 +57,21 @@ def _clustering_from_assignment(
 def optimal_kmeans(points: Sequence[Point], k: int) -> Clustering:
     """Globally optimal k-means of a small instance by partition enumeration.
 
-    Centers are unrestricted (cluster centroids). Ties break toward the
-    lexicographically smallest canonical assignment vector. Raises when the
-    instance exceeds the exact limit; use lloyd_kmeans there instead.
+    Centers are unrestricted (cluster centroids). A part of m points is
+    scored by its cost at its centroid, written as the sum of its pairwise
+    squared distances over m and read from one table built once per call.
+    The table takes coordinate differences before squaring, so nothing
+    cancels, and a translation moves no score beyond the rounding of the
+    translated coordinates; the sum of squared norms minus the squared
+    coordinate sums over m would cancel catastrophically far from the
+    origin. A part's score is held at its last value as it grows, so the
+    running total never falls and the prune on it drops no better
+    partition. The first canonical assignment vector (in lexicographic
+    order) with the least total wins; totals within rounding, a relative
+    1e-12 in the tests, may tie. The reported cost is
+    `_clustering_from_assignment`'s `math.fsum` at the chosen partition's
+    centroids. Raises when the instance exceeds the exact limit; use
+    lloyd_kmeans there instead.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -77,39 +89,43 @@ def optimal_kmeans(points: Sequence[Point], k: int) -> Clustering:
         )
 
     n = len(points)
-    d = len(points[0])
-    # One (count, coordinate sums, sum of squared norms, cost) value per
-    # part, with cost = sumsq - |sums|^2 / count. A tried assignment puts
+    # sq[i][j] = |p_i - p_j|^2 with the bits of nearest_sq: coordinate
+    # differences squared and added left to right.
+    X = np.asarray(points, dtype=np.float64)
+    sq = _sum_sq(lambda j: np.subtract.outer(X[:, j], X[:, j]), X.shape[1]).tolist()
+    # One (count, pair sum, cost, links) value per part: the sum of sq over
+    # the member pairs, the score pair sum / count (held at its last value
+    # where rounding would lower it), and links[x] the sum of sq from x to
+    # the members, each sum added in member order. A tried assignment puts
     # the grown value in place and the old one back after, so a part's
     # value depends only on its members, in order.
-    parts: list[tuple[int, list[float], float, float]] = []
-    sqnorms = [math.fsum(map(operator.mul, p, p)) for p in points]
+    parts: list[tuple[int, float, float, list[float]]] = []
     assignment = [0] * n
     best_cost = math.inf
     best_assignment: list[int] | None = None
 
     def recurse(i: int, total: float) -> None:
         nonlocal best_cost, best_assignment
-        if total >= best_cost:
-            return
         if i == n:
             best_cost = total
             best_assignment = assignment.copy()
             return
-        p = points[i]
-        n_parts = len(parts)
-        if n_parts < k:
-            parts.append((0, [0.0] * d, 0.0, 0.0))
-        for pi in range(len(parts)):
-            count, sums, sumsq, cost = old = parts[pi]
-            sums = list(map(operator.add, sums, p))
-            sumsq += sqnorms[i]
-            grown = sumsq - math.fsum(map(operator.mul, sums, sums)) / (count + 1)
-            parts[pi] = (count + 1, sums, sumsq, grown)
-            assignment[i] = pi
-            recurse(i + 1, total - cost + grown)
-            parts[pi] = old
-        if n_parts < k:
+        row = sq[i]
+        for pi, old in enumerate(parts):
+            count, pair_sum, cost, links = old
+            grown_sum = pair_sum + links[i]
+            # A part's cost never falls as it grows, but its rounded score can
+            grown = max(cost, grown_sum / (count + 1))
+            grown_total = total + (grown - cost)
+            if grown_total < best_cost:
+                parts[pi] = (count + 1, grown_sum, grown, list(map(operator.add, links, row)))
+                assignment[i] = pi
+                recurse(i + 1, grown_total)
+                parts[pi] = old
+        if len(parts) < k and total < best_cost:
+            parts.append((1, 0.0, 0.0, row))
+            assignment[i] = len(parts) - 1
+            recurse(i + 1, total)
             parts.pop()
 
     recurse(0, 0.0)

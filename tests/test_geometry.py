@@ -216,18 +216,6 @@ class TestLFoldDiameter:
                 greedy = _greedy_partition_diameter(pts, l)
                 assert greedy >= exact - 1e-12
 
-    def test_floor_does_not_change_the_value(self):
-        # the fold diameter of any subset is a valid floor
-        rng = np.random.default_rng(9)
-        for _ in range(40):
-            n = int(rng.integers(3, 10))
-            pts = [tuple(rng.uniform(0, 10, size=2)) for _ in range(n)]
-            table = geometry.distance_table(pts)
-            for l in (2, 3):
-                value = geometry.partition_diameter(table, range(n), l)
-                floor = geometry.partition_diameter(table, range(n - 1), l)
-                assert geometry.partition_diameter(table, range(n), l, floor) == value
-
     def test_brute_force_cross_check(self):
         # independent oracle: enumerate all assignments of <= 6 points
         rng = np.random.default_rng(8)

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nosubkm
 from nosubkm import geometry, lower_bound
 from nosubkm.geometry import EXACT_PARTITION_LIMIT, _greedy_partition_diameter, diameter, dist
 from nosubkm.lower_bound import (
@@ -407,10 +413,81 @@ class TestReferenceEquivalence:
                 assert geometry.l_fold_diameter(pts, l) == reference_fold_diameter(pts, l)
 
 
+class TestSubsetTables:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_ten_points_match_reference(self, k):
+        # The hypothesis case stops at 9 points. At k = 5 and 6 the fold
+        # table takes three and four passes over the split table.
+        rng = np.random.default_rng(300 + k)
+        for trial in range(6):
+            dim = 1 + trial % 3
+            if trial % 3 == 0:
+                line = gen_alpha_k_sequence(k, 1.5, 10, seed=trial)
+                pts = [p + (0.0,) * (dim - 1) for p in line]
+                pts = [pts[i] for i in rng.permutation(10)]
+            elif trial % 3 == 1:
+                # grid values: duplicates and tied distances
+                pts = [tuple(rng.choice([0.0, 1.0, 2.0, 7.0, 50.0], size=dim)) for _ in range(10)]
+            else:
+                pts = [tuple(rng.normal(0, 10, size=dim)) for _ in range(10)]
+            for alpha in (1.5, 4.0):
+                expected = reference_lower_exact(pts, alpha, k)
+                assert lower_exact(pts, alpha, k) == expected, (trial, alpha)
+
+    def test_fold_table_matches_partition_search(self):
+        rng = np.random.default_rng(17)
+        pts = [tuple(rng.normal(0, 10, size=2)) for _ in range(8)]
+        table = np.array(geometry.distance_table(pts))
+        diam = np.array([
+            max((table[i, j] for i in members for j in members), default=0.0)
+            for members in ([j for j in range(8) if mask >> j & 1] for mask in range(1 << 8))
+        ])
+        fold = diam
+        for l in range(2, 6):
+            fold = lower_bound._fold_diameters(diam, fold)
+            for mask in range(1, 1 << 8):
+                members = [pts[j] for j in range(8) if mask >> j & 1]
+                assert fold[mask] == reference_fold_diameter(members, l), (l, mask)
+
+    def test_one_call_within_budget(self):
+        # The split table (about 126 kB) is built inside the measured call.
+        # Its fold pass takes at most _FOLD_CHUNK masks at a time; one pass
+        # over all 29,524 splits would hold about 700 kB of temporaries.
+        rng = np.random.default_rng(5)
+        pts = [tuple(rng.normal(0, 10, size=2)) for _ in range(10)]
+        lower_exact(pts[:5], 9.0, 4)  # numpy's lazily loaded helpers
+        lower_bound._splits.cache_clear()
+        tracemalloc.start()
+        try:
+            lower_exact(pts, 9.0, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 << 10
+
+    def test_import_builds_no_table(self):
+        script = (
+            "import nosubkm\nfrom nosubkm import lower_bound\n"
+            "print(lower_bound._splits.cache_info().currsize)"
+        )
+        src = str(Path(nosubkm.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "0\n"
+
+
 class TestLowerEstimate:
     def test_every_subset_the_exact_search_scores_has_an_exact_fold_diameter(self):
-        # lower_exact scores subsets of at most EXACT_SEARCH_LIMIT points
-        # with partition_diameter alone, which is exact only up to here.
+        # lower_exact's fold table is exact on every subset; the certifier's
+        # l_fold_diameter is exact only up to EXACT_PARTITION_LIMIT points.
+        # So the two agree on every subset the search scores, and every
+        # sequence it returns certifies.
         assert lower_bound.EXACT_SEARCH_LIMIT <= EXACT_PARTITION_LIMIT
 
     def test_exact_up_to_the_search_limit(self):

@@ -1,11 +1,15 @@
+import functools
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nosubkm import oracle
 from nosubkm.geometry import centroid, kmeans_cost, nearest_sq
-from nosubkm.harness import gen_dataset
+from nosubkm.harness import TrialSpec, gen_dataset, run_trial, save_points
 from nosubkm.oracle import lloyd_kmeans, optimal_kmeans
 
 
@@ -118,6 +122,109 @@ class TestOptimalKMeans:
         assert optimal_kmeans(pts, 1).cost == pytest.approx(
             kmeans_cost(pts, [centroid(pts)])
         )
+
+
+def canonical_assignments(n, k):
+    """Every assignment of n points to at most k parts, each part first
+    used in order: one per partition."""
+    def grow(prefix, used):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for part in range(min(used + 1, k)):
+            yield from grow(prefix + [part], max(used, part + 1))
+
+    return grow([], 0)
+
+
+def exact_part_cost(points, members):
+    """The k-means cost of one part in exact rational arithmetic."""
+    total = Fraction(0)
+    for column in zip(*[[Fraction(v) for v in points[i]] for i in members]):
+        mean = sum(column) / len(column)
+        total += sum((v - mean) ** 2 for v in column)
+    return total
+
+
+def exact_cost(points, assignment, part_cost=None):
+    """The k-means cost of an assignment in exact rational arithmetic;
+    part_cost(members) may stand in for exact_part_cost on these points."""
+    part_cost = part_cost or functools.partial(exact_part_cost, points)
+    parts = {}
+    for i, a in enumerate(assignment):
+        parts.setdefault(a, []).append(i)
+    return sum(part_cost(tuple(m)) for m in parts.values())
+
+
+def translated_set(rng, offset):
+    """Up to 8 points in d = 1 or 2 around two centers, each row's spread
+    1e-3 or 1 at random, every coordinate moved by offset."""
+    n = int(rng.integers(3, 9))
+    d = int(rng.integers(1, 3))
+    centers = rng.uniform(-5, 5, size=(2, d))
+    spreads = rng.choice([1e-3, 1.0], size=(n, 1))
+    rows = centers[rng.integers(0, 2, size=n)] + spreads * rng.normal(size=(n, d))
+    return [tuple(row) for row in (rows + offset).tolist()]
+
+
+# Coordinates on a grid of eighths, so that adding any offset below 1e14
+# is exact and a translated set has exactly the untranslated differences.
+eighths = st.integers(-512, 512).map(lambda v: v / 8)
+
+
+@st.composite
+def grid_sets(draw):
+    d = draw(st.integers(1, 2))
+    points = draw(st.lists(st.tuples(*[eighths] * d), min_size=2, max_size=9))
+    return points, draw(st.integers(2, 3))
+
+
+class TestTranslation:
+    # optimal_kmeans scores each part by its pairwise squared distances,
+    # whose coordinate differences are taken before squaring. The sum of
+    # squares minus the squared sum over the count, which it used before,
+    # cancels once the points lie far from the origin: at offset 1e8 it
+    # chose a partition above the optimum on almost every such set.
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e6, 1e8, 1e10])
+    def test_chosen_partition_is_optimal_in_exact_arithmetic(self, offset):
+        # Tolerance: each part's score has a relative rounding error of a
+        # few dozen ulps (d squares, at most 36 pair sums, one division),
+        # so a partition within 1e-12 of the optimum may tie with it.
+        rng = np.random.default_rng(int(offset) % 1000 + 40)
+        for _ in range(25):
+            points = translated_set(rng, offset)
+            for k in (2, 3):
+                part_cost = functools.cache(functools.partial(exact_part_cost, points))
+                best = min(
+                    exact_cost(points, a, part_cost)
+                    for a in canonical_assignments(len(points), k)
+                )
+                chosen = exact_cost(points, optimal_kmeans(points, k).assignment)
+                assert chosen <= best * (1 + Fraction(1, 10**12)), (offset, k, points)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_sets(), st.sampled_from([1e3, 1e6, 1e8, 1e10, -1e10]))
+    def test_assignment_does_not_change_under_translation(self, case, offset):
+        points, k = case
+        moved = [tuple(v + offset for v in p) for p in points]
+        assert optimal_kmeans(moved, k).assignment == optimal_kmeans(points, k).assignment
+
+    def test_translated_trial_reports_the_untranslated_cost(self, tmp_path):
+        # Two unit-spread clusters 5 apart, read by run_trial from a file.
+        # The coordinates are multiples of 2**-20, so adding 1e8 is exact.
+        # At this seed the old part score reported 40.81 at 1e8, not 11.26.
+        rng = np.random.default_rng(0)
+        base = np.concatenate([rng.normal(0, 1, size=(5, 2)), rng.normal(5, 1, size=(5, 2))])
+        base = np.round(base * 2**20) / 2**20
+        costs = []
+        for offset in (0.0, 1e8):
+            path = tmp_path / f"points_{offset:g}.csv"
+            save_points([tuple(r) for r in (base + offset).tolist()], path)
+            report, _ = run_trial(TrialSpec(k=2, input_path=str(path), oracle="exact"))
+            assert report.oracle_exact
+            costs.append(report.oracle_cost)
+        assert costs[1] == pytest.approx(costs[0], rel=1e-9)
 
 
 class TestLloydKMeans:
