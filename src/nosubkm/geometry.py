@@ -1,4 +1,4 @@
-"""Points, distances, k-means cost, centroids, and l-fold diameters.
+"""Points, distances, k-means cost, centroids, l-fold diameters, subset tables.
 
 A point is a plain tuple of floats; a point set is any sequence of points
 of equal dimension. Everything here except `CellGrid` is a pure function,
@@ -43,6 +43,7 @@ COORD_LIMIT and h >= sqrt(DBL_MIN), so |x_j ± r| / h < 2e254.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -56,6 +57,12 @@ Point = tuple[float, ...]
 # stay Bell-number feasible up to here; beyond it we fall back to a
 # certified greedy upper bound.
 EXACT_PARTITION_LIMIT = 12
+
+# Points the split table covers: every point of a `lower_exact` instance,
+# and all but the first of an `optimal_kmeans` instance at k >= 3; and the
+# masks per chunk of `min_over_splits`, bounding its temporaries.
+SPLIT_POINTS = 10
+_FOLD_CHUNK = 128
 
 # Largest Euclidean norm a point may have. Below it every squared distance
 # is at most (2 * COORD_LIMIT)**2 = 4e200, whatever d, so it, the sketch
@@ -486,6 +493,66 @@ def partition_diameter(table: Sequence[Sequence[float]], members: Sequence[int],
 
     recurse(0, 0.0)
     return best
+
+
+def subset_tables(
+    table: np.ndarray, combine: np.ufunc, empty: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """For every mask S below 2**n, n = len(table): rows[S, x], table[j, x]
+    combined over the members j of S, and pairs[S], table[j, i] combined
+    over the member pairs j < i of S; `empty` where there are none. The
+    subsets whose highest member is i are those below 1 << i plus i, so
+    both tables double once per point and combine members in index order."""
+    n = len(table)
+    rows = np.full((1 << n, table.shape[1]), empty)
+    pairs = np.full(1 << n, empty)
+    for i in range(n):
+        lo, hi = 1 << i, 2 << i
+        combine(pairs[:lo], rows[:lo, i], out=pairs[lo:hi])
+        combine(rows[:lo], table[i], out=rows[lo:hi])
+    return rows, pairs
+
+
+@functools.cache
+def _splits() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every split of every nonempty mask S below 2**SPLIT_POINTS into a part
+    A holding S's lowest member and the rest S \\ A, by S and then by A in
+    increasing order, as read-only (A, rest, starts): starts[S - 1] is where
+    the splits of S begin and starts[-1] their total, so the masks below
+    2**m have a prefix. Built on first use, from one key per split, S then
+    A: the splits of bit | r, r < bit, are those of r with bit in the rest
+    or in A, and bit alone has the one split (bit, 0)."""
+    m = SPLIT_POINTS
+    key = np.zeros(0, np.uint32)
+    for i in range(m):
+        up = np.uint32(1 << i + m)  # bit, added to S
+        key = np.concatenate([key, [up | 1 << i], key + up, key + (up | 1 << i)])
+    key.sort()
+    starts = np.searchsorted(key, np.arange(1, (1 << m) + 1, dtype=np.uint32) << m)
+    part = (key & (1 << m) - 1).astype(np.uint16)
+    key >>= m
+    rest = key.astype(np.uint16) ^ part
+    for table in (part, rest, starts):
+        table.flags.writeable = False
+    return part, rest, starts
+
+
+def min_over_splits(part: np.ndarray, rest: np.ndarray, combine: np.ufunc) -> np.ndarray:
+    """For every mask S below len(rest), a power of 2 up to 2**SPLIT_POINTS,
+    the least over the splits of S of combine(part[A], rest[S \\ A]); 0 at
+    the empty mask. A may hold every member, so fewer parts count too. On
+    the diameters and the l-fold diameters np.maximum gives the (l+1)-fold
+    diameters; on the part costs and the least l-part costs np.add gives
+    the least (l+1)-part costs."""
+    splits_a, splits_rest, starts = _splits()
+    out = np.zeros_like(rest)
+    for lo in range(1, len(rest), _FOLD_CHUNK):
+        hi = min(lo + _FOLD_CHUNK, len(rest))
+        a, b = starts[lo - 1], starts[hi - 1]
+        scores = part[splits_a[a:b]]
+        combine(scores, rest[splits_rest[a:b]], out=scores)
+        out[lo:hi] = np.minimum.reduceat(scores, starts[lo - 1 : hi - 1] - a)
+    return out
 
 
 def _greedy_partition_diameter(points: Sequence[Point], l: int) -> float:

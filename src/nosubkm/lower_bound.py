@@ -10,7 +10,6 @@ take when the set is streamed worst-case-first.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,13 +18,16 @@ import numpy as np
 
 from .geometry import (
     COORD_LIMIT,
+    SPLIT_POINTS,
     Point,
     dist,
     distance_table,
     l_fold_diameter,
+    min_over_splits,
+    subset_tables,
 )
 
-EXACT_SEARCH_LIMIT = 10
+EXACT_SEARCH_LIMIT = SPLIT_POINTS  # lower_exact splits every subset of its set
 
 
 class SequenceOverflowError(OverflowError):
@@ -89,18 +91,18 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence
     any outside point that passes the condition against the whole subset at
     the next position. Exponential in |points|, hence EXACT_SEARCH_LIMIT.
 
-    The search runs on tables over all 2**n subsets, built once per call
-    from one table of pairwise distances whose entries have the bits of
-    `dist`: every point's distance to the subset's nearest member, and the
-    subset's (k-1)-fold diameter (`_fold_diameters`). Each is a minimum or
-    maximum of table entries, so a threshold has the bits of the one
-    `is_alpha_k_sequence` computes, which is exact on subsets of up to
+    The search runs on tables over all 2**n subsets (`subset_tables`), built
+    once per call from one table of pairwise distances with the bits of
+    `dist`: every point's distance to each subset's nearest member, and the
+    subset's (k-1)-fold diameter (`min_over_splits` with np.maximum). Each
+    is a minimum or maximum of table entries, so a threshold has the bits
+    of the one `is_alpha_k_sequence` computes, exact on subsets of up to
     EXACT_PARTITION_LIMIT >= EXACT_SEARCH_LIMIT points. A layer of reachable
     subsets of one size grows by one compare of their nearest-member rows
     against their thresholds. Subsets grow in mask order and the first to
     reach a subset keeps it, so the answer is deterministic (small masks and
-    small indices first), and the sequence returned is the one that first
-    reached the first subset of the last layer.
+    small indices first): the order that first reached the last layer's
+    first subset.
     """
     _validate_alpha_k(alpha, k)
     n = len(points)
@@ -116,31 +118,19 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence
         # Past the first point the threshold is infinite.
         return AlphaKSequence((0,))
 
-    # nearest[mask, j] and farthest[mask, j]: the distance from point j to
-    # the nearest and the farthest member of mask; diam[mask]: its diameter.
-    # The subsets whose highest member is i are those below 1 << i plus i,
-    # so each table doubles once per point.
-    nearest = np.empty((1 << n, n))
-    nearest[0] = math.inf
-    farthest = np.zeros((1 << n, n))
-    diam = np.zeros(1 << n)
-    for i in range(n):
-        lo, hi = 1 << i, 2 << i
-        np.minimum(nearest[:lo], table[i], out=nearest[lo:hi])
-        np.maximum(diam[:lo], farthest[:lo, i], out=diam[lo:hi])
-        np.maximum(farthest[:lo], table[i], out=farthest[lo:hi])
-    del farthest
+    # nearest[mask, j]: the distance from point j to mask's nearest member
+    nearest, _ = subset_tables(table, np.minimum, math.inf)
+    _, diam = subset_tables(table, np.maximum, 0.0)  # diam[mask]: its diameter
     fold = diam  # l-fold diameters, from l = 1 to k - 1, or to n: all 0 from there
     for _ in range(min(k - 1, n) - 1):
-        fold = _fold_diameters(diam, fold)
+        fold = min_over_splits(diam, fold, np.maximum)
 
     # One layer per size: its masks in increasing order, and for each the
     # position of its first parent in the layer before and the point added.
     masks = np.left_shift(1, np.arange(n))
     grown_layers = []
     first = 0  # position of the layer's first-reached subset
-    size = 1
-    while True:
+    for size in range(1, n + 1):
         # Members are at distance 0 from the subset, and no threshold is
         # negative, so only outside points pass.
         thresholds = fold[masks] * math.sqrt((size + 1) * alpha)
@@ -150,7 +140,6 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence
         masks, reached = np.unique(masks[parents] | 1 << added, return_index=True)
         grown_layers.append((parents[reached], added[reached]))
         first = int(reached.argmin())
-        size += 1
 
     order = []
     for parents, added in reversed(grown_layers):
@@ -158,51 +147,6 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence
         first = int(parents[first])
     order.append(first)  # the first layer holds point i at position i
     return AlphaKSequence(tuple(reversed(order)))
-
-
-# Masks per pass of `_fold_diameters`, bounding its temporaries.
-_FOLD_CHUNK = 128
-
-
-@functools.cache
-def _splits() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For every nonempty mask S below 2**EXACT_SEARCH_LIMIT, in increasing
-    order, every split of S into a part A holding S's lowest member and the
-    rest S \\ A, as read-only (A, rest, starts). starts[S - 1] is where the
-    splits of S begin and starts[-1] their total, so the splits of the masks
-    below 2**n are a prefix. Built on first use.
-
-    The splits of bit | r, for r below bit, are those of r with bit added
-    to the rest or to A; bit alone has the one split (bit, 0).
-    """
-    part = rest = np.zeros(0, np.uint16)
-    sizes = np.zeros(1, np.int64)
-    for i in range(EXACT_SEARCH_LIMIT):
-        bit = np.uint16(1 << i)
-        part = np.concatenate([part, [bit], np.stack([part, part | bit], axis=1).ravel()])
-        rest = np.concatenate([rest, [np.uint16(0)], np.stack([rest | bit, rest], axis=1).ravel()])
-        sizes = np.concatenate([sizes, [1], 2 * sizes[1:]])
-    starts = np.concatenate([[0], np.cumsum(sizes[1:])])
-    for table in (part, rest, starts):
-        table.flags.writeable = False
-    return part, rest, starts
-
-
-def _fold_diameters(diam: np.ndarray, fold: np.ndarray) -> np.ndarray:
-    """The (l+1)-fold diameter of every subset, from the diameters and the
-    l-fold diameters (both indexed by mask): the least, over the parts A
-    holding the subset's lowest member, of max(diam A, l-fold diameter of
-    the rest). A part may hold every member, as partitions into fewer
-    parts count too."""
-    part, rest, starts = _splits()
-    out = np.zeros_like(fold)
-    for lo in range(1, len(fold), _FOLD_CHUNK):
-        hi = min(lo + _FOLD_CHUNK, len(fold))
-        a, b = starts[lo - 1], starts[hi - 1]
-        scores = diam[part[a:b]]
-        np.maximum(scores, fold[rest[a:b]], out=scores)
-        out[lo:hi] = np.minimum.reduceat(scores, starts[lo - 1 : hi - 1] - a)
-    return out
 
 
 def lower_greedy(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence:

@@ -1,24 +1,24 @@
 """Ground-truth k-means: exact small-instance optimum, Lloyd heuristic.
 
-The exact solver enumerates partitions and is the oracle every streaming
-result is measured against. Lloyd with distance-squared seeding is the
+The exact solver, a dynamic program over subsets on the split table that
+the spread-sequence search uses too, is the oracle every streaming result
+is measured against. Lloyd with distance-squared seeding is the
 labeled heuristic stand-in for instances beyond the exact limits.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, _sum_sq, centroid, nearest_sq
+from .geometry import Point, _splits, _sum_sq, centroid, min_over_splits, nearest_sq, subset_tables
 
 # Largest instance the exact solver accepts, by k; 10 for every k above 3,
-# and none for k = 1, which has a closed form. Chosen so the pruned
-# assignment enumeration stays in the ~1e8 range (seconds, not minutes).
+# and none for k = 1, which has a closed form. Its subset tables have 2**n
+# rows (16,384 at n = 14), and from k = 3 up the split table covers n - 1.
 EXACT_LIMITS = {2: 14, 3: 11}
 
 
@@ -55,23 +55,25 @@ def _clustering_from_assignment(
 
 
 def optimal_kmeans(points: Sequence[Point], k: int) -> Clustering:
-    """Globally optimal k-means of a small instance by partition enumeration.
+    """Globally optimal k-means of a small instance by dynamic programming.
 
-    Centers are unrestricted (cluster centroids). A part of m points is
-    scored by its cost at its centroid, written as the sum of its pairwise
-    squared distances over m and read from one table built once per call.
-    The table takes coordinate differences before squaring, so nothing
-    cancels, and a translation moves no score beyond the rounding of the
-    translated coordinates; the sum of squared norms minus the squared
-    coordinate sums over m would cancel catastrophically far from the
-    origin. A part's score is held at its last value as it grows, so the
-    running total never falls and the prune on it drops no better
-    partition. The first canonical assignment vector (in lexicographic
-    order) with the least total wins; totals within rounding, a relative
-    1e-12 in the tests, may tie. The reported cost is
-    `_clustering_from_assignment`'s `math.fsum` at the chosen partition's
-    centroids. Raises when the instance exceeds the exact limit; use
-    lloyd_kmeans there instead.
+    Centers are unrestricted (cluster centroids). A part of m points scores
+    its cost at its centroid, the sum of its pairwise squared distances over
+    m, read for every subset from one table (`subset_tables`). Those
+    distances take coordinate differences before squaring, so nothing
+    cancels and a translation moves no score beyond the rounding of the
+    translated coordinates; the squared norms minus the squared sums over m
+    would cancel catastrophically far from the origin. The least l-part
+    cost of a subset is the least, over its splits into a part A holding
+    its lowest member and the rest, of A's score plus the least (l-1)-part
+    cost of the rest (`min_over_splits` with np.add). No rest holds point
+    0, so the inner layers split the subsets of the other points and only
+    the last reads the whole set. At each layer the first A in increasing
+    mask order with the least total wins, and parts are numbered by their
+    lowest point; totals within rounding, a relative 1e-12 in the tests,
+    may tie. The reported cost is `_clustering_from_assignment`'s
+    `math.fsum` at the chosen partition's centroids. Raises when the
+    instance exceeds the exact limit; use lloyd_kmeans there instead.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -89,48 +91,33 @@ def optimal_kmeans(points: Sequence[Point], k: int) -> Clustering:
         )
 
     n = len(points)
-    # sq[i][j] = |p_i - p_j|^2 with the bits of nearest_sq: coordinate
-    # differences squared and added left to right.
+    # sq[i, j] = |p_i - p_j|^2, with the bits of nearest_sq
     X = np.asarray(points, dtype=np.float64)
-    sq = _sum_sq(lambda j: np.subtract.outer(X[:, j], X[:, j]), X.shape[1]).tolist()
-    # One (count, pair sum, cost, links) value per part: the sum of sq over
-    # the member pairs, the score pair sum / count (held at its last value
-    # where rounding would lower it), and links[x] the sum of sq from x to
-    # the members, each sum added in member order. A tried assignment puts
-    # the grown value in place and the old one back after, so a part's
-    # value depends only on its members, in order.
-    parts: list[tuple[int, float, float, list[float]]] = []
-    assignment = [0] * n
-    best_cost = math.inf
-    best_assignment: list[int] | None = None
+    sq = _sum_sq(lambda j: np.subtract.outer(X[:, j], X[:, j]), X.shape[1])
+    # pair[S]: the sum of sq over the member pairs of S, added in member
+    # order; links[S, n]: |S|, the sum of a column of ones.
+    links, pair = subset_tables(np.c_[sq, np.ones(n)], np.add, 0.0)
+    cost = pair / np.maximum(links[:, n], 1)  # the empty part scores 0
+    del links
 
-    def recurse(i: int, total: float) -> None:
-        nonlocal best_cost, best_assignment
-        if i == n:
-            best_cost = total
-            best_assignment = assignment.copy()
-            return
-        row = sq[i]
-        for pi, old in enumerate(parts):
-            count, pair_sum, cost, links = old
-            grown_sum = pair_sum + links[i]
-            # A part's cost never falls as it grows, but its rounded score can
-            grown = max(cost, grown_sum / (count + 1))
-            grown_total = total + (grown - cost)
-            if grown_total < best_cost:
-                parts[pi] = (count + 1, grown_sum, grown, list(map(operator.add, links, row)))
-                assignment[i] = pi
-                recurse(i + 1, grown_total)
-                parts[pi] = old
-        if len(parts) < k and total < best_cost:
-            parts.append((1, 0.0, 0.0, row))
-            assignment[i] = len(parts) - 1
-            recurse(i + 1, total)
-            parts.pop()
-
-    recurse(0, 0.0)
-    assert best_assignment is not None
-    return _clustering_from_assignment(points, best_assignment)
+    inner = cost[0::2]  # the subsets of points 1..n-1, indexed by mask >> 1
+    best = [inner]  # best[l - 1][S]: the least cost of S in at most l parts
+    for _ in range(min(k, n) - 2):
+        best.append(min_over_splits(inner, best[-1], np.add))
+    # The last layer: the parts holding point 0, masks 2a + 1, whose rests
+    # have mask >> 1 = full ^ a, so best[-1] is read backwards.
+    a = int(np.argmin(cost[1::2] + best.pop()[::-1]))
+    parts, free = [2 * a + 1], (len(inner) - 1) ^ a
+    while free:
+        taken = free
+        if best:
+            part, rest, starts = _splits()
+            lo, hi = starts[free - 1], starts[free]
+            taken = int(part[lo + np.argmin(inner[part[lo:hi]] + best.pop()[rest[lo:hi]])])
+        parts.append(taken << 1)
+        free ^= taken
+    assignment = [next(j for j, mask in enumerate(parts) if mask >> i & 1) for i in range(n)]
+    return _clustering_from_assignment(points, assignment)
 
 
 def lloyd_kmeans(

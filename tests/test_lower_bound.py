@@ -444,7 +444,7 @@ class TestSubsetTables:
         ])
         fold = diam
         for l in range(2, 6):
-            fold = lower_bound._fold_diameters(diam, fold)
+            fold = geometry.min_over_splits(diam, fold, np.maximum)
             for mask in range(1, 1 << 8):
                 members = [pts[j] for j in range(8) if mask >> j & 1]
                 assert fold[mask] == reference_fold_diameter(members, l), (l, mask)
@@ -456,7 +456,7 @@ class TestSubsetTables:
         rng = np.random.default_rng(5)
         pts = [tuple(rng.normal(0, 10, size=2)) for _ in range(10)]
         lower_exact(pts[:5], 9.0, 4)  # numpy's lazily loaded helpers
-        lower_bound._splits.cache_clear()
+        geometry._splits.cache_clear()
         tracemalloc.start()
         try:
             lower_exact(pts, 9.0, 4)
@@ -467,8 +467,8 @@ class TestSubsetTables:
 
     def test_import_builds_no_table(self):
         script = (
-            "import nosubkm\nfrom nosubkm import lower_bound\n"
-            "print(lower_bound._splits.cache_info().currsize)"
+            "import nosubkm\nfrom nosubkm import geometry\n"
+            "print(geometry._splits.cache_info().currsize)"
         )
         src = str(Path(nosubkm.__file__).parents[1])
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nosubkm import oracle
+from nosubkm import geometry, oracle
 from nosubkm.geometry import centroid, kmeans_cost, nearest_sq
 from nosubkm.harness import TrialSpec, gen_dataset, run_trial, save_points
 from nosubkm.oracle import lloyd_kmeans, optimal_kmeans
@@ -225,6 +226,95 @@ class TestTranslation:
             assert report.oracle_exact
             costs.append(report.oracle_cost)
         assert costs[1] == pytest.approx(costs[0], rel=1e-9)
+
+
+def is_canonical(assignment):
+    """Whether each part is first used in order: 0, then 1, and so on."""
+    firsts = list(dict.fromkeys(assignment))
+    return firsts == list(range(len(firsts)))
+
+
+class TestSubsetProgram:
+    # optimal_kmeans splits off one part per layer: the last layer reads the
+    # whole set, and each of the k - 2 layers before it is one pass over
+    # the split table of the points after the first.
+
+    def test_equal_gaps_tie_to_the_first_part_in_mask_order(self):
+        # Four points with equal gaps at k = 3: the three partitions of one
+        # adjacent pair and two single points all cost 1/2, exactly. At each
+        # layer the first part in mask order, the lowest point alone, wins,
+        # so the pair is the last two points.
+        points = [(0.0,), (1.0,), (2.0,), (3.0,)]
+        result = optimal_kmeans(points, 3)
+        assert result.assignment == [0, 1, 2, 2]
+        assert is_canonical(result.assignment)
+        assert result.cost == 0.5
+
+    def test_square_corners_tie_to_the_first_part_in_mask_order(self):
+        # The pairs {0, 1} | {2, 3} and {0, 2} | {1, 3} both cost 1; the
+        # part {0, 1}, mask 3, comes before {0, 2}, mask 5.
+        points = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        result = optimal_kmeans(points, 2)
+        assert result.assignment == [0, 0, 1, 1]
+        assert is_canonical(result.assignment)
+        assert result.cost == 1.0
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_deeper_layers_match_exact_arithmetic(self, k):
+        # Two and three passes over the split table. The sets: Gaussian
+        # rows, rows drawn from few locations (duplicates), and rows from
+        # fewer distinct locations than k, whose optimum is 0.
+        rng = np.random.default_rng(60 + k)
+        cases = []
+        for trial in range(4):
+            d = 1 + trial % 3
+            cases.append([tuple(rng.normal(0, 5, size=d)) for _ in range(int(rng.integers(k, 9)))])
+            locations = rng.normal(0, 5, size=(k + 1, d))
+            cases.append([tuple(locations[i]) for i in rng.integers(0, k + 1, size=8)])
+        cases.append([(0.0, 1.0)] * 3 + [(2.0, 0.5)] * 3 + [(-1.0, 4.0)] * 2)
+        cases.append([(1.0,), (1.0,), (1.0,), (1.0,)])
+        for points in cases:
+            part_cost = functools.cache(functools.partial(exact_part_cost, points))
+            best = min(
+                exact_cost(points, a, part_cost)
+                for a in canonical_assignments(len(points), k)
+            )
+            result = optimal_kmeans(points, k)
+            assert len(set(result.assignment)) <= k and is_canonical(result.assignment)
+            chosen = exact_cost(points, result.assignment)
+            assert chosen <= best * (1 + Fraction(1, 10**12)), (k, points)
+            assert result.cost == pytest.approx(float(best), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, k, budget",
+        [(14, 2, 2560 << 10), (11, 3, 512 << 10), (10, 5, 512 << 10)],
+    )
+    def test_one_call_at_the_limit_within_budget(self, n, k, budget):
+        # At n = 14 and k = 2 the subset tables take about 2.3 MB: the
+        # links, 2**14 rows of 15 (the last the count), and the pair sums
+        # and scores, 2**14 each. At k >= 3 the split table (about 126 kB)
+        # is built inside the measured call, and each pass takes at most
+        # _FOLD_CHUNK masks at a time; one pass over all 29,524 splits
+        # would hold about 470 kB of temporaries.
+        assert n == oracle.EXACT_LIMITS.get(k, 10)
+        rng = np.random.default_rng(5)
+        points = [tuple(rng.normal(0, 10, size=2)) for _ in range(n)]
+        optimal_kmeans(points[:5], k)  # numpy's lazily loaded helpers
+        geometry._splits.cache_clear()
+        tracemalloc.start()
+        try:
+            optimal_kmeans(points, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
+
+    def test_two_parts_need_no_split_table(self):
+        rng = np.random.default_rng(6)
+        points = [tuple(rng.normal(0, 10, size=2)) for _ in range(14)]
+        geometry._splits.cache_clear()
+        optimal_kmeans(points, 2)
+        assert geometry._splits.cache_info().currsize == 0
 
 
 class TestLloydKMeans:
