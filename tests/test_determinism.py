@@ -26,8 +26,11 @@ import hashlib
 import json
 from dataclasses import replace
 
+import numpy as np
+
 from nosubkm import geometry, harness
 from nosubkm.cluster import ClusterConfig, OnlineClusterer
+from nosubkm.lower_bound import gen_alpha_k_sequence, is_alpha_k_sequence, lower_greedy
 
 
 def digest(decisions, record) -> str:
@@ -262,4 +265,41 @@ def test_exact_searches_on_exact_small_inputs():
     )
     assert exact_searches_digest(7, 60) == (
         "b52d85dd932d9798207374db94986a8c368cfb343fc9ce9e0c3731f4e00c674f"
+    )
+
+
+# Spread sequences at k = 3, 4 and 5, long enough that their certification
+# thresholds prefixes of 11 and 12 points, where the (k-1)-fold diameter is
+# still an exact partition search, and longer ones, where it is greedy.
+FOLD_SEQUENCES = [(3, 4.0, 20), (4, 2.0, 18), (5, 1.5, 16)]
+
+
+def fold_searches_digest() -> str:
+    """SHA-256 of the sequences' coordinates, of `is_alpha_k_sequence` on
+    their given order and on orders shuffled from position 0, 6, 10, 11 and
+    12 on, and of `lower_greedy`'s order on the set in each of those orders."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(19)
+    for k, alpha, length in FOLD_SEQUENCES:
+        for seed in range(2):
+            points = gen_alpha_k_sequence(k, alpha, length, seed=seed)
+            h.update(repr(points).encode())
+            orders = [list(range(length))]
+            for start in (0, 6, 10, 11, 12):
+                tail = list(range(start, length))
+                rng.shuffle(tail)
+                orders.append(list(range(start)) + tail)
+            for order in orders:
+                certified = is_alpha_k_sequence(points, order, alpha, k)
+                greedy = lower_greedy([points[i] for i in order], alpha, k)
+                h.update(repr((certified, greedy.indices)).encode())
+    return h.hexdigest()
+
+
+def test_fold_searches_on_long_spread_sequences():
+    # The other pins read folds of at most two parts on at most 11 points.
+    # This one pins answers that read folds of two to four parts on up to
+    # 19 points, past EXACT_PARTITION_LIMIT.
+    assert fold_searches_digest() == (
+        "f8d5e75f2914767d17e705511471eaac2c6b7499f01325fd4ae33844ad140aeb"
     )
