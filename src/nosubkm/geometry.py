@@ -20,6 +20,11 @@ batch. Both use the cell side of `grid_side` and the cell rule
 floor(v / h), and fall back to `nearest_sq` where the grid cannot answer
 or costs more than the scan.
 
+The exact searches run on tables over all 2**n subsets of a small set
+(`subset_tables`). `least_partition`, one layer of `min_over_splits` per
+part over the split table `_splits`, gives `l_fold_diameter` with
+np.maximum on diameters and the exact k-means oracle with np.add.
+
 Exactness. Let u = 2**-53, R >= DBL_MIN and h = r = fl(fl(sqrt(R)) *
 (1 + GRID_MARGIN)); the scan covers, in each coordinate j, the cells
 floor(fl(x_j - r) / h) .. floor(fl(x_j + r) / h). Take a center c whose
@@ -53,14 +58,17 @@ import numpy as np
 
 Point = tuple[float, ...]
 
-# Cap for exhaustive partition search in l_fold_diameter. Partition counts
-# stay Bell-number feasible up to here; beyond it we fall back to a
-# certified greedy upper bound.
+# Largest set whose l-fold diameter is exact; beyond it l_fold_diameter
+# returns a certified greedy upper bound. `least_partition` splits the
+# subsets of all but one point, so at 12 points and l >= 3 it builds the
+# 11-point split table: 88,573 splits, 371 kB kept, 903 kB at its build.
 EXACT_PARTITION_LIMIT = 12
 
-# Points the split table covers: every point of a `lower_exact` instance,
-# and all but the first of an `optimal_kmeans` instance at k >= 3; and the
-# masks per chunk of `min_over_splits`, bounding its temporaries.
+# Points of the smallest split table, the one every call of up to
+# 2**SPLIT_POINTS masks shares: every point of a `lower_exact` instance,
+# and all but the first of an `optimal_kmeans` instance at k >= 3 and of
+# an l_fold_diameter set of up to 11 points; and the masks per chunk of
+# `min_over_splits`, bounding its temporaries.
 SPLIT_POINTS = 10
 _FOLD_CHUNK = 128
 
@@ -423,10 +431,12 @@ def diameter(points: Sequence[Point]) -> float:
 def l_fold_diameter(points: Sequence[Point], l: int) -> float:
     """Smallest D such that `points` splits into l parts of diameter <= D.
 
-    Exact (exhaustive partition search) up to EXACT_PARTITION_LIMIT points;
-    beyond, a certified upper bound from greedy farthest-point splitting.
-    At l = 1 the greedy split is one part, whose diameter it returns, and
-    |points| <= l gives 0.0: both are exact at any size.
+    Exact up to EXACT_PARTITION_LIMIT points: `least_partition` with
+    np.maximum on every subset's diameter (`subset_tables`), a maximum of
+    `distance_table` entries or 0.0. Beyond, a certified upper bound from
+    greedy farthest-point splitting. At l = 1 the greedy split is one part,
+    whose diameter it returns, and |points| <= l gives 0.0: both are exact
+    at any size.
     """
     if not points:
         raise ValueError("points must be nonempty")
@@ -435,64 +445,24 @@ def l_fold_diameter(points: Sequence[Point], l: int) -> float:
     if len(points) <= l:
         return 0.0
     if l > 1 and len(points) <= EXACT_PARTITION_LIMIT:
-        return partition_diameter(distance_table(points), range(len(points)), l)
+        diam = subset_tables(distance_table(points), np.maximum, 0.0)[1]
+        return least_partition(diam, l, np.maximum)[0]
     return _greedy_partition_diameter(points, l)
 
 
-def distance_table(points: Sequence[Point]) -> list[list[float]]:
-    """All pairwise distances: table[i][j] is dist(points[i], points[j]).
+def distance_table(points: Sequence[Point]) -> np.ndarray:
+    """All pairwise distances as a float64 array: table[i, j] is
+    dist(points[i], points[j]).
 
-    Each pair is computed once. math.dist is symmetric to the bit, so the
-    mirrored entry equals dist() with its arguments swapped.
+    Each pair is computed once, below the diagonal, and mirrored by adding
+    the transpose, whose entries there are 0.0; math.dist is symmetric to
+    the bit, so the mirrored entry equals dist() with its arguments swapped.
     """
     n = len(points)
-    table = [[0.0] * n for _ in range(n)]
+    table = np.zeros((n, n))
     for i in range(1, n):
-        row = table[i]
-        for j in range(i):
-            row[j] = table[j][i] = math.dist(points[i], points[j])
-    return table
-
-
-def partition_diameter(table: Sequence[Sequence[float]], members: Sequence[int], l: int) -> float:
-    """Exact l-fold diameter of the points that `members` index in `table`.
-
-    Exhaustive search over partitions into <= l parts, pruned on the running
-    maximum. The result is a maximum over table entries (0.0 when no part
-    has two points), so it has the bits of the distances in the table.
-    """
-    m = len(members)
-    best = math.inf
-    parts: list[list[int]] = []
-    part_diam: list[float] = []
-
-    def recurse(i: int, cur_max: float) -> None:
-        nonlocal best
-        if cur_max >= best:
-            return
-        if i == m:
-            best = cur_max
-            return
-        x = members[i]
-        row = table[x]
-        for pi in range(len(parts)):
-            grown = max(part_diam[pi], max(row[j] for j in parts[pi]))
-            if grown < best:
-                parts[pi].append(x)
-                old = part_diam[pi]
-                part_diam[pi] = grown
-                recurse(i + 1, max(cur_max, grown))
-                part_diam[pi] = old
-                parts[pi].pop()
-        if len(parts) < l:
-            parts.append([x])
-            part_diam.append(0.0)
-            recurse(i + 1, cur_max)
-            parts.pop()
-            part_diam.pop()
-
-    recurse(0, 0.0)
-    return best
+        table[i, :i] = [dist(points[i], q) for q in points[:i]]
+    return table + table.T
 
 
 def subset_tables(
@@ -514,15 +484,14 @@ def subset_tables(
 
 
 @functools.cache
-def _splits() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every split of every nonempty mask S below 2**SPLIT_POINTS into a part
+def _splits(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every split of every nonempty mask S below 2**m, m <= 16, into a part
     A holding S's lowest member and the rest S \\ A, by S and then by A in
     increasing order, as read-only (A, rest, starts): starts[S - 1] is where
     the splits of S begin and starts[-1] their total, so the masks below
-    2**m have a prefix. Built on first use, from one key per split, S then
-    A: the splits of bit | r, r < bit, are those of r with bit in the rest
-    or in A, and bit alone has the one split (bit, 0)."""
-    m = SPLIT_POINTS
+    2**j have a prefix, whatever m. Built on first use, from one key per
+    split, S then A: the splits of bit | r, r < bit, are those of r with bit
+    in the rest or in A, and bit alone has the one split (bit, 0)."""
     key = np.zeros(0, np.uint32)
     for i in range(m):
         up = np.uint32(1 << i + m)  # bit, added to S
@@ -537,14 +506,20 @@ def _splits() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return part, rest, starts
 
 
+def _split_table(masks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The smallest `_splits`, of at least SPLIT_POINTS points, that covers
+    every mask below `masks`."""
+    return _splits(max(SPLIT_POINTS, (masks - 1).bit_length()))
+
+
 def min_over_splits(part: np.ndarray, rest: np.ndarray, combine: np.ufunc) -> np.ndarray:
-    """For every mask S below len(rest), a power of 2 up to 2**SPLIT_POINTS,
-    the least over the splits of S of combine(part[A], rest[S \\ A]); 0 at
-    the empty mask. A may hold every member, so fewer parts count too. On
-    the diameters and the l-fold diameters np.maximum gives the (l+1)-fold
-    diameters; on the part costs and the least l-part costs np.add gives
-    the least (l+1)-part costs."""
-    splits_a, splits_rest, starts = _splits()
+    """For every mask S below len(rest), a power of 2, the least over the
+    splits of S of combine(part[A], rest[S \\ A]); 0 at the empty mask. A
+    may hold every member, so fewer parts count too. On the diameters and
+    the l-fold diameters np.maximum gives the (l+1)-fold diameters; on the
+    part costs and the least l-part costs np.add gives the least (l+1)-part
+    costs. `_split_table` sizes the split table."""
+    splits_a, splits_rest, starts = _split_table(len(rest))
     out = np.zeros_like(rest)
     for lo in range(1, len(rest), _FOLD_CHUNK):
         hi = min(lo + _FOLD_CHUNK, len(rest))
@@ -553,6 +528,38 @@ def min_over_splits(part: np.ndarray, rest: np.ndarray, combine: np.ufunc) -> np
         combine(scores, rest[splits_rest[a:b]], out=scores)
         out[lo:hi] = np.minimum.reduceat(scores, starts[lo - 1 : hi - 1] - a)
     return out
+
+
+def least_partition(score: np.ndarray, l: int, combine: np.ufunc) -> tuple[float, list[int]]:
+    """The least score of n points in at most l >= 2 parts, and the parts
+    that reach it as masks in increasing order of their lowest point. score[S]
+    scores each mask S below 2**n, 0.0 the empty one; parts combine by
+    `combine`. A set's least score is the least, over its splits into a
+    part A holding its lowest member and the rest, of combine(score[A],
+    the rest's least score in l - 1 parts). No rest holds point 0, so the
+    inner layers split the subsets of points 1..n-1 (`min_over_splits`)
+    and only the last reads the whole set. At each layer the first A in
+    increasing mask order with the least total wins."""
+    n = len(score).bit_length() - 1
+    inner = score[0::2]  # the subsets of points 1..n-1, indexed by mask >> 1
+    best = [inner]  # best[j - 1][S]: the least score of S in at most j parts
+    for _ in range(min(l, n) - 2):
+        best.append(min_over_splits(inner, best[-1], combine))
+    # The last layer: the parts holding point 0, masks 2a + 1, whose rests
+    # have mask >> 1 = full ^ a, so best[-1] is read backwards.
+    totals = combine(score[1::2], best.pop()[::-1])
+    a = int(np.argmin(totals))
+    parts, free = [2 * a + 1], (len(inner) - 1) ^ a
+    while free:
+        taken = free
+        if best:
+            part, rest, starts = _split_table(len(inner))
+            lo, hi = starts[free - 1], starts[free]
+            scores = combine(inner[part[lo:hi]], best.pop()[rest[lo:hi]])
+            taken = int(part[lo + np.argmin(scores)])
+        parts.append(taken << 1)
+        free ^= taken
+    return float(totals[a]), parts
 
 
 def _greedy_partition_diameter(points: Sequence[Point], l: int) -> float:

@@ -113,7 +113,7 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence
         )
     if n == 0:
         return AlphaKSequence(())
-    table = np.array(distance_table(points))
+    table = distance_table(points)
     if k < 2:
         # Past the first point the threshold is infinite.
         return AlphaKSequence((0,))

@@ -1,9 +1,10 @@
 """Ground-truth k-means: exact small-instance optimum, Lloyd heuristic.
 
-The exact solver, a dynamic program over subsets on the split table that
-the spread-sequence search uses too, is the oracle every streaming result
-is measured against. Lloyd with distance-squared seeding is the
-labeled heuristic stand-in for instances beyond the exact limits.
+The exact solver is the oracle every streaming result is measured
+against. It is the subset program (`geometry.least_partition`) that gives
+`l_fold_diameter` its exact fold diameters, summing part costs where the
+fold takes a maximum of diameters. Lloyd with distance-squared seeding is
+the labeled heuristic stand-in for instances beyond the exact limits.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, _splits, _sum_sq, centroid, min_over_splits, nearest_sq, subset_tables
+from .geometry import Point, _sum_sq, centroid, least_partition, nearest_sq, subset_tables
 
 # Largest instance the exact solver accepts, by k; 10 for every k above 3,
 # and none for k = 1, which has a closed form. Its subset tables have 2**n
@@ -66,14 +67,13 @@ def optimal_kmeans(points: Sequence[Point], k: int) -> Clustering:
     would cancel catastrophically far from the origin. The least l-part
     cost of a subset is the least, over its splits into a part A holding
     its lowest member and the rest, of A's score plus the least (l-1)-part
-    cost of the rest (`min_over_splits` with np.add). No rest holds point
-    0, so the inner layers split the subsets of the other points and only
-    the last reads the whole set. At each layer the first A in increasing
-    mask order with the least total wins, and parts are numbered by their
-    lowest point; totals within rounding, a relative 1e-12 in the tests,
-    may tie. The reported cost is `_clustering_from_assignment`'s
-    `math.fsum` at the chosen partition's centroids. Raises when the
-    instance exceeds the exact limit; use lloyd_kmeans there instead.
+    cost of the rest: `least_partition` with np.add. At each layer the
+    first A in increasing mask order with the least total wins, and parts
+    are numbered by their lowest point; totals within rounding, a relative
+    1e-12 in the tests, may tie. The reported cost is
+    `_clustering_from_assignment`'s `math.fsum` at the chosen partition's
+    centroids. Raises when the instance exceeds the exact limit; use
+    lloyd_kmeans there instead.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -100,22 +100,7 @@ def optimal_kmeans(points: Sequence[Point], k: int) -> Clustering:
     cost = pair / np.maximum(links[:, n], 1)  # the empty part scores 0
     del links
 
-    inner = cost[0::2]  # the subsets of points 1..n-1, indexed by mask >> 1
-    best = [inner]  # best[l - 1][S]: the least cost of S in at most l parts
-    for _ in range(min(k, n) - 2):
-        best.append(min_over_splits(inner, best[-1], np.add))
-    # The last layer: the parts holding point 0, masks 2a + 1, whose rests
-    # have mask >> 1 = full ^ a, so best[-1] is read backwards.
-    a = int(np.argmin(cost[1::2] + best.pop()[::-1]))
-    parts, free = [2 * a + 1], (len(inner) - 1) ^ a
-    while free:
-        taken = free
-        if best:
-            part, rest, starts = _splits()
-            lo, hi = starts[free - 1], starts[free]
-            taken = int(part[lo + np.argmin(inner[part[lo:hi]] + best.pop()[rest[lo:hi]])])
-        parts.append(taken << 1)
-        free ^= taken
+    _, parts = least_partition(cost, k, np.add)
     assignment = [next(j for j, mask in enumerate(parts) if mask >> i & 1) for i in range(n)]
     return _clustering_from_assignment(points, assignment)
 

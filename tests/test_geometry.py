@@ -173,14 +173,12 @@ class TestLFoldDiameter:
     def test_whole_set(self):
         assert l_fold_diameter([(0.0,), (1.0,), (5.0,)], 1) == 5.0
         # l = 1 takes the greedy split at every size: its one part gives the
-        # diameter, the value the one-part partition search finds too.
+        # diameter.
         rng = np.random.default_rng(10)
         for n in range(2, 13):
             for _ in range(5):
                 pts = [tuple(rng.normal(0, 10.0 ** rng.integers(-3, 4), size=2)) for _ in range(n)]
-                table = geometry.distance_table(pts)
                 assert l_fold_diameter(pts, 1) == diameter(pts)
-                assert l_fold_diameter(pts, 1) == geometry.partition_diameter(table, range(n), 1)
 
     def test_two_fold_split(self):
         assert l_fold_diameter([(0.0,), (1.0,), (5.0,)], 2) == 1.0

@@ -412,6 +412,29 @@ class TestReferenceEquivalence:
             for l in (1, 2, 3, 4):
                 assert geometry.l_fold_diameter(pts, l) == reference_fold_diameter(pts, l)
 
+    @pytest.mark.parametrize("m", [11, 12])
+    def test_l_fold_diameter_matches_reference_at_the_limit(self, m):
+        # The cases above rarely reach 11 or 12 points, where the inner
+        # layers split the subsets of 10 and 11 points.
+        assert m <= EXACT_PARTITION_LIMIT
+        rng = np.random.default_rng(40 + m)
+        sets = [
+            [tuple(rng.normal(0, 10, size=2)) for _ in range(m)],
+            [tuple(rng.normal(0, 10, size=3)) for _ in range(m)],
+            # duplicates and tied distances
+            [tuple(rng.choice([0.0, 1.0, 5.0], size=2)) for _ in range(m)],
+            # two and three distinct points, fewer than most l
+            [(float(i % 2),) for i in range(m)],
+            [(float(i % 3), 1.0) for i in rng.permutation(m)],
+            # equal gaps, in order and shuffled
+            [(3.0 * i,) for i in range(m)],
+            [(0.5 * i, 0.0) for i in rng.permutation(m)],
+        ]
+        for pts in sets:
+            for l in range(2, 7):
+                expected = reference_partition_diameter(pts, l)
+                assert geometry.l_fold_diameter(pts, l) == expected, (pts, l)
+
 
 class TestSubsetTables:
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -464,6 +487,30 @@ class TestSubsetTables:
         finally:
             tracemalloc.stop()
         assert peak <= 512 << 10
+
+    def test_twelve_point_fold_within_budget(self):
+        # At 12 points and l = 3 the inner layers split the subsets of 11
+        # points, so the call builds the 11-point split table (88,573
+        # splits, 371 kB kept, 903 kB at the peak of its build). The call
+        # measured 936 kB (Python 3.11.7, numpy 2.4.6).
+        rng = np.random.default_rng(5)
+        pts = [tuple(rng.normal(0, 10, size=2)) for _ in range(12)]
+        geometry.l_fold_diameter(pts[:11], 3)  # numpy's lazily loaded helpers
+        geometry._splits.cache_clear()
+        tracemalloc.start()
+        try:
+            geometry.l_fold_diameter(pts, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+
+    def test_two_part_fold_needs_no_split_table(self):
+        rng = np.random.default_rng(6)
+        pts = [tuple(rng.normal(0, 10, size=2)) for _ in range(EXACT_PARTITION_LIMIT)]
+        geometry._splits.cache_clear()
+        geometry.l_fold_diameter(pts, 2)
+        assert geometry._splits.cache_info().currsize == 0
 
     def test_import_builds_no_table(self):
         script = (
