@@ -3,14 +3,16 @@
 A point is a plain tuple of floats; a point set is any sequence of points
 of equal dimension. Everything here except `CellGrid` is a pure function,
 so values can be shared freely across threads or processes. `nearest_sq`
-is the one squared-distance kernel: `kmeans_cost`, the grid's batch, the
-Lloyd oracle and the exact oracle's pairwise table take their squared
-distances from it or from its coordinate loop `_sum_sq`. It lays out a
-long chunk of rows against a few centers center-major, so that each numpy
-pass runs one inner loop per center rather than one per row, and any
-other chunk row-major; both give the same bits, and a tie goes to the
-lowest center index either way. Only `CellGrid`'s query sums a few
-candidates in plain Python, with the same bits. Every reported cost is the `math.fsum` of such distances.
+is the one squared-distance kernel: `kmeans_cost`, the grid's batch and
+self-join, the Lloyd oracle and its scoring, the exact oracle's pairwise
+table and the selector's sketch speculation take their squared distances
+from it or from its coordinate loop `_sum_sq`. It lays out a long chunk
+of rows against a few centers center-major, so that each numpy pass runs
+one inner loop per center rather than one per row, and any other chunk
+row-major; both give the same bits, and a tie goes to the lowest center
+index either way. Only `CellGrid`'s query sums a few candidates in plain
+Python, with the same bits. Every reported cost is the `math.fsum` of
+such distances.
 
 The √R grid (Bentley, Stanat & Williams, IPL 1977) finds the squared
 distance from x to its nearest center exactly whenever that is below a
@@ -18,7 +20,10 @@ threshold R, by looking only at the cells near x. `CellGrid` answers one
 query at a time over a growing center set; `grid_nearest_sq` answers a
 batch. Both use the cell side of `grid_side` and the cell rule
 floor(v / h), and fall back to `nearest_sq` where the grid cannot answer
-or costs more than the scan.
+or costs more than the scan. `grid_below_sq` is the batch without its
+fallback, for a caller that needs the distance only below R, and
+`near_pairs` joins a batch with itself: every pair of its rows whose
+squared distance is below R.
 
 The exact searches run on tables over all 2**n subsets of a small set
 (`subset_tables`). `least_partition`, one layer of `min_over_splits` per
@@ -44,6 +49,14 @@ scanned cells is the smallest over all centers whenever it is below R, and
 when no scanned center is below R no center is. The margin does not
 depend on d. Every cell number is finite: points have coordinates within
 COORD_LIMIT and h >= sqrt(DBL_MIN), so |x_j ± r| / h < 2e254.
+
+The same argument serves the self-join of `near_pairs`, with each row as
+both a query and a center: a pair whose computed squared distance is
+below R lies in the scanned cells of its earlier row, and the distance is
+symmetric to the bit, since fl(b - a) = -fl(a - b). So `grid_below_sq`'s
+distances at the start of a window, each lowered by the later pairs of
+the window's takes, are `nearest_sq`'s distances to the grown set
+wherever those are below R.
 """
 
 from __future__ import annotations
@@ -215,22 +228,32 @@ class CellGrid:
     """A growing point set on the √R grid, for exact nearest queries below R.
 
     Single-owner and mutable. Points are bucketed by cell key
-    floor(v / grid_side(threshold)) per coordinate, and re-bucketed when the
-    threshold changes. `min_sq_dist` scans `nearest_sq` over every point
-    when there is no grid or when the cells near x outnumber what a scan
-    costs.
+    floor(v / grid_side(threshold)) per coordinate. The cells are filled on
+    the first query that reads them after the threshold changes, and kept
+    up to date by `add` from then on, so a caller that adds points without
+    querying (the window path of `cluster`) never pays for them.
+    `min_sq_dist` scans `nearest_sq` over every point when there is no grid
+    or when the cells near x outnumber what a scan costs.
     """
 
     def __init__(self) -> None:
         self.points: list[Point] = []
         self.threshold = 0.0
         self._side = 0.0
-        self._cells: dict[tuple[int, ...], list[int]] = {}
+        # None until a query needs the cells of the current threshold
+        self._cells: dict[tuple[int, ...], list[int]] | None = None
         # the points as a growing array, for nearest_sq
         self._rows: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The points as an array, one row each: a view of the grid's own."""
+        if self._rows is None:
+            return np.empty((0, 0))
+        return self._rows[: len(self.points)]
 
     def add(self, p: Point) -> None:
         i = len(self.points)
@@ -240,17 +263,21 @@ class CellGrid:
         elif i == len(self._rows):
             self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
         self._rows[i] = p
-        if self._side:
+        if self._cells is not None:
             self._bucket(i, p)
 
     def set_threshold(self, threshold: float) -> None:
-        """Move to a new R and re-bucket every point for its cell side."""
+        """Move to a new R; the cells of its side are filled by the next
+        query that needs them."""
         self.threshold = threshold
         self._side = grid_side(threshold)
+        self._cells = None
+
+    def _fill(self) -> dict[tuple[int, ...], list[int]]:
         self._cells = {}
-        if self._side:
-            for i, p in enumerate(self.points):
-                self._bucket(i, p)
+        for i, p in enumerate(self.points):
+            self._bucket(i, p)
+        return self._cells
 
     def _key(self, p: Point) -> tuple[int, ...]:
         h = self._side
@@ -262,23 +289,24 @@ class CellGrid:
     def check(self) -> None:
         """Raise AssertionError unless the grid matches its points.
 
-        The cell side is that of the threshold; the cells partition the
-        point ids (no cells without a grid), each id in the cell of its
-        point; the array rows equal the points.
+        The cell side is that of the threshold; once a query has filled
+        them, the cells partition the point ids (no cells without a grid),
+        each id in the cell of its point; the array rows equal the points.
         """
         n = len(self.points)
         require(
             self._side == grid_side(self.threshold),
             f"cell side {self._side} is not that of R = {self.threshold}",
         )
-        listed = sorted(i for ids in self._cells.values() for i in ids)
-        require(
-            listed == (list(range(n)) if self._side else []),
-            f"the cells hold ids {listed}, not a partition of the {n} points",
-        )
-        for key, ids in self._cells.items():
-            for i in ids:
-                require(key == self._key(self.points[i]), f"point {i} is not in cell {key}")
+        if self._cells is not None:
+            listed = sorted(i for ids in self._cells.values() for i in ids)
+            require(
+                listed == (list(range(n)) if self._side else []),
+                f"the cells hold ids {listed}, not a partition of the {n} points",
+            )
+            for key, ids in self._cells.items():
+                for i in ids:
+                    require(key == self._key(self.points[i]), f"point {i} is not in cell {key}")
         rows = [] if self._rows is None else self._rows[:n].tolist()
         require(rows == [list(p) for p in self.points], "the array rows differ from the points")
 
@@ -296,7 +324,7 @@ class CellGrid:
                 _QUERY_FREE_CELLS + count * len(x) // _QUERY_ROWS_PER_CELL
             ):
                 found: list[int] = []
-                get = self._cells.get
+                get = (self._fill() if self._cells is None else self._cells).get
                 for key in itertools.product(*ranges):
                     ids = get(key)
                     if ids:
@@ -325,23 +353,68 @@ class CellGrid:
 def grid_nearest_sq(X: np.ndarray, C: np.ndarray, threshold: float) -> np.ndarray:
     """`nearest_sq(X, C)[1]` to the bit, found on the √R grid of C.
 
-    C is sorted by a linear cell key whose first coordinate has stride 1,
-    so a row's cells that differ only there are one run of keys, found
-    with two searchsorted calls; one pass runs per combination of cells in
-    the other coordinates. A row whose nearest center is below `threshold`
-    gets its squared distance from the centers in its cells; every other
-    row falls back to nearest_sq, as does the whole batch when there is no
-    grid, when the passes outnumber what a scan costs, or when cell numbers
-    leave the range where doubles hold integers exactly.
+    The rows that `grid_below_sq` leaves at or above `threshold` fall back
+    to nearest_sq, as does the whole batch where the grid cannot answer.
     """
-    n, d = X.shape
+    best = _grid_below(X, C, threshold)
+    if best is None:
+        return nearest_sq(X, C)[1]
+    miss = np.flatnonzero(~(best < threshold))
+    if len(miss):
+        best[miss] = nearest_sq(X[miss], C)[1]
+    return best
+
+
+def grid_below_sq(X: np.ndarray, C: np.ndarray, threshold: float) -> np.ndarray:
+    """`nearest_sq(X, C)[1]` to the bit where that is below `threshold`;
+    elsewhere some value at or above the threshold, inf included.
+
+    This is `grid_nearest_sq` without its fallback scan, for a caller that
+    needs the distance only below the threshold. C is sorted by a linear
+    cell key whose first coordinate has stride 1, so a row's cells that
+    differ only there are one run of keys, found with two searchsorted
+    calls; one pass runs per combination of cells in the other
+    coordinates. Where the grid cannot answer (`_cell_runs`), every row
+    takes nearest_sq.
+    """
+    best = _grid_below(X, C, threshold)
+    return nearest_sq(X, C)[1] if best is None else best
+
+
+def _grid_below(X: np.ndarray, C: np.ndarray, threshold: float) -> np.ndarray | None:
+    """Each row's least squared distance, summed as in nearest_sq, to the
+    centers in its cells of the √R grid of C, inf where there are none;
+    None where `_cell_runs` finds no grid. By the module docstring's
+    argument this is nearest_sq's value wherever that is below R, and at
+    or above R elsewhere, as a minimum over fewer centers."""
     if len(C) == 0:
         raise ValueError("centers must be nonempty")
-    if C.shape[1] != d:
-        raise ValueError(f"dimension mismatch: {d} vs {C.shape[1]}")
-    h = grid_side(threshold)
+    if C.shape[1] != X.shape[1]:
+        raise ValueError(f"dimension mismatch: {X.shape[1]} vs {C.shape[1]}")
+    plan = _cell_runs(X, C, grid_side(threshold))
+    if plan is None:
+        return None
+    order, runs = plan
+    C = C[order]
+    best = np.full(len(X), np.inf)
+    for start, count in runs:
+        for rows, first, pair_row, pair_center in _pair_groups(start, count):
+            sq = _sum_sq(lambda j: X[pair_row, j] - C[pair_center, j], X.shape[1])
+            best[rows] = np.minimum(best[rows], np.minimum.reduceat(sq, first))
+    return best
+
+
+def _cell_runs(X: np.ndarray, C: np.ndarray, h: float):
+    """Where the grid of side h serves the rows of X against the centers C:
+    the order that sorts C by linear cell key, and an iterator over the
+    combinations of cells outside the first coordinate that gives each
+    row's run of centers, in that order, as arrays (start, count). None
+    where there is no grid (h = 0 or no rows), where the passes outnumber
+    what a scan costs, or where cell numbers leave the range where doubles
+    hold integers exactly."""
+    n, d = X.shape
     if not h or n == 0:
-        return nearest_sq(X, C)[1]
+        return None
     lo = np.floor((X - h) / h)
     span = int((np.floor((X + h) / h) - lo).max()) + 1
     cc = np.floor(C / h)
@@ -352,51 +425,91 @@ def grid_nearest_sq(X: np.ndarray, C: np.ndarray, threshold: float) -> np.ndarra
         or max(np.abs(lo).max(), np.abs(cc).max()) + span >= 2.0**52
         or math.prod(extent) >= 2**62
     ):
-        return nearest_sq(X, C)[1]
+        return None
     strides = np.cumprod([1] + extent[:-1], dtype=np.int64)
     keys = (cc - base).astype(np.int64) @ strides
     order = np.argsort(keys, kind="stable")
-    keys, C = keys[order], C[order]
+    keys = keys[order]
     low = (lo - base).astype(np.int64)
-    best = np.full(n, np.inf)
-    for offset in itertools.product(range(span), repeat=d - 1):
-        # A cell outside the centers' extent may alias another cell's key.
-        # That only adds candidates: the minimum over any superset of the
-        # scanned cells is still exact below R.
-        run = (low[:, 1:] + offset) @ strides[1:] + low[:, 0]
-        start = np.searchsorted(keys, run)
-        count = np.searchsorted(keys, run + span) - start
-        rows = np.flatnonzero(count)
-        # Row groups of about NEAREST_SQ_BUDGET row-center pairs each (one
-        # row's pairs more at most), so the pair temporaries stay bounded.
-        ends = np.cumsum(count[rows])
-        total = int(ends[-1]) if len(ends) else 0
-        cuts = np.searchsorted(ends, np.arange(NEAREST_SQ_BUDGET, total, NEAREST_SQ_BUDGET))
-        for part in np.split(rows, cuts):
-            if len(part):
-                _grid_pairs_min(X, C, part, start[part], count[part], best)
-    miss = np.flatnonzero(~(best < threshold))
-    if len(miss):
-        best[miss] = nearest_sq(X[miss], C)[1]
-    return best
+
+    def runs():
+        for offset in itertools.product(range(span), repeat=d - 1):
+            # A cell outside the centers' extent may alias another cell's
+            # key. That only adds candidates: the minimum over any superset
+            # of the scanned cells is still exact below R.
+            run = (low[:, 1:] + offset) @ strides[1:] + low[:, 0]
+            start = np.searchsorted(keys, run)
+            yield start, np.searchsorted(keys, run + span) - start
+
+    return order, runs()
 
 
-def _grid_pairs_min(
-    X: np.ndarray,
-    C: np.ndarray,
-    rows: np.ndarray,
-    start: np.ndarray,
-    count: np.ndarray,
-    best: np.ndarray,
-) -> None:
-    """Lower best[rows] to the smallest squared distance from each row to
-    the centers C[start : start + count] of its run, summed as in
-    nearest_sq."""
-    first = np.cumsum(count) - count
-    pair_row = np.repeat(rows, count)
-    pair_center = np.arange(len(pair_row)) - np.repeat(first - start, count)
-    sq = _sum_sq(lambda j: X[pair_row, j] - C[pair_center, j], X.shape[1])
-    best[rows] = np.minimum(best[rows], np.minimum.reduceat(sq, first))
+def _pair_groups(start: np.ndarray, count: np.ndarray):
+    """The rows with candidates, in groups of about NEAREST_SQ_BUDGET
+    row-center pairs each (one row's pairs more at most), so that the pair
+    temporaries stay bounded. Each group is (rows, first, pair_row,
+    pair_center): row rows[i]'s pairs start at first[i], and pair p joins
+    row pair_row[p] to center pair_center[p] of its run."""
+    rows = np.flatnonzero(count)
+    ends = np.cumsum(count[rows])
+    total = int(ends[-1]) if len(ends) else 0
+    cuts = np.searchsorted(ends, np.arange(NEAREST_SQ_BUDGET, total, NEAREST_SQ_BUDGET))
+    for part in np.split(rows, cuts):
+        if len(part):
+            c = count[part]
+            first = np.cumsum(c) - c
+            pair_row = np.repeat(part, c)
+            pair_center = np.arange(len(pair_row)) - np.repeat(first - start[part], c)
+            yield part, first, pair_row, pair_center
+
+
+def near_pairs(
+    X: np.ndarray, threshold: float, limit: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The pairs of rows i < j of X whose squared distance, with the bits
+    of nearest_sq, is below `threshold`, as arrays (i, j, sq) in increasing
+    order of i. None where that takes more than `limit` candidate pairs,
+    which bounds the pair temporaries; `limit` is at most
+    NEAREST_SQ_BUDGET.
+
+    A grid self-join: every row is both a query and a center of the √R
+    grid, and row i's candidates are the later rows in its cells. By the
+    module docstring's argument, with row i as the query and row j as the
+    center, every pair below the threshold is among them; the same pair may
+    be listed twice where cell keys alias. Where the grid cannot answer
+    (`_cell_runs`), every pair i < j is a candidate, measured in blocks of
+    rows by all rows.
+    """
+    n, d = X.shape
+    found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    plan = _cell_runs(X, X, grid_side(threshold))
+    if plan is None:
+        if n * (n - 1) // 2 > limit:
+            return None
+        rows = max(1, limit // (2 * n))
+        for s in range(0, n, rows):
+            block = X[s : s + rows]
+            sq = _sum_sq(lambda c: np.subtract.outer(block[:, c], X[:, c]), d)
+            i, j = np.nonzero(sq < threshold)
+            later = j > i + s
+            i, j = i[later], j[later]
+            found.append((i + s, j, sq[i, j]))
+    else:
+        order, runs = plan
+        runs = list(runs)
+        if sum(int(count.sum()) for _, count in runs) > limit:
+            return None
+        for start, count in runs:
+            for _, _, i, j in _pair_groups(start, count):
+                j = order[j]
+                later = j > i
+                i, j = i[later], j[later]
+                sq = _sum_sq(lambda c: X[j, c] - X[i, c], d)
+                near = sq < threshold
+                found.append((i[near], j[near], sq[near]))
+    i, j, sq = (np.concatenate(column) for column in zip(*found))
+    by_row = np.argsort(i, kind="stable")
+    return i[by_row], j[by_row], sq[by_row]
 
 
 def kmeans_cost(points: Sequence[Point], centers: Sequence[Point]) -> float:

@@ -271,10 +271,13 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
     """Stream one dataset through a fresh clusterer and score the result.
 
     The achieved cost is `kmeans_cost(stream, centers)` to the bit: the
-    `math.fsum` of `nearest_sq`'s distances, found on the √R grid.
+    `math.fsum` of `nearest_sq`'s distances, found on the √R grid. The
+    stream becomes an array once, which the oracle, the selector and the
+    scoring share.
     """
     stream, lower = _materialize(spec)
     n = len(stream)
+    X = np.asarray(stream, dtype=np.float64)
 
     # The oracle reads only the stream, so it may refuse one before any arrival.
     oracle_exact = spec.oracle == "exact"
@@ -282,18 +285,17 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
         oracle_cost = optimal_kmeans(stream, spec.k).cost
     else:
         oracle_cost = lloyd_kmeans(
-            stream, spec.k, restarts=spec.lloyd_restarts, seed=_sub_seed(spec.seed, _SEED_LLOYD)
+            X, spec.k, restarts=spec.lloyd_restarts, seed=_sub_seed(spec.seed, _SEED_LLOYD)
         ).cost
 
     clusterer = OnlineClusterer(spec.cluster_config())
-    decisions = clusterer._run(stream)  # the stream was checked when it was made
-    centers = clusterer.finalize()
+    decisions = clusterer._run(stream, X)  # the stream was checked when it was made
 
     # A type-1 reject was within sqrt(R) of a center when it arrived, and
     # neither S nor R shrinks, so the grid of the final R finds every
     # point's distance but the type-2 rejects', which fall back to a scan.
     achieved = math.fsum(
-        grid_nearest_sq(np.asarray(stream), np.asarray(centers), clusterer.threshold).tolist()
+        grid_nearest_sq(X, clusterer.selected_rows, clusterer.threshold).tolist()
     )
 
     ratio: float | str
@@ -316,7 +318,7 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
     report = RunReport(
         n=n,
         k=spec.k,
-        centers_selected=len(centers),
+        centers_selected=len(clusterer.selected_indices),
         bootstrap_selections=by_type["bootstrap"],
         type1_selections=by_type["type1"],
         type2_selections=by_type["type2"],

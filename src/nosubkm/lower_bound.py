@@ -120,7 +120,7 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence
 
     # nearest[mask, j]: the distance from point j to mask's nearest member
     nearest, _ = subset_tables(table, np.minimum, math.inf)
-    _, diam = subset_tables(table, np.maximum, 0.0)  # diam[mask]: its diameter
+    diam = subset_tables(table, np.maximum, 0.0)[1]  # diam[mask]: its diameter
     fold = diam  # l-fold diameters, from l = 1 to k - 1, or to n: all 0 from there
     for _ in range(min(k - 1, n) - 1):
         fold = min_over_splits(diam, fold, np.maximum)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -318,13 +319,149 @@ class TestRun:
         assert decisions == by_process
 
 
+def end_state(clusterer):
+    """Everything `state_snapshot` holds but the grid's cells, which only
+    a query fills."""
+    snapshot = state_snapshot(clusterer)
+    return snapshot[:2] + snapshot[3:]
+
+
+def window_stream(shape, n, d, k, seed):
+    """n points of one of three shapes. "lattice": an integer lattice times
+    a power of two, where many points lie exactly 2P from a sketch center
+    or equidistant from two. "clusters": k tight clusters far apart, opened
+    one by one as the stream goes on, so that the population rule starts
+    inside a window and runs for long spans. "normal": a cloud whose R is
+    raised and doubled inside windows."""
+    rng = np.random.default_rng(seed)
+    if shape == "lattice":
+        points = rng.integers(-4, 5, size=(n, d)) * rng.choice([0.25, 1.0, 2.0**40])
+    elif shape == "clusters":
+        hubs = rng.uniform(-1e3, 1e3, size=(k, d))
+        opened = 1 + np.arange(n) * k // n
+        points = hubs[(rng.random(n) * opened).astype(int)] + rng.normal(0.0, 1e-2, size=(n, d))
+    else:
+        points = rng.normal(0.0, 10.0, size=(n, d))
+    return [tuple(p) for p in points.tolist()]
+
+
+class TestWindowPath:
+    # Patched small, windows end, shrink and start again inside a short
+    # stream; _WINDOW_MIN_ARRIVALS = 0 sends every stream to the windows.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(1, 3),
+        k=st.integers(1, 4),
+        bootstrap=st.sampled_from([None, 6]),
+        c_double=st.sampled_from([0.02, 0.3, 289.0]),
+        mode=st.sampled_from(cluster.MODES),
+        window=st.sampled_from([2, 7, 1024]),
+        pairs=st.sampled_from([1, 64]),
+        shape=st.sampled_from(["lattice", "clusters", "normal"]),
+        n=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_process(
+        self, data, d, k, bootstrap, c_double, mode, window, pairs, shape, n, seed
+    ):
+        stream = window_stream(shape, n, d, k, seed)
+        first = data.draw(st.integers(0, n), label="process calls first")
+        config = dict(k=k, bootstrap=bootstrap, c_double=c_double, mode=mode, seed=11)
+        reference, expected = run_stream(stream, **config)
+        clusterer = OnlineClusterer(ClusterConfig(**config))
+        with mock.patch.object(cluster, "_WINDOW", window), mock.patch.object(
+            cluster, "_WINDOW_MIN_ARRIVALS", 0
+        ), mock.patch.object(cluster, "_NEAR_PAIRS_PER_ARRIVAL", pairs):
+            decisions = [clusterer.process(x) for x in stream[:first]]
+            decisions += clusterer._run(stream[first:])
+        assert decisions == expected
+        assert end_state(clusterer) == end_state(reference)
+        clusterer.check()
+
+    def test_speculation_defers_ties_and_points_at_2p(self):
+        # The fold at 20 (k = 2) leaves centers 0 and 20 with P = 1: 10 is
+        # equidistant from both, 22 lies exactly 2P from 20 and 25 beyond
+        # it, so those go to the exact insert; 1, 21 and 0 are certain.
+        clusterer, _ = run_stream([(0.0,), (1.0,), (20.0,)], k=2, seed=0)
+        assert [c.center for c in clusterer.sketch.centers] == [(0.0,), (20.0,)]
+        assert clusterer.sketch.radius == 1.0
+        rows = np.array([[10.0], [1.0], [22.0], [21.0], [25.0], [0.0]])
+        assert clusterer._speculate(rows) == [-1, 0, -1, 1, -1, 0]
+        stream = [(0.0,), (1.0,), (20.0,), *map(tuple, rows.tolist())] * 40
+        with mock.patch.object(cluster, "_WINDOW_MIN_ARRIVALS", 0):
+            by_process, by_run = run_both(stream, k=2, seed=0)
+        assert by_run == by_process
+
+    def test_no_speculation_below_the_normal_range(self):
+        # P = 2**-600: (2P)**2 underflows to 0, so no absorption is trusted,
+        # not even of a point that sits on a center.
+        clusterer, _ = run_stream([(0.0,), (2.0**-600,), (2.0**-599,)], k=2, seed=0)
+        assert 0.0 < clusterer.sketch.radius < 2.0**-500
+        assert clusterer._speculate(np.array([[0.0], [2.0**-599]])) == [-1, -1]
+
+    def test_exact_small_streams_never_open_a_window(self):
+        spec = harness.TrialSpec(
+            k=3, generator="gaussian_mixture", gen_params={"n": 11, "k": 3},
+            ordering="adversarial", seed=1,
+        )
+        stream = harness.materialize_stream(spec)
+        with mock.patch.object(
+            OnlineClusterer, "_decide_window", side_effect=AssertionError("a window was opened")
+        ):
+            harness.run_trial(spec)
+            # after the bootstrap, one arrival short of the windows' minimum
+            short = stream * 30
+            clusterer = OnlineClusterer(ClusterConfig(k=3, seed=1))
+            clusterer._run(short[: 3 + cluster._WINDOW_MIN_ARRIVALS - 1])
+
+    def test_long_streams_open_windows(self):
+        _, stream = trial_stream(
+            k=5, generator="gaussian_mixture", gen_params={"n": 2000, "k": 5, "d": 2},
+            ordering="shuffled", seed=3,
+        )
+        clusterer = OnlineClusterer(ClusterConfig(k=5, seed=3))
+        with mock.patch.object(
+            OnlineClusterer, "_decide_window", autospec=True, side_effect=OnlineClusterer._decide_window
+        ) as window:
+            decisions = clusterer._run(stream)
+        assert window.call_count == 2  # 1,995 arrivals after the bootstrap
+        assert decisions == run_stream(stream, k=5, seed=3)[1]
+
+    def test_one_window_of_near_pairs_within_budget(self):
+        # Every pair of the 1,024 window arrivals is within sqrt(R) (about
+        # 9.2 here), so an unshrunk self-join would measure 2**20 pairs; the
+        # budget shrinks the window to 64 arrivals, 2**12 pairs.
+        budget = 1 << 12
+        clusterer, _ = run_stream([(0.0, 0.0), (100.0, 0.0), (0.0, 100.0)], k=2, seed=0)
+        assert clusterer.threshold > 50.0
+        rng = np.random.default_rng(64)
+        stream = [tuple(p) for p in (rng.uniform(-0.5, 0.5, size=(1024, 2)) + 50.0).tolist()]
+        rows = np.asarray(stream)
+        with mock.patch.object(geometry, "NEAREST_SQ_BUDGET", budget), mock.patch.object(
+            cluster, "NEAREST_SQ_BUDGET", budget
+        ), mock.patch.object(cluster, "_NEAR_PAIRS_PER_ARRIVAL", 1 << 20):
+            tracemalloc.start()
+            try:
+                decisions = clusterer._run(stream, rows)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # About 200 bytes a decision with its columns and draw, and a dozen
+        # pair arrays of at most the budget.
+        assert peak <= 200 * len(stream) + 12 * 8 * budget + (64 << 10)
+        _, expected = run_stream([(0.0, 0.0), (100.0, 0.0), (0.0, 100.0), *stream], k=2, seed=0)
+        assert decisions == expected[3:]
+        clusterer.check()
+
+
 def state_snapshot(clusterer):
     sketch = clusterer.sketch
     grid = clusterer._selected
     return (
         grid.threshold,
         grid._side,
-        {key: list(ids) for key, ids in grid._cells.items()},
+        None if grid._cells is None else {key: list(ids) for key, ids in grid._cells.items()},
         None if grid._rows is None else grid._rows[: len(grid)].tobytes(),
         clusterer.t,
         clusterer.threshold,

@@ -20,10 +20,12 @@ from nosubkm.geometry import (
     check_point,
     diameter,
     dist,
+    grid_below_sq,
     grid_nearest_sq,
     grid_side,
     kmeans_cost,
     l_fold_diameter,
+    near_pairs,
     nearest_sq,
 )
 
@@ -549,6 +551,7 @@ def live_grid():
         grid.add(tuple(p))
         if len(grid) == 20:
             grid.set_threshold(0.7)
+    grid.min_sq_dist((0.0, 0.0))  # the cells are filled by a query
     return grid
 
 
@@ -644,8 +647,55 @@ class TestGridNearestSq:
         report, decisions = harness.run_trial(replace(spec, oracle="lloyd"))
         assert report.achieved_cost == kmeans_cost(stream, [stream[d.index - 1] for d in decisions if d.selected])
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: boundary_case(d, 40, 40)), st.booleans())
+    def test_below_threshold_without_the_fallback(self, case, forced):
+        R, centers, queries = case
+        X, C = np.asarray(queries), np.asarray(centers)
+        with mock.patch.object(geometry, "_BATCH_ROWS_PER_PASS", 1e-9 if forced else 150):
+            got = grid_below_sq(X, C, R)
+        exact = nearest_sq(X, C)[1]
+        below = exact < R
+        assert got[below].tobytes() == exact[below].tobytes()
+        assert np.all(got[~below] >= R)
+
     def test_dimension_mismatch_and_empty(self):
         with pytest.raises(ValueError, match="dimension"):
             grid_nearest_sq(np.zeros((3, 2)), np.zeros((4, 1)), 1.0)
         with pytest.raises(ValueError):
             grid_nearest_sq(np.zeros((3, 2)), np.zeros((0, 2)), 1.0)
+
+
+def brute_near_pairs(X, R):
+    """Every pair i < j of rows below R, with nearest_sq's squared distance."""
+    return {
+        (i, j): float(nearest_sq(X[j : j + 1], X[i : i + 1])[1][0])
+        for i, j in itertools.combinations(range(len(X)), 2)
+        if nearest_sq(X[j : j + 1], X[i : i + 1])[1][0] < R
+    }
+
+
+class TestNearPairs:
+    # Forced, the grid runs whatever the crossover says; otherwise small
+    # sets and high d take the blocks of all pairs.
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: boundary_case(d, 40, 40)), st.booleans())
+    def test_every_pair_below_threshold(self, case, forced):
+        R, centers, queries = case
+        X = np.asarray(centers + queries)
+        with mock.patch.object(geometry, "_BATCH_ROWS_PER_PASS", 1e-9 if forced else 150):
+            i, j, sq = near_pairs(X, R, geometry.NEAREST_SQ_BUDGET)
+        assert np.all(np.diff(i) >= 0)
+        # a pair may be listed twice where cell keys alias, with one value
+        got = dict(zip(zip(i.tolist(), j.tolist()), sq.tolist()))
+        assert len(got) <= len(i) and got == brute_near_pairs(X, R)
+
+    @pytest.mark.parametrize("forced", [True, False])
+    def test_more_candidates_than_the_limit(self, forced):
+        # 30 points in one cell: on the grid every row has at least the 30
+        # of its cell as candidates; the blocks measure the 435 pairs.
+        X = np.random.default_rng(3).uniform(0.0, 0.1, size=(30, 2))
+        with mock.patch.object(geometry, "_BATCH_ROWS_PER_PASS", 1e-9 if forced else 1e9):
+            assert near_pairs(X, 1.0, 899 if forced else 434) is None
+            i, j, _ = near_pairs(X, 1.0, geometry.NEAREST_SQ_BUDGET if forced else 435)
+        assert len(set(zip(i.tolist(), j.tolist()))) == 435

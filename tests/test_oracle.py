@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -50,6 +51,22 @@ def reference_lloyd(points, k, restarts=20, seed=0):
         if best is None or cost < best[0]:
             best = (cost, labels)
     return oracle._clustering_from_assignment(points, [int(a) for a in best[1]])
+
+
+def per_cluster_clustering(points, assignment):
+    """The scoring one cluster at a time: the `centroid` of each cluster's
+    points, and `nearest_sq` from its points to it; the reference for the
+    one-pass scoring."""
+    used = sorted(set(assignment))
+    labels = [used.index(a) for a in assignment]
+    clusters = [[p for p, c in zip(points, labels) if c == cid] for cid in range(len(used))]
+    centers = [centroid(c) for c in clusters]
+    cost = math.fsum(
+        d2
+        for c, ctr in zip(clusters, centers)
+        for d2 in nearest_sq(np.asarray(c), np.asarray([ctr]))[1].tolist()
+    )
+    return oracle.Clustering(assignment=labels, centers=centers, cost=cost)
 
 
 def recording_nearest_sq(monkeypatch):
@@ -317,6 +334,26 @@ class TestSubsetProgram:
         assert geometry._splits.cache_info().currsize == 0
 
 
+class TestScoring:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        d=st.integers(1, 5),
+        ids=st.integers(1, 8),
+        scale=st.sampled_from([1e-8, 1.0, 1e8]),
+        shift=st.sampled_from([0.0, 1e3, -1e6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_pass_equals_per_cluster(self, n, d, ids, scale, shift, seed):
+        # ids spaced by 3, so some are unused and the rest are relabelled
+        rng = np.random.default_rng(seed)
+        points = [tuple(p) for p in (rng.normal(size=(n, d)) * scale + shift).tolist()]
+        assignment = (3 * rng.integers(0, ids, size=n)).tolist()
+        expected = per_cluster_clustering(points, assignment)
+        assert oracle._clustering_from_assignment(points, assignment) == expected
+        assert oracle._clustering_from_assignment(np.asarray(points), np.asarray(assignment)) == expected
+
+
 class TestLloydKMeans:
     def test_k1_is_centroid_cost(self):
         rng = np.random.default_rng(31)
@@ -391,6 +428,23 @@ class TestLloydKMeans:
         assert emptied[1].tolist() == kept[1].tolist() == [0.0, 0.0]
         assert result.assignment == [0] * 5 + [1] * 5
         assert result == reference_lloyd(points, 3, restarts=1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(20, 300),
+        d=st.integers(2, 5),
+        k=st.integers(1, 12),
+        rounded=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_column_layout_keeps_the_reference_bits(self, n, d, k, rounded, seed):
+        # Rounded coordinates put points at equal distances from two centers.
+        rng = np.random.default_rng(seed)
+        X = rng.normal(0.0, 5.0, size=(n, d))
+        points = [tuple(p) for p in (np.round(X) if rounded else X).tolist()]
+        expected = reference_lloyd(points, k, restarts=3, seed=seed)
+        assert lloyd_kmeans(points, k, restarts=3, seed=seed) == expected
+        assert lloyd_kmeans(np.asarray(points), k, restarts=3, seed=seed) == expected
 
     def test_seeding_once_no_mass_is_left(self):
         # two locations for three seeds: the third is drawn uniformly
