@@ -14,14 +14,21 @@ sketch of the stream decides between two randomized selection rules:
 
 Selection randomness is counter-based: the draw at arrival t depends only
 on (seed, t), so runs are reproducible and the branch taken at each step is
-a deterministic function of the input prefix alone. `process(x)` checks x
-and draws one scalar `step_uniform`. `_run(stream)`, for a stream checked
-when it was made, takes every draw from one `uniform_draws` block, which
-evaluates Philox on a numpy array of counters and falls back to scalar
-draws below _BLOCK_MIN_DRAWS, where the block's fixed cost does not pay.
-`process` keeps scalar draws because a caller that records every call's
-latency keeps memory per call: a faster call makes more calls in a run of
-fixed length, and holds more.
+a deterministic function of the input prefix alone. Both entry points read
+their draws from one buffer of consecutive arrivals' draws. An arrival
+outside it refills it with one `uniform_draws` call, which evaluates Philox
+on a numpy array of counters and falls back to scalar draws below
+_BLOCK_MIN_DRAWS, where the block's fixed cost does not pay. `process`
+refills at the m-th arrival after the bootstrap with min(m, _WINDOW)
+draws, so a run computes at most about twice the draws it reads, and one
+of fewer than _BLOCK_MIN_DRAWS arrivals after the bootstrap never computes
+a block. `_run`, which knows its length, refills with every draw its
+stream has left. The buffer holds at most _WINDOW draws for `process`, yet
+it raises the peak RSS of a caller that records every call's latency: on
+the benchmark's `sparse_stream` a call took 0.65x the time and the run
+peaked 13-15% higher (medians of 10 alternating pairs at each of two
+seeds, 2-CPU Xeon, Python 3.11, numpy 2.4), since a faster call makes more
+calls, and more records, in a run of fixed length.
 
 Two entry points, one code per event. `process` decides one arrival with
 the transition `_step`; so does `_run` through the bootstrap, while R is
@@ -242,6 +249,9 @@ class OnlineClusterer:
         self.sketch: KCenterSketch | None = None
         self.t = 0
         self.counters = _RunCounters()
+        # the draws of arrivals _draws_t, _draws_t + 1, ...
+        self._draws: list[float] = []
+        self._draws_t = 0
         self._ln_k10 = math.log(config.k + 10)
         self._doubling_scale = config.c_double * config.k * self._ln_k10
 
@@ -274,7 +284,9 @@ class OnlineClusterer:
 
         The selected indices strictly increase within 1..t, one per
         selected point; F is at most the doubling limit at t; the sketch
-        exists from t = k on and has seen every arrival.
+        exists from t = k on and has seen every arrival; the draw buffer
+        starts after the bootstrap and its first and last entries are
+        `step_uniform`'s.
         """
         t = self.t
         indices = self.selected_indices
@@ -296,6 +308,15 @@ class OnlineClusterer:
             seen == (t if t >= self.config.k else 0),
             f"the sketch has seen {seen} arrivals at t = {t}",
         )
+        draws, first = self._draws, self._draws_t
+        if draws:
+            last = first + len(draws) - 1
+            require(
+                first > self.config.bootstrap_size
+                and draws[0] == step_uniform(self.config.seed, first)
+                and draws[-1] == step_uniform(self.config.seed, last),
+                f"the draw buffer does not hold the draws of arrivals {first}..{last}",
+            )
         self._selected.check()
         if self.sketch is not None:
             self.sketch.check()
@@ -307,8 +328,8 @@ class OnlineClusterer:
         non-finite coordinate, a Euclidean norm beyond COORD_LIMIT, or a
         dimension unlike the earlier arrivals.
 
-        The draw is one scalar `step_uniform` (the module docstring says
-        why the block draws are `_run`'s).
+        The draw comes from the draw buffer, which an arrival past its end
+        refills (the module docstring gives the rule).
         """
         check_point(x)
         # The first arrival is always taken, so it holds the dimension.
@@ -316,7 +337,7 @@ class OnlineClusterer:
             raise ValueError(
                 f"dimension mismatch: expected {len(self.selected_points[0])}, got {len(x)}"
             )
-        return self._step(x, None)
+        return self._step(x)
 
     def _run(self, stream: Sequence[Point], rows: np.ndarray | None = None) -> list[Decision]:
         """Decide on every point of stream, in order, as `process` would.
@@ -325,7 +346,8 @@ class OnlineClusterer:
         `check_point` checks them, with one dimension, that of any earlier
         arrivals: nothing here checks them again. `rows`, when given, is
         the stream as a float array, one row per point. Every draw the
-        stream reads comes from one `uniform_draws` call.
+        stream reads comes from the draw buffer, refilled here with all of
+        them by one `uniform_draws` call.
 
         The bootstrap, and every step while R is 0 (a type-1 step then
         reads whether d2 > 0, not d2 / R), go through `_step`, as does a
@@ -333,29 +355,31 @@ class OnlineClusterer:
         them. The rest is decided a window at a time (`_decide_window`).
         """
         cfg = self.config
+        n = len(stream)
         # The bootstrap arrivals are taken without a draw.
-        skip = min(len(stream), max(0, cfg.bootstrap_size - self.t))
-        draws = [None] * skip + uniform_draws(cfg.seed, self.t + skip + 1, len(stream) - skip)
+        first = self.t + 1 + min(n, max(0, cfg.bootstrap_size - self.t))
+        end = self.t + n + 1
+        if first < end:
+            self._refill_draws(first, end - first)
         step = self._step
         decisions = []
-        i, n = 0, len(stream)
+        i = 0
         while i < n and (self.t < cfg.bootstrap_size or self.threshold == 0.0):
-            decisions.append(step(stream[i], draws[i]))
+            decisions.append(step(stream[i]))
             i += 1
         if n - i < _WINDOW_MIN_ARRIVALS:
-            return decisions + [step(x, u) for x, u in zip(stream[i:], draws[i:])]
+            return decisions + [step(x) for x in stream[i:]]
         X = np.asarray(stream, dtype=np.float64) if rows is None else rows
         t0 = self.t
         columns: tuple[list, ...] = ([], [], [], [], [])
         while i < n:
-            i = self._decide_window(stream, X, draws, i, min(n, i + _WINDOW), columns)
+            i = self._decide_window(stream, X, i, min(n, i + _WINDOW), columns)
         return decisions + list(map(Decision, range(t0 + 1, self.t + 1), *columns))
 
     def _decide_window(
         self,
         stream: Sequence[Point],
         X: np.ndarray,
-        draws: list[float],
         a: int,
         b: int,
         columns: tuple[list, ...],
@@ -372,8 +396,11 @@ class OnlineClusterer:
         code that `_step` runs. Any change of the centers or of P
         speculates the rest of the window again; any change of R prepares
         it again, since the batch and the lists are exact only below it.
+        Arrival r's draw is at r + off in the draw buffer, which `_run`
+        filled.
         """
         sketch = self.sketch
+        draws, off = self._draws, self.t + 1 - a - self._draws_t
         processing, selected_col, probability, threshold_after, aux = columns
         b, cur, starts, near, near_sq = self._prepare(X, a, b)
         p = a  # the arrival cur[0] belongs to
@@ -414,7 +441,7 @@ class OnlineClusterer:
                         b, cur, starts, near, near_sq = self._prepare(X, r, b)
                         p = r
                 prob = min(1.0, cur[r - p] / threshold)  # R > 0 here
-            selected = draws[r] < prob
+            selected = draws[r + off] < prob
             if selected:
                 self._take(x)
                 # the later arrivals this one is nearer to than S was
@@ -511,9 +538,9 @@ class OnlineClusterer:
             absorbs += np.where(trusted, label, -1).tolist()
         return absorbs
 
-    def _step(self, x: Point, u: float | None) -> Decision:
-        """The transition on a checked arrival x; u is its draw, or None
-        to draw `step_uniform(seed, t)` here."""
+    def _step(self, x: Point) -> Decision:
+        """The transition on a checked arrival x, whose draw is read from
+        the draw buffer, refilled from arrival t if it does not hold it."""
         self.t += 1
         t = self.t
         cfg = self.config
@@ -544,9 +571,10 @@ class OnlineClusterer:
                 # novel point is the only cost-safe action.
                 prob = 1.0 if d2 > 0.0 else 0.0
 
-        if u is None:
-            u = step_uniform(cfg.seed, t)
-        selected = u < prob
+        draws, i = self._draws, t - self._draws_t
+        if i >= len(draws):
+            draws, i = self._refill_draws(t, min(_WINDOW, t - cfg.bootstrap_size)), 0
+        selected = draws[i] < prob
         if selected:
             self._take(x)
         if processing == "type1":
@@ -554,6 +582,12 @@ class OnlineClusterer:
             if self.selections_since_reset > self._doubling_limit(t):
                 self._double()
         return self._decision(t, processing, selected, prob)
+
+    def _refill_draws(self, t: int, n: int) -> list[float]:
+        """Fill the draw buffer with the draws of arrivals t..t + n - 1."""
+        self._draws = uniform_draws(self.config.seed, t, n)
+        self._draws_t = t
+        return self._draws
 
     # The events below are the one code of each, for `_step` and the window.
 

@@ -159,10 +159,14 @@ def lloyd_kmeans(
 
 
 def _seed_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Distance-squared seeding. Each chosen center's squared distances
+    come from one `_sum_sq` pass of fl(x - c), the bits of a one-center
+    `nearest_sq` in either of its orientations, since fl(c - x) is
+    -fl(x - c); no labels are computed."""
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    d2 = nearest_sq(X, centers[:1])[1]
+    d2 = _sq_to(X, centers[0])
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -174,5 +178,10 @@ def _seed_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
         else:
             idx = rng.integers(n)  # all remaining mass at chosen locations
         centers[j] = X[idx]
-        d2 = np.minimum(d2, nearest_sq(X, centers[j : j + 1])[1])
+        np.minimum(d2, _sq_to(X, centers[j]), out=d2)
     return centers
+
+
+def _sq_to(X: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Each row's squared distance to the point c."""
+    return _sum_sq(lambda j: X[:, j] - c[j], X.shape[1])

@@ -455,6 +455,83 @@ class TestWindowPath:
         clusterer.check()
 
 
+def draws_requested(run):
+    """The sizes of the uniform_draws calls made while run() runs."""
+    with mock.patch.object(cluster, "uniform_draws", wraps=uniform_draws) as spy:
+        run()
+    return [call.args[2] for call in spy.call_args_list]
+
+
+class TestDrawBuffer:
+    # _WINDOW patched to 16 makes process refill at most 16 draws at a
+    # time, so a short stream crosses many refills; _WINDOW_MIN_ARRIVALS
+    # = 0 sends every _run segment to the windows.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        bootstrap=st.sampled_from([None, 36]),
+        seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        window=st.sampled_from([16, 1024]),
+        shape=st.sampled_from(["clusters", "normal"]),
+        segments=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 150)), min_size=1, max_size=6
+        ),
+    )
+    def test_every_draw_is_step_uniform(self, k, bootstrap, seed, window, shape, segments):
+        # Segments of process calls and of _run, in any order, with check()
+        # after each; every decision after the bootstrap reads the draw of
+        # its own arrival.
+        n = sum(length for _, length in segments)
+        stream = window_stream(shape, n, 2, k, seed & 0xFFFF)
+        clusterer = OnlineClusterer(ClusterConfig(k=k, bootstrap=bootstrap, seed=seed))
+        decisions, i = [], 0
+        with mock.patch.object(cluster, "_WINDOW", window), mock.patch.object(
+            cluster, "_WINDOW_MIN_ARRIVALS", 0
+        ):
+            for by_run, length in segments:
+                part = stream[i : i + length]
+                i += length
+                decisions += clusterer._run(part) if by_run else list(map(clusterer.process, part))
+                clusterer.check()
+        assert [d.index for d in decisions] == list(range(1, n + 1))
+        for d in decisions[clusterer.config.bootstrap_size :]:
+            assert d.selected == (step_uniform(seed, d.index) < d.probability)
+
+    @pytest.mark.parametrize("bootstrap", [None, 36])
+    def test_short_process_runs_compute_no_block(self, bootstrap):
+        # 63 arrivals after the bootstrap refill 1, 2, 4, ..., 32 draws;
+        # the 64th asks for the first block.
+        config = ClusterConfig(k=3, bootstrap=bootstrap, seed=5)
+        stream = window_stream("normal", config.bootstrap_size + 64, 2, 3, 5)
+        clusterer = OnlineClusterer(config)
+        short = draws_requested(lambda: [clusterer.process(x) for x in stream[:-1]])
+        assert short == [1, 2, 4, 8, 16, 32]
+        assert max(short) < cluster._BLOCK_MIN_DRAWS
+        assert draws_requested(lambda: clusterer.process(stream[-1])) == [64]
+
+    def test_process_refills_at_most_a_window(self):
+        clusterer = OnlineClusterer(ClusterConfig(k=3, seed=5))
+        stream = window_stream("normal", 3 + 3000, 2, 3, 5)
+        sizes = draws_requested(lambda: [clusterer.process(x) for x in stream])
+        assert sizes == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 1024]
+        assert clusterer._draws_t == 3 + 2048
+        clusterer.check()
+
+    def test_run_fills_the_stream_at_once(self):
+        # every _run asks for all its draws after the bootstrap in one call
+        spec, stream = trial_stream(
+            k=5, generator="gaussian_mixture", gen_params={"n": 600, "k": 5, "d": 2},
+            ordering="shuffled", oracle="lloyd", seed=3,
+        )
+        assert draws_requested(lambda: harness.run_trial(spec)) == [595]
+        clusterer = OnlineClusterer(ClusterConfig(k=5, seed=3))
+        assert draws_requested(lambda: clusterer._run(stream[:-100])) == [495]
+        assert draws_requested(lambda: clusterer._run(stream[-100:-50])) == [50]
+        clusterer.process(stream[-50])
+        assert draws_requested(lambda: clusterer._run(stream[-49:])) == [49]
+        clusterer.check()
+
+
 def state_snapshot(clusterer):
     sketch = clusterer.sketch
     grid = clusterer._selected
@@ -642,6 +719,9 @@ class TestCheck:
             (lambda c: setattr(c, "sketch", None), "sketch has seen"),
             (lambda c: c._selected._rows.__setitem__((0, 0), 1e9), "array rows"),
             (lambda c: setattr(c.sketch.centers[0], "count", 0), "counts sum"),
+            (lambda c: c._draws.__setitem__(0, c._draws[1]), "draw buffer"),
+            (lambda c: c._draws.__setitem__(-1, 0.5), "draw buffer"),
+            (lambda c: setattr(c, "_draws_t", c._draws_t + 1), "draw buffer"),
         ],
     )
     def test_raises_on_a_broken_invariant(self, mutate, message):

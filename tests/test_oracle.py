@@ -53,6 +53,26 @@ def reference_lloyd(points, k, restarts=20, seed=0):
     return oracle._clustering_from_assignment(points, [int(a) for a in best[1]])
 
 
+def reference_seed_centers(X, k, rng):
+    """`_seed_centers` with each center's squared distances taken from a
+    one-center `nearest_sq`: the reference for its one `_sum_sq` pass."""
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    d2 = nearest_sq(X, centers[:1])[1]
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
+        else:
+            idx = rng.integers(n)
+        centers[j] = X[idx]
+        d2 = np.minimum(d2, nearest_sq(X, centers[j : j + 1])[1])
+    return centers
+
+
 def per_cluster_clustering(points, assignment):
     """The scoring one cluster at a time: the `centroid` of each cluster's
     points, and `nearest_sq` from its points to it; the reference for the
@@ -445,6 +465,26 @@ class TestLloydKMeans:
         expected = reference_lloyd(points, k, restarts=3, seed=seed)
         assert lloyd_kmeans(points, k, restarts=3, seed=seed) == expected
         assert lloyd_kmeans(np.asarray(points), k, restarts=3, seed=seed) == expected
+
+    # n on both sides of the row count from which nearest_sq sums
+    # center-major, c - x in place of x - c.
+    @pytest.mark.parametrize("d", range(1, 6))
+    @pytest.mark.parametrize(
+        "n", [40, geometry._CENTER_MAJOR_MIN_ROWS - 1, geometry._CENTER_MAJOR_MIN_ROWS, 2000]
+    )
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_seeding_has_the_nearest_sq_bits(self, d, n, rounded):
+        # Rounded coordinates repeat points and tie distances; in d = 1 they
+        # take fewer than 12 values, so the last seeds find no mass left.
+        rng = np.random.default_rng(100 * d + n)
+        X = rng.normal(0.0, 3.0, size=(n, d)) * 1e3 - 7e5
+        X = np.asfortranarray(np.round(X / 3e3) if rounded else X)
+        for c in X[:3]:
+            assert np.array_equal(oracle._sq_to(X, c), nearest_sq(X, c[None, :])[1])
+        for r, k in enumerate([1, 2, 5, 12]):
+            seeded = oracle._seed_centers(X, k, np.random.default_rng([d, r]))
+            expected = reference_seed_centers(X, k, np.random.default_rng([d, r]))
+            assert np.array_equal(seeded, expected)
 
     def test_seeding_once_no_mass_is_left(self):
         # two locations for three seeds: the third is drawn uniformly
