@@ -17,6 +17,7 @@ from .harness import (
     TrialSpec,
     gen_dataset,
     load_points,
+    report_text,
     run_experiment,
     save_points,
 )
@@ -120,8 +121,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ParseError, SequenceOverflowError) as exc:
         args.error(str(exc))
     if "out_path" in given:
-        result = result["aggregate"]
-    print(json.dumps(result, indent=2, sort_keys=True))
+        print(json.dumps(result["aggregate"], indent=2, sort_keys=True))
+    else:
+        sys.stdout.write(report_text(result, given.get("out_format", "json")))
     return 0
 
 

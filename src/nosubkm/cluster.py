@@ -23,12 +23,16 @@ refills at the m-th arrival after the bootstrap with min(m, _WINDOW)
 draws, so a run computes at most about twice the draws it reads, and one
 of fewer than _BLOCK_MIN_DRAWS arrivals after the bootstrap never computes
 a block. `_run`, which knows its length, refills with every draw its
-stream has left. The buffer holds at most _WINDOW draws for `process`, yet
-it raises the peak RSS of a caller that records every call's latency: on
-the benchmark's `sparse_stream` a call took 0.65x the time and the run
-peaked 13-15% higher (medians of 10 alternating pairs at each of two
-seeds, 2-CPU Xeon, Python 3.11, numpy 2.4), since a faster call makes more
-calls, and more records, in a run of fixed length.
+stream has left. The buffer holds at most _WINDOW draws for `process`.
+
+A faster `process` raises the peak RSS of a caller that records every
+call's latency, since a run of fixed length then makes more calls and
+keeps more records. On the benchmark's `sparse_stream`, building each
+`Decision` as a tuple, checking each point once, testing the doubling
+limit only at type-1 takes and `CellGrid`'s 1-D candidate loop made a call
+take 0.75x and 0.70x the time and the run peak 9% and 11% higher (medians
+of 10 alternating pairs at seeds 1 and 2, 2-CPU Xeon, Python 3.11, numpy
+2.4).
 
 Two entry points, one code per event. `process` decides one arrival with
 the transition `_step`; so does `_run` through the bootstrap, while R is
@@ -53,8 +57,8 @@ method, which both paths call, and every decision bit is `_step`'s:
   speculates the rest of the window again.
 * the rules: the gap and P change only at sketch events, so the
   population rule's test is one comparison per arrival; a raise is tested
-  at the first type-1 step after an event, and F against doubling limits
-  computed once per window.
+  at the first type-1 step after an event, and F against the doubling
+  limit at each type-1 take, as in `_step`.
 
 The decisions are kept as columns and built into `Decision`s at the end.
 
@@ -75,7 +79,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,7 +93,7 @@ from .geometry import (
     near_pairs,
     require,
 )
-from .kcenter import KCenterSketch
+from .kcenter import KCenterSketch, _nearest
 
 _U64 = (1 << 64) - 1
 # Philox4x64 round multipliers and key increments (Salmon et al., SC 2011).
@@ -216,11 +220,12 @@ class ClusterConfig:
         return self.bootstrap if self.bootstrap is not None else self.k
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
+class Decision(NamedTuple):
     """Record of one arrival: which rule ran, with what probability.
 
-    Slotted, because a run keeps one per arrival.
+    A named tuple, because a run builds one per arrival and a tuple is the
+    cheapest immutable record to build. It therefore equals the plain tuple
+    of its fields, in this order.
     """
 
     index: int  # arrival index t, 1-based
@@ -411,7 +416,6 @@ class OnlineClusterer:
         threshold = self.threshold
         check_raise = True  # the raise is decided afresh after any change
         t = self.t
-        limits = list(map(self._doubling_limit, range(t + 1, t + 1 + b - a)))
         r = a
         while r < b:
             x = stream[r]
@@ -422,7 +426,7 @@ class OnlineClusterer:
                 centers[c].count += 1
                 sketch.t = t
             else:
-                sketch.insert(x)
+                sketch._insert(x)
                 if sketch.centers is not centers or len(centers) != aux_points:
                     centers, radius = sketch.centers, sketch.radius
                     aux_points = len(centers)
@@ -449,10 +453,7 @@ class OnlineClusterer:
                     j = near[e]
                     if near_sq[e] < cur[j]:
                         cur[j] = near_sq[e]
-            if kind == "type1":
-                self.selections_since_reset += selected
-                if self.selections_since_reset > limits[r - a]:
-                    self._double()
+                if kind == "type1" and self._count_type1_take(t):
                     threshold = self.threshold
                     check_raise = True
                     if r + 1 < b:
@@ -545,7 +546,7 @@ class OnlineClusterer:
         t = self.t
         cfg = self.config
         if t > cfg.k:
-            self.sketch.insert(x)
+            self.sketch._insert(x)
 
         if t <= cfg.bootstrap_size:
             self._take(x)
@@ -577,10 +578,8 @@ class OnlineClusterer:
         selected = draws[i] < prob
         if selected:
             self._take(x)
-        if processing == "type1":
-            self.selections_since_reset += selected
-            if self.selections_since_reset > self._doubling_limit(t):
-                self._double()
+            if processing == "type1":
+                self._count_type1_take(t)
         return self._decision(t, processing, selected, prob)
 
     def _refill_draws(self, t: int, n: int) -> list[float]:
@@ -607,7 +606,7 @@ class OnlineClusterer:
     def _type2_probability(self, x: Point) -> float:
         """The population rule's probability: inverse to the count of x's
         nearest sketch center."""
-        nearest, _ = self.sketch.nearest_center(x)
+        nearest, _ = _nearest(self.sketch.centers, x)
         return min(1.0, self.config.c_type2 * self._ln_k10 / nearest.count)
 
     def _raise_threshold(self) -> bool:
@@ -620,10 +619,19 @@ class OnlineClusterer:
             return True
         return False
 
-    def _double(self) -> None:
-        """Double R, once F has passed the doubling limit."""
-        self._set_threshold(2.0 * self.threshold)
-        self.counters.doublings += 1
+    def _count_type1_take(self, t: int) -> bool:
+        """Count a type-1 take at arrival t in F, and double R if F passes
+        the doubling limit; returns whether it did.
+
+        F grows only here, and the limit never falls as t grows, so F can
+        first pass it at a type-1 take: no other arrival needs the test.
+        """
+        self.selections_since_reset += 1
+        if self.selections_since_reset > self._doubling_limit(t):
+            self._set_threshold(2.0 * self.threshold)
+            self.counters.doublings += 1
+            return True
+        return False
 
     def _doubling_limit(self, t: int) -> float:
         """The count F of type-1 selections may reach at arrival t >= 1
@@ -641,11 +649,6 @@ class OnlineClusterer:
     def _decision(
         self, t: int, processing: str, selected: bool, prob: float
     ) -> Decision:
-        return Decision(
-            index=t,
-            processing=processing,
-            selected=selected,
-            probability=prob,
-            threshold_after=self.threshold,
-            aux_points=self.aux_memory(),
-        )
+        sketch = self.sketch
+        aux_points = 0 if sketch is None else len(sketch.centers)
+        return Decision(t, processing, selected, prob, self._selected.threshold, aux_points)

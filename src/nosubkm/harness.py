@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import inspect
+import io
 import json
 import math
 import numbers
@@ -352,7 +353,8 @@ def run_experiment(
     """Run seeded trials, optionally write a report file, return the summary.
 
     JSON output holds the trial records plus an aggregate block; CSV holds
-    the trial table only (the aggregate is returned, and printed by the CLI).
+    the trial table only (the aggregate is returned, and the CLI prints it
+    when the report goes to a file).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -408,14 +410,18 @@ def _quantile(sorted_values: Sequence[float], q: float) -> float | None:
 
 
 def write_report(result: dict, out_path: str | Path, out_format: str) -> None:
-    path = Path(out_path)
+    with open(out_path, "w", newline="") as fh:
+        fh.write(report_text(result, out_format))
+
+
+def report_text(result: dict, out_format: str) -> str:
+    """A report file's text: the whole result as JSON, or the trial table
+    as CSV."""
     if out_format == "json":
-        path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-        return
+        return json.dumps(result, indent=2, sort_keys=True) + "\n"
     records = result["trials"]
-    fields = list(records[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for rec in records:
-            writer.writerow(rec)
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=list(records[0].keys()))
+    writer.writeheader()
+    writer.writerows(records)
+    return out.getvalue()

@@ -79,9 +79,12 @@ class KCenterSketch:
 
     def nearest_center(self, x: Point) -> tuple[AugmentedCenter, float]:
         """Nearest center and its distance; ties go to the earliest birth."""
+        self._check_dimension(x)
+        return _nearest(self.centers, x)
+
+    def _check_dimension(self, x: Point) -> None:
         if len(x) != len(self.centers[0].center):
             raise ValueError(f"dimension mismatch: {len(self.centers[0].center)} vs {len(x)}")
-        return _nearest(self.centers, x)
 
     def min_center_gap(self) -> float:
         """Minimum pairwise distance among centers; +inf with fewer than 2."""
@@ -136,7 +139,13 @@ class KCenterSketch:
         wrong dimension.
         """
         check_point(x)
-        nearest, d = self.nearest_center(x)
+        self._check_dimension(x)
+        self._insert(x)
+
+    def _insert(self, x: Point) -> None:
+        """`insert` on a point already checked, as `check_point` checks it,
+        and of the centers' dimension."""
+        nearest, d = _nearest(self.centers, x)
         self.t += 1
         if d <= 2.0 * self.radius:
             nearest.count += 1

@@ -137,8 +137,7 @@ def lloyd_kmeans(
     best: tuple[float, np.ndarray] | None = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        centers = _seed_centers(X, k, rng)
-        labels, _ = nearest_sq(X, centers)
+        centers, labels = _seed_centers(X, k, rng)
         for _ in range(200):
             counts = np.bincount(labels, minlength=k)
             live = counts > 0
@@ -158,15 +157,23 @@ def lloyd_kmeans(
     return _clustering_from_assignment(X, best[1])
 
 
-def _seed_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Distance-squared seeding. Each chosen center's squared distances
-    come from one `_sum_sq` pass of fl(x - c), the bits of a one-center
-    `nearest_sq` in either of its orientations, since fl(c - x) is
-    -fl(x - c); no labels are computed."""
+def _seed_centers(
+    X: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distance-squared seeding: the k centers, and each row's nearest
+    center as `nearest_sq(X, centers)` labels it.
+
+    Each chosen center's squared distances come from one `_sum_sq` pass of
+    fl(x - c), the bits of a one-center `nearest_sq` in either of its
+    orientations, since fl(c - x) is -fl(x - c). Their running minimum is
+    `nearest_sq`'s distance, and a row's label moves to a center only where
+    it is strictly nearer, so ties keep the lowest index, as there.
+    """
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
     d2 = _sq_to(X, centers[0])
+    labels = np.zeros(n, dtype=np.intp)
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -178,8 +185,10 @@ def _seed_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
         else:
             idx = rng.integers(n)  # all remaining mass at chosen locations
         centers[j] = X[idx]
-        np.minimum(d2, _sq_to(X, centers[j]), out=d2)
-    return centers
+        sq = _sq_to(X, centers[j])
+        labels[sq < d2] = j
+        np.minimum(d2, sq, out=d2)
+    return centers, labels
 
 
 def _sq_to(X: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -94,6 +94,19 @@ class TestSubcommands:
         ]) == 0
         assert len(report.read_text().strip().splitlines()) == 4
 
+    def test_run_csv_to_stdout_is_the_report_file(self, tmp_path, capsys):
+        argv = [
+            "run", "--gen", "uniform_box", "--gen-params", "n=8,d=1",
+            "--k", "2", "--seed", "1", "--trials", "3", "--format", "csv",
+        ]
+        report = tmp_path / "report.csv"
+        assert main([*argv, "--out", str(report)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == report.read_bytes().decode()
+        assert out.startswith("n,k,centers_selected,")
+
     def test_lower_greedy_on_large_file(self, tmp_path, capsys):
         data = tmp_path / "big.csv"
         assert main([

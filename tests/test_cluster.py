@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -12,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nosubkm
-from nosubkm import cluster, geometry, harness
-from nosubkm.cluster import ClusterConfig, OnlineClusterer, step_uniform, uniform_draws
+from nosubkm import cluster, geometry, harness, kcenter
+from nosubkm.cluster import ClusterConfig, Decision, OnlineClusterer, step_uniform, uniform_draws
 from nosubkm.geometry import COORD_LIMIT, CellGrid, nearest_sq
 from nosubkm.kcenter import KCenterSketch
 
@@ -529,6 +530,76 @@ class TestDrawBuffer:
         assert draws_requested(lambda: clusterer._run(stream[-100:-50])) == [50]
         clusterer.process(stream[-50])
         assert draws_requested(lambda: clusterer._run(stream[-49:])) == [49]
+        clusterer.check()
+
+
+class TestDecision:
+    DECISION = Decision(
+        index=7, processing="type1", selected=True, probability=0.25,
+        threshold_after=1.5, aux_points=3,
+    )
+
+    def test_fields_in_order(self):
+        assert Decision._fields == (
+            "index", "processing", "selected", "probability", "threshold_after", "aux_points"
+        )
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.DECISION.selected = False
+        with pytest.raises(AttributeError):
+            self.DECISION.note = "x"
+
+    def test_repr(self):
+        assert repr(self.DECISION) == (
+            "Decision(index=7, processing='type1', selected=True, "
+            "probability=0.25, threshold_after=1.5, aux_points=3)"
+        )
+
+    def test_equals_the_tuple_of_its_fields(self):
+        assert self.DECISION == (7, "type1", True, 0.25, 1.5, 3)
+
+    def test_pickle_round_trip(self):
+        copy = pickle.loads(pickle.dumps(self.DECISION))
+        assert type(copy) is Decision and copy == self.DECISION
+
+
+def type1_takes(decisions):
+    return sum(d.processing == "type1" and d.selected for d in decisions)
+
+
+class TestOncePerArrival:
+    # Tight clusters opened one by one, with a small c_double, run both
+    # rules, raise R and double it.
+    CONFIG = ClusterConfig(k=3, c_double=0.3, seed=5)
+
+    def test_one_point_check_per_arrival(self):
+        stream = window_stream("clusters", 3 + 200, 2, 3, 5)
+        clusterer = OnlineClusterer(self.CONFIG)
+        for x in stream[:3]:
+            clusterer.process(x)
+        with mock.patch.object(
+            cluster, "check_point", wraps=geometry.check_point
+        ) as in_cluster, mock.patch.object(
+            kcenter, "check_point", wraps=geometry.check_point
+        ) as in_kcenter:
+            decisions = [clusterer.process(x) for x in stream[3:]]
+        assert {"type1", "type2"} <= {d.processing for d in decisions}
+        assert in_cluster.call_count == 200
+        assert in_kcenter.call_count == 0
+
+    @pytest.mark.parametrize("by_run", [False, True])
+    def test_doubling_limit_only_at_type1_takes(self, by_run):
+        # 2,000 arrivals open windows on the _run path
+        stream = window_stream("clusters", 2000, 2, 3, 5)
+        clusterer = OnlineClusterer(self.CONFIG)
+        with mock.patch.object(
+            OnlineClusterer, "_doubling_limit", autospec=True,
+            side_effect=OnlineClusterer._doubling_limit,
+        ) as spy:
+            decisions = clusterer._run(stream) if by_run else list(map(clusterer.process, stream))
+        assert clusterer.counters.doublings > 0 and clusterer.counters.raises > 0
+        assert spy.call_count == type1_takes(decisions) > 0
         clusterer.check()
 
 

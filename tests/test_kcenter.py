@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nosubkm.cluster import ClusterConfig, OnlineClusterer
 from nosubkm.geometry import dist
 from nosubkm.kcenter import AugmentedCenter, KCenterSketch
 from nosubkm.oracle import optimal_kmeans
@@ -371,6 +372,35 @@ class TestSeparatedCounts:
         counts = sorted(c.count for c in sketch.centers)
         opt = optimal_kmeans(pts, k)
         assert counts == sorted(opt.assignment.count(c) for c in range(len(opt.centers)))
+
+
+class TestClustererSketch:
+    # The clusterer inserts each arrival with `_insert`, which skips the
+    # point check its caller made; its sketch is the one `insert` builds.
+    @pytest.mark.parametrize("by_run", [False, True])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_equals_a_sketch_fed_by_insert(self, by_run, d):
+        # wide scales fold the sketch many times; 1,500 arrivals open
+        # windows on the _run path
+        rng = np.random.default_rng(60 + d)
+        pts = [tuple(rng.uniform(0, 10 ** rng.integers(0, 4), size=d)) for _ in range(1500)]
+        clusterer = OnlineClusterer(ClusterConfig(k=3, seed=2))
+        if by_run:
+            clusterer._run(pts)
+        else:
+            for x in pts:
+                clusterer.process(x)
+        sketch = KCenterSketch(pts[:3], 3)
+        folds = 0
+        for x in pts[3:]:
+            radius = sketch.radius
+            sketch.insert(x)
+            folds += sketch.radius != radius
+        assert folds >= 3
+        # t, P and every center's point, count and birth; not the gap
+        # cache, which only a min_center_gap call fills
+        got, expected = sketch_state(clusterer.sketch), sketch_state(sketch)
+        assert got[:2] + got[3:] == expected[:2] + expected[3:]
 
 
 def live_sketch():

@@ -30,14 +30,18 @@ def brute_force_cost(points, k):
 
 
 def reference_lloyd(points, k, restarts=20, seed=0):
-    """lloyd_kmeans with its centroid step written as one boolean mask and
-    one numpy mean per cluster: the reference for the bincount step."""
+    """lloyd_kmeans with its first labels from `nearest_sq` at the seeds and
+    its centroid step written as one boolean mask and one numpy mean per
+    cluster: the reference for the seeding's labels and the bincount step.
+    The first labels come from geometry's `nearest_sq`, which
+    `recording_nearest_sq` does not record, as lloyd_kmeans makes no call
+    there."""
     X = np.asarray(points, dtype=np.float64)
     best = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        centers = oracle._seed_centers(X, k, rng)
-        labels, _ = oracle.nearest_sq(X, centers)
+        centers, _ = oracle._seed_centers(X, k, rng)
+        labels, _ = nearest_sq(X, centers)
         for _ in range(200):
             for j in range(k):
                 members = X[labels == j]
@@ -427,9 +431,9 @@ class TestLloydKMeans:
         assert result.assignment == expected.assignment
         assert result.cost == expected.cost
         # every center of every step, not only the chosen restart's labels;
-        # a call with all 5 centers that does not start a restart follows a step
+        # every call with all 5 centers follows a step
         assert len(calls) == len(reference_calls)
-        assert sum(len(c) == 5 for c, _ in calls) - 4 > 4 * 5
+        assert sum(len(c) == 5 for c, _ in calls) > 4 * 5
         for (c, _), (c_ref, _) in zip(calls, reference_calls):
             assert np.array_equal(c, c_ref)
 
@@ -439,11 +443,14 @@ class TestLloydKMeans:
         # then take both, so the middle cluster is empty from the second step.
         points = [(-1.2, 0.0)] * 4 + [(-0.9, 0.0), (0.9, 0.0)] + [(1.2, 0.0)] * 4
         seeds = np.array([[-2.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
-        monkeypatch.setattr(oracle, "_seed_centers", lambda X, k, rng: seeds.copy())
+        first, _ = nearest_sq(np.array(points), seeds)
+        monkeypatch.setattr(
+            oracle, "_seed_centers", lambda X, k, rng: (seeds.copy(), first.copy())
+        )
         calls = recording_nearest_sq(monkeypatch)
         result = lloyd_kmeans(points, 3, restarts=1)
-        # the first three calls are Lloyd's; the scoring of its labels follows
-        (_, first), (emptied, second), (kept, _) = calls[:3]
+        # the patched seeding labels the points; the first two calls are Lloyd's steps
+        (emptied, second), (kept, _) = calls[:2]
         assert 1 in first and 1 not in second
         assert emptied[1].tolist() == kept[1].tolist() == [0.0, 0.0]
         assert result.assignment == [0] * 5 + [1] * 5
@@ -482,9 +489,10 @@ class TestLloydKMeans:
         for c in X[:3]:
             assert np.array_equal(oracle._sq_to(X, c), nearest_sq(X, c[None, :])[1])
         for r, k in enumerate([1, 2, 5, 12]):
-            seeded = oracle._seed_centers(X, k, np.random.default_rng([d, r]))
+            seeded, labels = oracle._seed_centers(X, k, np.random.default_rng([d, r]))
             expected = reference_seed_centers(X, k, np.random.default_rng([d, r]))
             assert np.array_equal(seeded, expected)
+            assert np.array_equal(labels, nearest_sq(X, expected)[0])
 
     def test_seeding_once_no_mass_is_left(self):
         # two locations for three seeds: the third is drawn uniformly
