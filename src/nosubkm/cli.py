@@ -13,7 +13,6 @@ from .harness import (
     ORACLES,
     ORDERINGS,
     REPORT_FORMATS,
-    ParseError,
     TrialSpec,
     gen_dataset,
     load_points,
@@ -106,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_run(args: argparse.Namespace) -> int:
     # What is left once the spec's fields and the dispatch entries are
     # taken out is run_experiment's trials, out_path and out_format.
-    # An invalid spec or an unreadable input is a usage error (exit 2), as
-    # a malformed option is.
+    # An invalid spec, an unreadable input or an instance the oracle
+    # refuses is a usage error (exit 2), as a malformed option is.
     given = dict(vars(args))
     del given["command"], given["func"], given["error"]
     try:
@@ -118,7 +117,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         args.error(str(exc))
     try:
         result = run_experiment(spec, **given)
-    except (OSError, ParseError, SequenceOverflowError) as exc:
+    except (OSError, ValueError, SequenceOverflowError) as exc:
         args.error(str(exc))
     if "out_path" in given:
         print(json.dumps(result["aggregate"], indent=2, sort_keys=True))

@@ -60,8 +60,6 @@ method, which both paths call, and every decision bit is `_step`'s:
   at the first type-1 step after an event, and F against the doubling
   limit at each type-1 take, as in `_step`.
 
-The decisions are kept as columns and built into `Decision`s at the end.
-
 The distance rule needs d(x, S)^2 exactly only when it is below R, since
 the probability is 1 otherwise. The selected set therefore lives on a
 `geometry.CellGrid` of cell side just above sqrt(R), which answers `_step`'s
@@ -373,13 +371,12 @@ class OnlineClusterer:
             decisions.append(step(stream[i]))
             i += 1
         if n - i < _WINDOW_MIN_ARRIVALS:
-            return decisions + [step(x) for x in stream[i:]]
+            decisions.extend(step(x) for x in stream[i:])
+            return decisions
         X = np.asarray(stream, dtype=np.float64) if rows is None else rows
-        t0 = self.t
-        columns: tuple[list, ...] = ([], [], [], [], [])
         while i < n:
-            i = self._decide_window(stream, X, i, min(n, i + _WINDOW), columns)
-        return decisions + list(map(Decision, range(t0 + 1, self.t + 1), *columns))
+            i = self._decide_window(stream, X, i, min(n, i + _WINDOW), decisions)
+        return decisions
 
     def _decide_window(
         self,
@@ -387,11 +384,11 @@ class OnlineClusterer:
         X: np.ndarray,
         a: int,
         b: int,
-        columns: tuple[list, ...],
+        decisions: list[Decision],
     ) -> int:
         """Decide on arrivals a, a + 1, ... as `_step` would, appending each
-        decision's fields after its index to `columns`; returns the end of
-        the window, at most b.
+        one's `Decision` to `decisions`; returns the end of the window, at
+        most b.
 
         From `_prepare`, every arrival's d2 to the selected set below R;
         a take lowers only the later arrivals on its neighbour list, so d2
@@ -406,7 +403,6 @@ class OnlineClusterer:
         """
         sketch = self.sketch
         draws, off = self._draws, self.t + 1 - a - self._draws_t
-        processing, selected_col, probability, threshold_after, aux = columns
         b, cur, starts, near, near_sq = self._prepare(X, a, b)
         p = a  # the arrival cur[0] belongs to
         absorbs, q = self._speculate(X[a:b]), a
@@ -459,11 +455,7 @@ class OnlineClusterer:
                     if r + 1 < b:
                         b, cur, starts, near, near_sq = self._prepare(X, r + 1, b)
                         p = r + 1
-            processing.append(kind)
-            selected_col.append(selected)
-            probability.append(prob)
-            threshold_after.append(threshold)
-            aux.append(aux_points)
+            decisions.append(Decision(t, kind, selected, prob, threshold, aux_points))
             r += 1
         return b
 

@@ -77,12 +77,7 @@ Point = tuple[float, ...]
 # 11-point split table: 88,573 splits, 371 kB kept, 903 kB at its build.
 EXACT_PARTITION_LIMIT = 12
 
-# Points of the smallest split table, the one every call of up to
-# 2**SPLIT_POINTS masks shares: every point of a `lower_exact` instance,
-# and all but the first of an `optimal_kmeans` instance at k >= 3 and of
-# an l_fold_diameter set of up to 11 points; and the masks per chunk of
-# `min_over_splits`, bounding its temporaries.
-SPLIT_POINTS = 10
+# Masks per slice of `min_over_splits`, bounding its temporaries.
 _FOLD_CHUNK = 128
 
 # Largest Euclidean norm a point may have. Below it every squared distance
@@ -631,20 +626,14 @@ def _splits(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return part, rest, starts
 
 
-def _split_table(masks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The smallest `_splits`, of at least SPLIT_POINTS points, that covers
-    every mask below `masks`."""
-    return _splits(max(SPLIT_POINTS, (masks - 1).bit_length()))
-
-
 def min_over_splits(part: np.ndarray, rest: np.ndarray, combine: np.ufunc) -> np.ndarray:
     """For every mask S below len(rest), a power of 2, the least over the
     splits of S of combine(part[A], rest[S \\ A]); 0 at the empty mask. A
     may hold every member, so fewer parts count too. On the diameters and
     the l-fold diameters np.maximum gives the (l+1)-fold diameters; on the
     part costs and the least l-part costs np.add gives the least (l+1)-part
-    costs. `_split_table` sizes the split table."""
-    splits_a, splits_rest, starts = _split_table(len(rest))
+    costs. The split table is the smallest that covers the masks."""
+    splits_a, splits_rest, starts = _splits((len(rest) - 1).bit_length())
     out = np.zeros_like(rest)
     for lo in range(1, len(rest), _FOLD_CHUNK):
         hi = min(lo + _FOLD_CHUNK, len(rest))
@@ -678,7 +667,7 @@ def least_partition(score: np.ndarray, l: int, combine: np.ufunc) -> tuple[float
     while free:
         taken = free
         if best:
-            part, rest, starts = _split_table(len(inner))
+            part, rest, starts = _splits((len(inner) - 1).bit_length())
             lo, hi = starts[free - 1], starts[free]
             scores = combine(inner[part[lo:hi]], best.pop()[rest[lo:hi]])
             taken = int(part[lo + np.argmin(scores)])

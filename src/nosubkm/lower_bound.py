@@ -18,7 +18,6 @@ import numpy as np
 
 from .geometry import (
     COORD_LIMIT,
-    SPLIT_POINTS,
     Point,
     dist,
     distance_table,
@@ -27,7 +26,11 @@ from .geometry import (
     subset_tables,
 )
 
-EXACT_SEARCH_LIMIT = SPLIT_POINTS  # lower_exact splits every subset of its set
+# Largest instance `lower_exact` searches. Each fold pass splits every
+# subset of the instance, (3**n - 1) / 2 splits: 29,524 at 10 points, where
+# an n = 10, k = 4 call, split table included, peaks under 512 kB of
+# tracemalloc; each point more triples them.
+EXACT_SEARCH_LIMIT = 10
 
 
 class SequenceOverflowError(OverflowError):

@@ -172,6 +172,14 @@ class TestSubcommands:
             (["lower", "--input", "missing.csv", "--k", "2"], "No such file"),
             (["lower", "--input", "ragged.csv", "--k", "2"], "line 2: expected 2 values, got 1"),
             (["lower", "--input", "data.csv", "--k", "0"], "k must be >= 1, got 0"),
+            (
+                ["run", "--gen", "uniform_box", "--gen-params", "n=12,d=1", "--k", "3"],
+                "exceeds the exact limit 11",
+            ),
+            (
+                ["run", "--input", "data.csv", "--k", "3", "--oracle", "lloyd"],
+                "need at least k=3 points, got 2",
+            ),
         ],
     )
     def test_bad_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, message):

@@ -427,6 +427,9 @@ class TestWindowPath:
         ) as window:
             decisions = clusterer._run(stream)
         assert window.call_count == 2  # 1,995 arrivals after the bootstrap
+        # A Decision equals the plain tuple of its fields, so == alone would
+        # pass a window that recorded tuples.
+        assert all(type(d) is Decision for d in decisions)
         assert decisions == run_stream(stream, k=5, seed=3)[1]
 
     def test_one_window_of_near_pairs_within_budget(self):
@@ -448,7 +451,7 @@ class TestWindowPath:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        # About 200 bytes a decision with its columns and draw, and a dozen
+        # About 200 bytes a decision with its record and draw, and a dozen
         # pair arrays of at most the budget.
         assert peak <= 200 * len(stream) + 12 * 8 * budget + (64 << 10)
         _, expected = run_stream([(0.0, 0.0), (100.0, 0.0), (0.0, 100.0), *stream], k=2, seed=0)

@@ -512,6 +512,18 @@ class TestSubsetTables:
         geometry.l_fold_diameter(pts, 2)
         assert geometry._splits.cache_info().currsize == 0
 
+    def test_small_fold_builds_the_table_it_needs(self):
+        # Five points at l = 4 split the subsets of the last four points
+        # only, so the 4-point table (40 splits) is the one built.
+        rng = np.random.default_rng(7)
+        pts = [tuple(rng.normal(0, 10, size=2)) for _ in range(5)]
+        geometry._splits.cache_clear()
+        geometry.l_fold_diameter(pts, 4)
+        info = geometry._splits.cache_info()
+        assert info.currsize == 1
+        geometry._splits(4)
+        assert geometry._splits.cache_info().hits == info.hits + 1
+
     def test_import_builds_no_table(self):
         script = (
             "import nosubkm\nfrom nosubkm import geometry\n"
