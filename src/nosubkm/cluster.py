@@ -39,9 +39,10 @@ the transition `_step`; so does `_run` through the bootstrap, while R is
 0, and on a stream with fewer than _WINDOW_MIN_ARRIVALS arrivals left.
 The rest of a `_run` stream is decided a window of _WINDOW arrivals at a
 time (`_decide_window`): against the state at the window's start, then
-corrected event by event. Each event (a take, a new sketch center and its
-fold, a raise of R, a doubling, the population rule's probability) has one
-method, which both paths call, and every decision bit is `_step`'s:
+corrected event by event. Each event (a take, a sketch insert with any
+new center and fold, a raise of R, a doubling, the population rule's
+probability) has one method, which both paths call, and every decision bit
+is `_step`'s:
 
 * distances: one batch (`geometry.grid_below_sq`) gives every arrival's
   d(x, S)^2 at the window's start, exact below R. A take can only lower
@@ -49,12 +50,6 @@ method, which both paths call, and every decision bit is `_step`'s:
   (`geometry.near_pairs`) lists, for each arrival, the later ones it is
   nearer to than both R and their distance to S, so a take lowers only
   those. Any change of R prepares the rest of the window again.
-* the sketch: numpy's squared distances to the at most k centers
-  speculate which center absorbs each arrival, trusted only where a
-  relative margin separates the nearest center from the next and from 2P
-  (`_speculate` argues that `KCenterSketch.insert` then chooses the same).
-  Every other arrival runs `insert` itself, and a new center or a fold
-  speculates the rest of the window again.
 * the rules: the gap and P change only at sketch events, so the
   population rule's test is one comparison per arrival; a raise is tested
   at the first type-1 step after an event, and F against the doubling
@@ -85,7 +80,6 @@ from .geometry import (
     NEAREST_SQ_BUDGET,
     CellGrid,
     Point,
-    _sum_sq,
     check_point,
     grid_below_sq,
     near_pairs,
@@ -129,13 +123,13 @@ _BLOCK_MIN_DRAWS = 64
 
 # Arrivals per window of `_run`, and the fewest arrivals left after
 # warm-up for which `_run` opens windows at all. A window pays a fixed
-# cost (the grid batch, the self-join and the sketch speculation) and
-# saves most of a `_step` per arrival. Measured on a 2-CPU Xeon (Python
-# 3.11, numpy 2.4): on the eight seed-1 `lloyd_trial` streams, windows of
-# 256, 512, 2,048 and 4,096 arrivals took 1.16x, 0.98x, 1.09x and 1.24x
-# the time of 1,024; on shuffled k = 3 and 5, d = 2 mixtures, windows took
-# 1.10x the time of `_step` at 64 arrivals, 0.90x at 128, 0.88x at 256 and
-# 0.66x at 1,024. At 256 every exact-oracle stream stays on `_step`.
+# cost (the grid batch and the self-join) and saves most of a `_step` per
+# arrival. Measured on a 2-CPU Xeon (Python 3.11, numpy 2.4): on the eight
+# seed-1 `lloyd_trial` streams, windows of 256, 512, 2,048 and 4,096
+# arrivals took 1.23x, 1.06x, 1.02x and 1.24x the time of 1,024; on
+# shuffled k = 3 and 5, d = 2 mixtures, windows took 1.03x the time of
+# `_step` at 64 arrivals, 0.94x at 128, 0.87x at 256 and 0.75x at 1,024.
+# At 256 every exact-oracle stream stays on `_step`.
 _WINDOW = 1024
 _WINDOW_MIN_ARRIVALS = 256
 # Candidate pairs per arrival the self-join may measure before the window
@@ -144,11 +138,6 @@ _WINDOW_MIN_ARRIVALS = 256
 # leave every pair of a window within sqrt(R), 16, 32, 128 and 1,024 took
 # 1.71x, 1.23x, 0.99x and 1.92x the time of 64 (same host).
 _NEAR_PAIRS_PER_ARRIVAL = 64
-
-# Relative margin by which a speculated sketch absorption must clear the
-# next center and 2P, and the largest d its argument covers (`_speculate`).
-_SKETCH_MARGIN = 2.0**-30
-_SKETCH_MAX_DIM = 1 << 20
 
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -273,10 +262,6 @@ class OnlineClusterer:
         """R, the distance rule's threshold (the grid's own)."""
         return self._selected.threshold
 
-    def aux_memory(self) -> int:
-        """Points retained outside the selected set (the sketch centers)."""
-        return len(self.sketch) if self.sketch is not None else 0
-
     def finalize(self) -> list[Point]:
         """Selected centers in arrival order. Idempotent."""
         return list(self.selected_points)
@@ -392,12 +377,13 @@ class OnlineClusterer:
 
         From `_prepare`, every arrival's d2 to the selected set below R;
         a take lowers only the later arrivals on its neighbour list, so d2
-        stays exact below R. From `_speculate`, the sketch center that
-        absorbs each arrival, or -1 where that is not certain. Every other
-        arrival, and every step under the population rule, runs the event
-        code that `_step` runs. Any change of the centers or of P
-        speculates the rest of the window again; any change of R prepares
-        it again, since the batch and the lists are exact only below it.
+        stays exact below R. Every arrival goes through the sketch's
+        `_insert`, and every population-rule probability, take, raise and
+        doubling through the event code that `_step` runs. The gap and P
+        change only with the centers, so they are read again only then, and
+        the raise is tested again only after the centers or R change; any
+        change of R prepares the rest of the window again, since the batch
+        and the lists are exact only below it.
         Arrival r's draw is at r + off in the draw buffer, which `_run`
         filled.
         """
@@ -405,7 +391,6 @@ class OnlineClusterer:
         draws, off = self._draws, self.t + 1 - a - self._draws_t
         b, cur, starts, near, near_sq = self._prepare(X, a, b)
         p = a  # the arrival cur[0] belongs to
-        absorbs, q = self._speculate(X[a:b]), a
         centers, radius = sketch.centers, sketch.radius
         aux_points = len(centers)
         gap = self._type2_gap()
@@ -417,18 +402,12 @@ class OnlineClusterer:
             x = stream[r]
             t += 1
             self.t = t
-            c = absorbs[r - q]
-            if c >= 0:
-                centers[c].count += 1
-                sketch.t = t
-            else:
-                sketch._insert(x)
-                if sketch.centers is not centers or len(centers) != aux_points:
-                    centers, radius = sketch.centers, sketch.radius
-                    aux_points = len(centers)
-                    absorbs, q = self._speculate(X[r + 1 : b]), r + 1
-                    gap = self._type2_gap()
-                    check_raise = True
+            sketch._insert(x)
+            if sketch.centers is not centers or len(centers) != aux_points:
+                centers, radius = sketch.centers, sketch.radius
+                aux_points = len(centers)
+                gap = self._type2_gap()
+                check_raise = True
             if gap > 4.0 * (t + 2) * radius:
                 kind = "type2"
                 prob = self._type2_probability(x)
@@ -481,55 +460,6 @@ class OnlineClusterer:
         i, j, sq = i[nearer], j[nearer], sq[nearer]
         starts = np.searchsorted(i, np.arange(b - a + 1))
         return b, base.tolist(), starts.tolist(), j.tolist(), sq.tolist()
-
-    def _speculate(self, X: np.ndarray) -> list[int]:
-        """For each row of X, the index of the sketch center that certainly
-        absorbs it, or -1.
-
-        With numpy's squared distances s to the centers, summed as in
-        `nearest_sq`, the least a and the next b (inf with one center), and
-        F = fl((2P)**2): trusted where a <= fl(L (1 - m)) with L = min(b, F)
-        >= 2**-1000 and m = _SKETCH_MARGIN, for d <= _SKETCH_MAX_DIM.
-
-        Why `KCenterSketch.insert` then absorbs the row into that center.
-        Both measure the same rounded differences δ_j = fl(x_j - z_j); let
-        N = |δ| exactly and u = 2**-53. math.dist returns N (1 + η) with
-        |η| < 2u (under 1 ulp, CPython 3.10 on). s adds fl(δ_j**2) left to
-        right, so |s - N**2| <= γ_d N**2 + E with γ_d = d u / (1 - d u) and
-        E = d 2**-1074, which bounds the error of squares that underflow;
-        since L >= 2**-1000, E <= d 2**-74 L. Every other center has s >= b
-        >= L, so its N**2 >= (L - E) / (1 + γ_d), while this center's N**2
-        <= (L (1 - m)(1 + u) + E) / (1 - γ_d). Their ratio, times
-        ((1 + 2u) / (1 - 2u))**2 for math.dist's rounding, is below 1 while
-        m > 2 γ_d + 9u + 2 d 2**-74 to first order, which 2**-30 exceeds
-        for d <= 2**20: math.dist puts this center strictly nearest, so its
-        earliest-birth tie rule never decides. Likewise this center's
-        math.dist squared is at most (F (1 - m)(1 + u) + E) (1 + 2u)**2 /
-        (1 - γ_d), and F <= (2P)**2 (1 + u), so it is below (2P)**2 and
-        insert absorbs. The floor on L is what makes E small: when a and L
-        are both subnormal or zero, a = 0 can hide a point farther than 2P
-        (or a tie), so nothing is trusted there, nor with P = 0.
-        """
-        sketch = self.sketch
-        n, d = X.shape
-        if n == 0 or d > _SKETCH_MAX_DIM or sketch.radius == 0.0:
-            return [-1] * n
-        C = np.array([c.center for c in sketch.centers])
-        absorbs = []
-        chunk = max(1, NEAREST_SQ_BUDGET // (2 * len(C)))
-        for s in range(0, n, chunk):
-            rows = X[s : s + chunk]
-            sq = _sum_sq(lambda j: np.subtract.outer(rows[:, j], C[:, j]), d)
-            label = sq.argmin(axis=1)
-            at = np.arange(len(rows))
-            nearest = sq[at, label]
-            limit = np.full(len(rows), (2.0 * sketch.radius) ** 2)
-            if len(C) > 1:
-                sq[at, label] = np.inf
-                np.minimum(limit, sq.min(axis=1), out=limit)
-            trusted = (nearest <= limit * (1.0 - _SKETCH_MARGIN)) & (limit >= 2.0**-1000)
-            absorbs += np.where(trusted, label, -1).tolist()
-        return absorbs
 
     def _step(self, x: Point) -> Decision:
         """The transition on a checked arrival x, whose draw is read from

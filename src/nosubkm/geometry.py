@@ -4,15 +4,14 @@ A point is a plain tuple of floats; a point set is any sequence of points
 of equal dimension. Everything here except `CellGrid` is a pure function,
 so values can be shared freely across threads or processes. `nearest_sq`
 is the one squared-distance kernel: `kmeans_cost`, the grid's batch and
-self-join, the Lloyd oracle and its scoring, the exact oracle's pairwise
-table and the selector's sketch speculation take their squared distances
-from it or from its coordinate loop `_sum_sq`. It lays out a long chunk
-of rows against a few centers center-major, so that each numpy pass runs
-one inner loop per center rather than one per row, and any other chunk
-row-major; both give the same bits, and a tie goes to the lowest center
-index either way. Only `CellGrid`'s query sums a few candidates in plain
-Python, with the same bits. Every reported cost is the `math.fsum` of
-such distances.
+self-join, the Lloyd oracle and its scoring and the exact oracle's
+pairwise table take their squared distances from it or from its
+coordinate loop `_sum_sq`. It lays out a long chunk of rows against a few
+centers center-major, so that each numpy pass runs one inner loop per
+center rather than one per row, and any other chunk row-major; both give
+the same bits, and a tie goes to the lowest center index either way. Only
+`CellGrid`'s query sums a few candidates in plain Python, with the same
+bits. Every reported cost is the `math.fsum` of such distances.
 
 The √R grid (Bentley, Stanat & Williams, IPL 1977) finds the squared
 distance from x to its nearest center exactly whenever that is below a

@@ -152,13 +152,13 @@ class TestInvariants:
         pts = [tuple(rng.uniform(0, 100, size=2)) for _ in range(1000)]
         clusterer, decisions = run_stream(pts, k=5, seed=10)
         assert max(d.aux_points for d in decisions) <= 5
-        assert clusterer.aux_memory() <= 5
+        assert decisions[-1].aux_points == len(clusterer.sketch) <= 5
 
     def test_aux_memory_zero_before_sketch(self):
         clusterer = OnlineClusterer(ClusterConfig(k=3, seed=0))
-        assert clusterer.aux_memory() == 0
-        clusterer.process((0.0,))
-        assert clusterer.aux_memory() == 0
+        assert clusterer.process((0.0,)).aux_points == 0
+        assert clusterer.process((1.0,)).aux_points == 0
+        assert clusterer.process((2.0,)).aux_points == 3
 
     def test_selected_count_matches_decisions(self):
         rng = np.random.default_rng(57)
@@ -380,26 +380,18 @@ class TestWindowPath:
         assert end_state(clusterer) == end_state(reference)
         clusterer.check()
 
-    def test_speculation_defers_ties_and_points_at_2p(self):
+    def test_ties_and_points_at_2p(self):
         # The fold at 20 (k = 2) leaves centers 0 and 20 with P = 1: 10 is
         # equidistant from both, 22 lies exactly 2P from 20 and 25 beyond
-        # it, so those go to the exact insert; 1, 21 and 0 are certain.
+        # it; 1, 21 and 0 lie well inside a center's 2P.
         clusterer, _ = run_stream([(0.0,), (1.0,), (20.0,)], k=2, seed=0)
         assert [c.center for c in clusterer.sketch.centers] == [(0.0,), (20.0,)]
         assert clusterer.sketch.radius == 1.0
-        rows = np.array([[10.0], [1.0], [22.0], [21.0], [25.0], [0.0]])
-        assert clusterer._speculate(rows) == [-1, 0, -1, 1, -1, 0]
-        stream = [(0.0,), (1.0,), (20.0,), *map(tuple, rows.tolist())] * 40
+        rows = [(10.0,), (1.0,), (22.0,), (21.0,), (25.0,), (0.0,)]
+        stream = [(0.0,), (1.0,), (20.0,), *rows] * 40
         with mock.patch.object(cluster, "_WINDOW_MIN_ARRIVALS", 0):
             by_process, by_run = run_both(stream, k=2, seed=0)
         assert by_run == by_process
-
-    def test_no_speculation_below_the_normal_range(self):
-        # P = 2**-600: (2P)**2 underflows to 0, so no absorption is trusted,
-        # not even of a point that sits on a center.
-        clusterer, _ = run_stream([(0.0,), (2.0**-600,), (2.0**-599,)], k=2, seed=0)
-        assert 0.0 < clusterer.sketch.radius < 2.0**-500
-        assert clusterer._speculate(np.array([[0.0], [2.0**-599]])) == [-1, -1]
 
     def test_exact_small_streams_never_open_a_window(self):
         spec = harness.TrialSpec(
@@ -603,6 +595,19 @@ class TestOncePerArrival:
             decisions = clusterer._run(stream) if by_run else list(map(clusterer.process, stream))
         assert clusterer.counters.doublings > 0 and clusterer.counters.raises > 0
         assert spy.call_count == type1_takes(decisions) > 0
+        clusterer.check()
+
+    @pytest.mark.parametrize("by_run", [False, True])
+    def test_one_sketch_insert_per_arrival(self, by_run):
+        # k - 1 inserts build the sketch at arrival k, then one per arrival
+        stream = window_stream("clusters", 2000, 2, 3, 5)
+        clusterer = OnlineClusterer(self.CONFIG)
+        with mock.patch.object(
+            KCenterSketch, "_insert", autospec=True, side_effect=KCenterSketch._insert
+        ) as spy:
+            decisions = clusterer._run(stream) if by_run else list(map(clusterer.process, stream))
+        assert {"type1", "type2"} <= {d.processing for d in decisions}
+        assert spy.call_count == 1999
         clusterer.check()
 
 
