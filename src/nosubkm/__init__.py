@@ -1,4 +1,10 @@
-"""Streaming no-substitution k-means clustering and its benchmark harness."""
+"""Streaming no-substitution k-means clustering and its benchmark harness.
+
+`kmeans_cost` and `centroid` are not called inside the package. They stay
+as the reference definitions that the faster code matches to the bit: a
+trial's achieved cost is `kmeans_cost(stream, centers)`, and each oracle
+center is the `centroid` of its part. The tests compare against both.
+"""
 
 from .cluster import ClusterConfig, Decision, OnlineClusterer, step_uniform
 from .geometry import (
@@ -11,7 +17,6 @@ from .geometry import (
 from .harness import RunReport, TrialSpec, gen_dataset, load_points, run_experiment, run_trial
 from .kcenter import AugmentedCenter, KCenterSketch
 from .lower_bound import (
-    AlphaKSequence,
     SequenceOverflowError,
     adversarial_order,
     gen_alpha_k_sequence,
@@ -24,7 +29,6 @@ from .oracle import Clustering, lloyd_kmeans, optimal_kmeans
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaKSequence",
     "AugmentedCenter",
     "ClusterConfig",
     "Clustering",

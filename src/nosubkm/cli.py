@@ -143,7 +143,7 @@ def cmd_lower(args: argparse.Namespace) -> int:
         args.error(str(exc))
     print(
         json.dumps(
-            {"length": len(seq), "exact": exact, "indices": list(seq.indices)},
+            {"length": len(seq), "exact": exact, "indices": list(seq)},
             sort_keys=True,
         )
     )

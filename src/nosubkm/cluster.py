@@ -27,12 +27,10 @@ stream has left. The buffer holds at most _WINDOW draws for `process`.
 
 A faster `process` raises the peak RSS of a caller that records every
 call's latency, since a run of fixed length then makes more calls and
-keeps more records. On the benchmark's `sparse_stream`, building each
-`Decision` as a tuple, checking each point once, testing the doubling
-limit only at type-1 takes and `CellGrid`'s 1-D candidate loop made a call
-take 0.75x and 0.70x the time and the run peak 9% and 11% higher (medians
-of 10 alternating pairs at seeds 1 and 2, 2-CPU Xeon, Python 3.11, numpy
-2.4).
+keeps more records. On the benchmark's `sparse_stream` (d = 1), answering
+the nearest query by bisection (`CellGrid`) made a call take 0.67x and
+0.68x the time and the run peak 13% higher (medians of 10 alternating
+pairs at seeds 1 and 2, 2-CPU Xeon, Python 3.11, numpy 2.4).
 
 Two entry points, one code per event. `process` decides one arrival with
 the transition `_step`; so does `_run` through the bootstrap, while R is
@@ -61,7 +59,9 @@ the probability is 1 otherwise. The selected set therefore lives on a
 query from the cells next to x, with the bits of a full `nearest_sq` scan
 below R. Its cells are filled again by the first query after R is raised
 or doubled, so the window path, which never queries them, never fills
-them; while R is 0 (warm-up) the query scans every selected point.
+them; while R is 0 (warm-up) the query scans every selected point. A
+one-dimensional set has no cells: the grid keeps it sorted and answers
+by bisection, exactly at every R, warm-up included.
 
 `OnlineClusterer.check()` tests the selector's invariants on a live
 object, and those of its grid and sketch; `process` never calls it.

@@ -16,13 +16,13 @@ bits. Every reported cost is the `math.fsum` of such distances.
 The √R grid (Bentley, Stanat & Williams, IPL 1977) finds the squared
 distance from x to its nearest center exactly whenever that is below a
 threshold R, by looking only at the cells near x. `CellGrid` answers one
-query at a time over a growing center set; `grid_nearest_sq` answers a
-batch. Both use the cell side of `grid_side` and the cell rule
-floor(v / h), and fall back to `nearest_sq` where the grid cannot answer
-or costs more than the scan. `grid_below_sq` is the batch without its
-fallback, for a caller that needs the distance only below R, and
-`near_pairs` joins a batch with itself: every pair of its rows whose
-squared distance is below R.
+query at a time over a growing center set (a one-dimensional set by
+bisection instead, for every R); `grid_nearest_sq` answers a batch. Both
+use the cell side of `grid_side` and the cell rule floor(v / h), and fall
+back to `nearest_sq` where the grid cannot answer or costs more than the
+scan. `grid_below_sq` is the batch without its fallback, for a caller
+that needs the distance only below R, and `near_pairs` joins a batch with
+itself: every pair of its rows whose squared distance is below R.
 
 The exact searches run on tables over all 2**n subsets of a small set
 (`subset_tables`). `least_partition`, one layer of `min_over_splits` per
@@ -56,6 +56,15 @@ symmetric to the bit, since fl(b - a) = -fl(a - b). So `grid_below_sq`'s
 distances at the start of a window, each lowered by the later pairs of
 the window's takes, are `nearest_sq`'s distances to the grown set
 wherever those are below R.
+
+In one dimension no grid is needed. Take points b <= b' <= x: then
+x - b >= x - b' >= 0, and rounding is monotone, so fl(x - b) >= fl(x - b')
+>= 0 and fl(fl(x - b)**2) >= fl(fl(x - b')**2), subnormals and underflow
+to 0 included; the same holds for points at or above x. So the least
+computed squared distance is that of the largest point below x or of the
+smallest at or above it, x's two neighbours in sorted order, whatever R,
+R = 0 included. -0.0 and 0.0 sort as equals, and their differences from
+x differ at most in the sign of a zero, which squaring drops.
 """
 
 from __future__ import annotations
@@ -64,6 +73,7 @@ import functools
 import itertools
 import math
 import sys
+from bisect import bisect_left, insort
 from typing import Callable, Sequence
 
 import numpy as np
@@ -228,6 +238,11 @@ class CellGrid:
     querying (the window path of `cluster`) never pays for them.
     `min_sq_dist` scans `nearest_sq` over every point when there is no grid
     or when the cells near x outnumber what a scan costs.
+
+    A one-dimensional set is searched by bisection instead: `add` keeps its
+    coordinates in a sorted list, and `min_sq_dist` measures only x's two
+    sorted neighbours, which is exact for every R, 0 included (module
+    docstring). Its cells are never filled and it never scans.
     """
 
     def __init__(self) -> None:
@@ -238,6 +253,8 @@ class CellGrid:
         self._cells: dict[tuple[int, ...], list[int]] | None = None
         # the points as a growing array, for nearest_sq
         self._rows: np.ndarray | None = None
+        # a one-dimensional set's coordinates in increasing order, else None
+        self._sorted: list[float] | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -254,10 +271,14 @@ class CellGrid:
         self.points.append(p)
         if self._rows is None:
             self._rows = np.empty((64, len(p)))
+            if len(p) == 1:
+                self._sorted = []
         elif i == len(self._rows):
             self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
         self._rows[i] = p
-        if self._cells is not None:
+        if self._sorted is not None:
+            insort(self._sorted, p[0])
+        elif self._cells is not None:
             self._bucket(i, p)
 
     def set_threshold(self, threshold: float) -> None:
@@ -285,13 +306,21 @@ class CellGrid:
 
         The cell side is that of the threshold; once a query has filled
         them, the cells partition the point ids (no cells without a grid),
-        each id in the cell of its point; the array rows equal the points.
+        each id in the cell of its point; a one-dimensional set has no
+        cells, and its sorted list is its coordinates in increasing order;
+        the array rows equal the points.
         """
         n = len(self.points)
         require(
             self._side == grid_side(self.threshold),
             f"cell side {self._side} is not that of R = {self.threshold}",
         )
+        if self._sorted is not None:
+            require(self._cells is None, "a one-dimensional set has cells")
+            require(
+                self._sorted == sorted(p[0] for p in self.points),
+                "the sorted list is not the points' coordinates in increasing order",
+            )
         if self._cells is not None:
             listed = sorted(i for ids in self._cells.values() for i in ids)
             require(
@@ -307,10 +336,26 @@ class CellGrid:
     def min_sq_dist(self, x: Point) -> float:
         """Squared distance from x to its nearest point, with the bits of
         `nearest_sq`, where that is below the threshold; where it is not,
-        either that distance or math.inf."""
+        either that distance or math.inf. A one-dimensional set always
+        gives the distance."""
         count = len(self.points)
         if not count:
             raise ValueError("centers must be nonempty")
+        line = self._sorted
+        if line is not None:
+            # the nearest point is the successor of x or its predecessor
+            a = x[0]
+            i = bisect_left(line, a)
+            best = math.inf
+            if i < count:
+                b = line[i]
+                best = (a - b) * (a - b)
+            if i:
+                b = line[i - 1]
+                d2 = (a - b) * (a - b)
+                if d2 < best:
+                    best = d2
+            return best
         h = self._side
         if h:
             ranges = [range(math.floor((c - h) / h), math.floor((c + h) / h) + 1) for c in x]
@@ -327,31 +372,18 @@ class CellGrid:
                     best = float(nearest_sq(np.asarray(x)[None, :], self._rows[found])[1][0])
                 else:
                     # _sum_sq's bits in plain Python. A one-row nearest_sq
-                    # call runs row-major and took 14-17 us at d = 1 and
-                    # 17-24 us at d = 2 for 8 to 48 candidates; this loop
-                    # took about 0.5 us a candidate, so it is the cheaper
-                    # up to about 28 candidates at d = 1 and 32 at d = 2
-                    # (2-CPU Xeon, Python 3.11, numpy 2.4). At d = 1 the
-                    # square needs no zip and no sum: a query of the
-                    # benchmark's sparse_stream, 6.5 candidates on
-                    # average, took 3.4-6.9 us this way and 7.6-11.1 us
-                    # through zip (same host, interleaved).
+                    # call runs row-major and took 17-24 us at d = 2 for 8
+                    # to 48 candidates; this loop took about 0.5 us a
+                    # candidate, so it is the cheaper up to about 32
+                    # candidates (2-CPU Xeon, Python 3.11, numpy 2.4).
                     best = math.inf
                     points = self.points
-                    if len(x) == 1:
-                        a = x[0]
-                        for i in found:
-                            b = points[i][0]
-                            d2 = (a - b) * (a - b)
-                            if d2 < best:
-                                best = d2
-                    else:
-                        for i in found:
-                            d2 = 0.0
-                            for a, b in zip(x, points[i]):
-                                d2 += (a - b) * (a - b)
-                            if d2 < best:
-                                best = d2
+                    for i in found:
+                        d2 = 0.0
+                        for a, b in zip(x, points[i]):
+                            d2 += (a - b) * (a - b)
+                        if d2 < best:
+                            best = d2
                 return best if best < self.threshold else math.inf
         return float(nearest_sq(np.asarray(x)[None, :], self._rows[:count])[1][0])
 

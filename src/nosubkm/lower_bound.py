@@ -5,13 +5,13 @@ distinct points where each point's distance to all predecessors strictly
 exceeds sqrt(i * alpha) times the (k-1)-fold diameter of the predecessors.
 The length of the longest such sequence hiding inside a point set lower
 bounds how many centers any alpha-approximate no-substitution selector must
-take when the set is streamed worst-case-first.
+take when the set is streamed worst-case-first. The searches return a
+sequence as the tuple of its indices into the set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,14 +43,6 @@ class SequenceOverflowError(OverflowError):
             f"coordinates pass {COORD_LIMIT:g} before reaching length {requested}; "
             f"achievable length is {achievable}"
         )
-
-
-@dataclass(frozen=True)
-class AlphaKSequence:
-    indices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 def _prefix_threshold(
@@ -87,7 +79,7 @@ def is_alpha_k_sequence(
     return True
 
 
-def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence:
+def lower_exact(points: Sequence[Point], alpha: float, k: int) -> tuple[int, ...]:
     """Longest spread sequence, exactly, by dynamic programming over subsets.
 
     A subset is reachable when some ordering of it certifies; it extends by
@@ -115,11 +107,11 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence
             f"{EXACT_SEARCH_LIMIT}; use lower_greedy"
         )
     if n == 0:
-        return AlphaKSequence(())
+        return ()
     table = distance_table(points)
     if k < 2:
         # Past the first point the threshold is infinite.
-        return AlphaKSequence((0,))
+        return (0,)
 
     # nearest[mask, j]: the distance from point j to mask's nearest member
     nearest, _ = subset_tables(table, np.minimum, math.inf)
@@ -149,10 +141,10 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence
         order.append(int(added[first]))
         first = int(parents[first])
     order.append(first)  # the first layer holds point i at position i
-    return AlphaKSequence(tuple(reversed(order)))
+    return tuple(reversed(order))
 
 
-def lower_greedy(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequence:
+def lower_greedy(points: Sequence[Point], alpha: float, k: int) -> tuple[int, ...]:
     """Certified lower estimate by farthest-first extension.
 
     At each step, among the points passing the condition against the current
@@ -161,7 +153,7 @@ def lower_greedy(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequenc
     _validate_alpha_k(alpha, k)
     n = len(points)
     if n == 0:
-        return AlphaKSequence(())
+        return ()
 
     order = [0]
     min_dist = [dist(p, points[0]) for p in points]
@@ -181,12 +173,12 @@ def lower_greedy(points: Sequence[Point], alpha: float, k: int) -> AlphaKSequenc
             d = dist(points[j], points[best_j])
             if d < min_dist[j]:
                 min_dist[j] = d
-    return AlphaKSequence(tuple(order))
+    return tuple(order)
 
 
 def lower_estimate(
     points: Sequence[Point], alpha: float, k: int
-) -> tuple[AlphaKSequence, bool]:
+) -> tuple[tuple[int, ...], bool]:
     """Longest-known spread sequence, and whether it is exactly the longest.
 
     A set already in certified order is its own longest sequence, as none
@@ -197,17 +189,17 @@ def lower_estimate(
     """
     identity = tuple(range(len(points)))
     if is_alpha_k_sequence(points, identity, alpha, k):
-        return AlphaKSequence(identity), True
+        return identity, True
     if len(points) <= EXACT_SEARCH_LIMIT:
         return lower_exact(points, alpha, k), True
     return lower_greedy(points, alpha, k), False
 
 
-def adversarial_order(points: Sequence[Point], sequence: AlphaKSequence) -> list[int]:
-    """Permutation streaming `sequence` first; remaining points follow in
-    their original order."""
-    chosen = set(sequence.indices)
-    return list(sequence.indices) + [i for i in range(len(points)) if i not in chosen]
+def adversarial_order(points: Sequence[Point], sequence: Sequence[int]) -> list[int]:
+    """Permutation streaming `sequence`, indices into `points`, first;
+    remaining points follow in their original order."""
+    chosen = set(sequence)
+    return list(sequence) + [i for i in range(len(points)) if i not in chosen]
 
 
 def gen_alpha_k_sequence(

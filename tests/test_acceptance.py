@@ -327,9 +327,9 @@ def test_criterion_8_lower_bound_tooling():
         greedy = lower_greedy(pts, 9.0, 2)
         if len(greedy) > len(exact):
             failures += 1
-        if not is_alpha_k_sequence(pts, exact.indices, 9.0, 2):
+        if not is_alpha_k_sequence(pts, exact, 9.0, 2):
             failures += 1
-        if not is_alpha_k_sequence(pts, greedy.indices, 9.0, 2):
+        if not is_alpha_k_sequence(pts, greedy, 9.0, 2):
             failures += 1
     hand_built = [(0.0,), (1.0,), (7.0,), (50.0,)]
     hand_ok = len(lower_exact(hand_built, 9.0, 2)) == 4

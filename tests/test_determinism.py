@@ -250,7 +250,7 @@ def exact_searches_digest(master_seed: int, trials: int) -> str:
         stream = harness.materialize_stream(spec)
         for points in (harness.materialize_stream(replace(spec, ordering="given")), stream):
             seq, exact = harness.lower_estimate(points, spec.alpha, spec.k)
-            h.update(repr((seq.indices, exact)).encode())
+            h.update(repr((seq, exact)).encode())
         best = harness.optimal_kmeans(stream, spec.k)
         h.update(repr((best.assignment, best.cost)).encode())
     return h.hexdigest()
@@ -292,7 +292,7 @@ def fold_searches_digest() -> str:
             for order in orders:
                 certified = is_alpha_k_sequence(points, order, alpha, k)
                 greedy = lower_greedy([points[i] for i in order], alpha, k)
-                h.update(repr((certified, greedy.indices)).encode())
+                h.update(repr((certified, greedy)).encode())
     return h.hexdigest()
 
 

@@ -490,6 +490,56 @@ class TestGridSide:
         assert math.sqrt(R) < h <= math.sqrt(R) * (1 + 2 * geometry.GRID_MARGIN)
 
 
+# One-dimensional coordinates where rounding bites: signed zeros,
+# subnormals, the smallest normal, neighbours one ulp apart and the ends of
+# the coordinate range, with small integers for exact ties.
+line_coord = st.one_of(
+    st.sampled_from(
+        [
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            1e-310,
+            sys.float_info.min,
+            1.0,
+            math.nextafter(1.0, 2.0),
+            1e99,
+            COORD_LIMIT,
+            -COORD_LIMIT,
+            math.nextafter(COORD_LIMIT, 0.0),
+            -math.nextafter(COORD_LIMIT, 0.0),
+        ]
+    ),
+    st.integers(-3, 3).map(float),
+    st.floats(-COORD_LIMIT, COORD_LIMIT),
+)
+
+# R = 0 (warm-up), a subnormal R, normal ones, and one above every gap of
+# coordinates within COORD_LIMIT, (2 * COORD_LIMIT)**2 = 4e200.
+line_threshold = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 1e201]),
+    st.floats(sys.float_info.min, 1e10),
+)
+
+
+@st.composite
+def line_case(draw):
+    """A threshold, a one-dimensional set with duplicates and queries on,
+    between and outside its points, and how many points come before R."""
+    pts = draw(st.lists(line_coord.map(lambda v: (v,)), min_size=1, max_size=30))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=5))
+    lo, hi = min(pts)[0], max(pts)[0]
+    on = st.sampled_from(pts)
+    between = st.tuples(on, on).map(lambda ab: (ab[0][0] / 2 + ab[1][0] / 2,))
+    outside = st.sampled_from(
+        [(math.nextafter(lo, -math.inf),), (lo - 1.0,), (hi + 1.0,), (math.nextafter(hi, math.inf),)]
+    )
+    anywhere = line_coord.map(lambda v: (v,))
+    queries = draw(st.lists(st.one_of(on, between, outside, anywhere), min_size=1, max_size=12))
+    return draw(line_threshold), pts, queries, draw(st.integers(0, len(pts)))
+
+
 class TestCellGrid:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -516,6 +566,38 @@ class TestCellGrid:
                     assert got == exact
                 else:
                     assert got in (exact, math.inf)
+
+    @settings(max_examples=200, deadline=None)
+    @given(line_case())
+    def test_one_dimension_has_the_bits_of_nearest_sq_for_every_R(self, case):
+        # Bisection needs no threshold, so the value is exact at any R, and
+        # a one-dimensional grid never fills its cells.
+        R, pts, queries, before = case
+        grid = CellGrid()
+        for p in pts[:before]:
+            grid.add(p)
+        grid.set_threshold(R)
+        for p in pts[before:]:
+            grid.add(p)
+        C = np.asarray(pts)
+        for x in queries:
+            exact = float(nearest_sq(np.asarray([x]), C)[1][0])
+            assert grid.min_sq_dist(x).hex() == exact.hex()
+        assert grid._cells is None
+        grid.check()
+
+    def test_one_dimension_squares_as_nearest_sq_does(self):
+        # `(a - b) ** 2` goes through libm's pow, which misses the exactly
+        # rounded square on about one scaled double in a thousand; among
+        # 20,000 queries that shows.
+        rng = np.random.default_rng(26)
+        X = rng.normal(size=(20_000, 1)) * 10.0 ** rng.integers(-3, 4, size=(20_000, 1))
+        C = rng.normal(size=(200, 1)) * 10.0 ** rng.integers(-3, 4, size=(200, 1))
+        grid = CellGrid()
+        grid.set_threshold(1.0)
+        for c in C.tolist():
+            grid.add(tuple(c))
+        assert [grid.min_sq_dist(tuple(x)) for x in X.tolist()] == nearest_sq(X, C)[1].tolist()
 
     def test_scans_without_a_grid(self):
         grid = CellGrid()
@@ -561,6 +643,24 @@ def move_to_a_wrong_cell(grid):
     grid._cells.setdefault(wrong, []).append(ids.pop())
 
 
+def live_line():
+    """A one-dimensional grid with points added before and after its
+    threshold was set, then queried."""
+    rng = np.random.default_rng(49)
+    grid = CellGrid()
+    for v in rng.normal(0, 3, size=40).tolist():
+        grid.add((v,))
+        if len(grid) == 20:
+            grid.set_threshold(0.7)
+    grid.min_sq_dist((0.0,))
+    return grid
+
+
+def swap_two_sorted(grid):
+    line = grid._sorted
+    line[3], line[4] = line[4], line[3]
+
+
 class TestCellGridCheck:
     def test_passes_on_a_live_grid(self):
         grid = live_grid()
@@ -581,6 +681,24 @@ class TestCellGridCheck:
     )
     def test_raises_on_a_broken_invariant(self, mutate, message):
         grid = live_grid()
+        mutate(grid)
+        with pytest.raises(AssertionError, match=message):
+            grid.check()
+
+    # Each mutation breaks one invariant of a live one-dimensional grid.
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (swap_two_sorted, "increasing order"),
+            (lambda g: g._sorted.pop(), "increasing order"),
+            (lambda g: g._sorted.__setitem__(-1, g._sorted[-1] + 1.0), "increasing order"),
+            (lambda g: g._fill(), "has cells"),
+            (lambda g: g._rows.__setitem__((7, 0), g._rows[7, 0] + 1.0), "array rows"),
+        ],
+    )
+    def test_raises_on_a_broken_line(self, mutate, message):
+        grid = live_line()
+        grid.check()
         mutate(grid)
         with pytest.raises(AssertionError, match=message):
             grid.check()

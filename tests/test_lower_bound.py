@@ -14,7 +14,6 @@ import nosubkm
 from nosubkm import geometry, lower_bound
 from nosubkm.geometry import EXACT_PARTITION_LIMIT, _greedy_partition_diameter, diameter, dist
 from nosubkm.lower_bound import (
-    AlphaKSequence,
     SequenceOverflowError,
     adversarial_order,
     gen_alpha_k_sequence,
@@ -90,7 +89,7 @@ class TestLowerExact:
     def test_hand_built_instance(self):
         seq = lower_exact(POINTS_0_1_7_50, 9.0, 2)
         assert len(seq) == 4
-        assert is_alpha_k_sequence(POINTS_0_1_7_50, seq.indices, 9.0, 2)
+        assert is_alpha_k_sequence(POINTS_0_1_7_50, seq, 9.0, 2)
 
     def test_all_duplicates(self):
         pts = [(5.0,)] * 6
@@ -106,7 +105,7 @@ class TestLowerExact:
         for _ in range(20):
             pts = [tuple(rng.uniform(0, 100, size=1)) for _ in range(7)]
             seq = lower_exact(pts, 9.0, 2)
-            assert is_alpha_k_sequence(pts, seq.indices, 9.0, 2)
+            assert is_alpha_k_sequence(pts, seq, 9.0, 2)
 
     def test_brute_force_cross_check(self):
         # independent oracle: try every ordered arrangement of every subset
@@ -145,7 +144,7 @@ class TestLowerGreedy:
             n = int(rng.integers(1, 15))
             pts = [tuple(rng.uniform(0, 1000, size=2)) for _ in range(n)]
             seq = lower_greedy(pts, 9.0, 2)
-            assert is_alpha_k_sequence(pts, seq.indices, 9.0, 2)
+            assert is_alpha_k_sequence(pts, seq, 9.0, 2)
 
     def test_never_exceeds_exact(self):
         rng = np.random.default_rng(64)
@@ -160,7 +159,7 @@ class TestLowerGreedy:
         assert len(lower_greedy(shuffled, 9.0, 2)) >= 2
 
     def test_empty(self):
-        assert lower_greedy([], 9.0, 2) == AlphaKSequence(())
+        assert lower_greedy([], 9.0, 2) == ()
 
 
 class TestOneCenter:
@@ -171,12 +170,12 @@ class TestOneCenter:
 
     def test_searches_stop_at_the_first_point(self):
         pts = [(0.0,), (1.0,), (7.0,), (50.0,)]
-        assert lower_exact(pts, 9.0, 1) == AlphaKSequence((0,))
-        assert lower_greedy(pts, 9.0, 1) == AlphaKSequence((0,))
+        assert lower_exact(pts, 9.0, 1) == (0,)
+        assert lower_greedy(pts, 9.0, 1) == (0,)
 
     def test_estimate_beyond_the_search_limit(self):
         pts = [(float(3**i),) for i in range(12)]
-        assert lower_estimate(pts, 9.0, 1) == (AlphaKSequence((0,)), False)
+        assert lower_estimate(pts, 9.0, 1) == ((0,), False)
 
 
 class TestAdversarialOrder:
@@ -309,7 +308,7 @@ def reference_lower_exact(points, alpha, k):
     n = len(points)
     assert n <= lower_bound.EXACT_SEARCH_LIMIT
     if n == 0:
-        return AlphaKSequence(())
+        return ()
     parent = {1 << i: None for i in range(n)}
     frontier = sorted(parent)
     best_mask = frontier[0]
@@ -339,7 +338,7 @@ def reference_lower_exact(points, alpha, k):
         mask = prev
     order.append(mask.bit_length() - 1)
     order.reverse()
-    return AlphaKSequence(tuple(order))
+    return tuple(order)
 
 
 # Coordinates from a small grid with super-exponential steps mixed in, so that
@@ -378,7 +377,7 @@ class TestReferenceEquivalence:
                     pts[-1] = pts[0]  # an exact duplicate
             expected = reference_lower_exact(pts, 4.0, k)
             assert lower_exact(pts, 4.0, k) == expected
-            assert is_alpha_k_sequence(pts, expected.indices, 4.0, k)
+            assert is_alpha_k_sequence(pts, expected, 4.0, k)
 
     def test_subset_whose_fold_diameter_does_not_grow(self):
         # k=3: a unit equilateral triangle has 2-fold diameter 1, and so has
