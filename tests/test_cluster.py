@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import pickle
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 import nosubkm
 from nosubkm import cluster, geometry, harness, kcenter
 from nosubkm.cluster import ClusterConfig, Decision, OnlineClusterer, step_uniform, uniform_draws
-from nosubkm.geometry import COORD_LIMIT, CellGrid, nearest_sq
+from nosubkm.geometry import COORD_LIMIT, CellGrid, dist, nearest_sq
 from nosubkm.kcenter import KCenterSketch
+from nosubkm.lower_bound import gen_alpha_k_sequence
+from test_kcenter import reference_init, reference_insert
 
 
 def run_stream(points, **config_kwargs):
@@ -121,6 +124,31 @@ class TestTypeTwo:
         assert last.probability == pytest.approx(
             min(1.0, 12.0 * math.log(12) / crowd)
         )
+
+    # The last arrival of each stream runs the population rule, and ends
+    # as one of its three cases.
+    POPULATION_CASES = {
+        # the crowd at 0 absorbs 0.4
+        "absorbed": (2, [(0.0,), (1.0,), *[(0.5,)] * 30, (1e7,), (0.4,)]),
+        # 1000.5 and 0.6 fold into 1000 and 0 (P = 0.5), then 1e6 is a
+        # third center, far from the crowd at 1000 nearest it
+        "a new center": (3, [(0.0,), (1000.0,), (1000.5,), (0.6,), *[(1000.0,)] * 40, (1e6,)]),
+        # 3.0 becomes a center and raises P to 3, and the fold then
+        # merges it into the crowd at 0
+        "folded into another": (2, [(0.0,), (1.0,), (1e7,), *[(0.5,)] * 30, (3.0,)]),
+    }
+
+    @pytest.mark.parametrize("case", list(POPULATION_CASES))
+    def test_population_rule_reads_the_nearest_center(self, case):
+        k, stream = self.POPULATION_CASES[case]
+        config = ClusterConfig(k=k, seed=14)
+        clusterer, decisions = run_stream(stream, k=k, seed=14)
+        assert decisions == OnlineClusterer(config)._run(stream) == reference_run(stream, config)
+        x, last = stream[-1], decisions[-1]
+        assert last.processing == "type2"
+        nearest, _ = clusterer.sketch.nearest_center(x)
+        assert (nearest.center == x) == (case == "a new center")
+        assert last.probability == min(1.0, 12.0 * math.log(k + 10) / nearest.count)
 
 
 class TestInvariants:
@@ -328,12 +356,14 @@ def end_state(clusterer):
 
 
 def window_stream(shape, n, d, k, seed):
-    """n points of one of three shapes. "lattice": an integer lattice times
+    """n points of one of four shapes. "lattice": an integer lattice times
     a power of two, where many points lie exactly 2P from a sketch center
     or equidistant from two. "clusters": k tight clusters far apart, opened
     one by one as the stream goes on, so that the population rule starts
     inside a window and runs for long spans. "normal": a cloud whose R is
-    raised and doubled inside windows."""
+    raised and doubled inside windows. "spread": a short spread sequence
+    on the first axis, whose every point lands far beyond the last, then
+    its points again in random order."""
     rng = np.random.default_rng(seed)
     if shape == "lattice":
         points = rng.integers(-4, 5, size=(n, d)) * rng.choice([0.25, 1.0, 2.0**40])
@@ -341,9 +371,94 @@ def window_stream(shape, n, d, k, seed):
         hubs = rng.uniform(-1e3, 1e3, size=(k, d))
         opened = 1 + np.arange(n) * k // n
         points = hubs[(rng.random(n) * opened).astype(int)] + rng.normal(0.0, 1e-2, size=(n, d))
+    elif shape == "spread":
+        m = int(rng.integers(k + 1, k + 12))
+        seq = np.asarray(gen_alpha_k_sequence(max(k, 2), 9.0, m, seed=seed))
+        points = np.zeros((n, d))
+        points[:, 0] = np.concatenate([seq[:, 0], seq[rng.integers(0, m, size=n), 0]])[:n]
     else:
         points = rng.normal(0.0, 10.0, size=(n, d))
     return [tuple(p) for p in points.tolist()]
+
+
+def sum_sq(a, b):
+    """The squared distance of a and b, added left to right over the
+    coordinates (`sum` is compensated from Python 3.12 on)."""
+    total = 0.0
+    for u, v in zip(a, b):
+        total += (u - v) * (u - v)
+    return total
+
+
+def reference_run(stream, config):
+    """The selector's decisions on stream, written from the paper's rules
+    and not from `cluster.py`: the sketch through `reference_insert`, every
+    distance by brute force, every rule tested afresh at every arrival."""
+    k, ln = config.k, math.log(config.k + 10)
+    S, R, F = [], 0.0, 0
+    Z, P = None, 0.0
+    decisions = []
+    for t, x in enumerate(stream, 1):
+        if Z is not None:
+            Z, P = reference_insert(Z, P, k, x)
+        elif t == k:
+            Z, P = reference_init(stream[:k], k)
+        aux = 0 if Z is None else len(Z)
+        if t <= config.bootstrap_size:
+            S.append(x)
+            decisions.append(Decision(t, "bootstrap", True, 1.0, R, aux))
+            continue
+        gap = min((dist(a[0], b[0]) for a, b in itertools.combinations(Z, 2)), default=math.inf)
+        if config.mode == "full" and aux == k and P > 0.0 and gap > 4 * (t + 2) * P:
+            kind = "type2"
+            count = min(Z, key=lambda z: dist(z[0], x))[1]  # ties: the earliest
+            prob = min(1.0, config.c_type2 * ln / count)
+        else:
+            kind = "type1"
+            if P**2 / (config.c_raise * k * ln) > R:
+                R, F = P**2 / (config.c_raise * k * ln), 0
+            d2 = min(sum_sq(x, s) for s in S)
+            prob = min(1.0, d2 / R) if R > 0.0 else float(d2 > 0.0)
+        selected = step_uniform(config.seed, t) < prob
+        if selected:
+            S.append(x)
+            if kind == "type1":
+                F += 1
+                if F > config.c_double * k * ln * math.log2(t):
+                    R, F = 2.0 * R, 0
+        decisions.append(Decision(t, kind, selected, prob, R, aux))
+    return decisions
+
+
+class TestReference:
+    # Patched small, windows end and start again inside a short stream, and
+    # _WINDOW_MIN_ARRIVALS = 0 sends every `_run` stream to them; a small
+    # c_double forces doublings, and clusters and spread sequences type 2.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        k=st.integers(1, 5),
+        bootstrap=st.sampled_from([None, 6]),
+        c_double=st.sampled_from([0.02, 0.3, 289.0]),
+        mode=st.sampled_from(cluster.MODES),
+        window=st.sampled_from([7, 1024]),
+        shape=st.sampled_from(["clusters", "spread", "normal", "lattice"]),
+        n=st.integers(1, 250),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_both_entry_points_equal_the_reference(
+        self, d, k, bootstrap, c_double, mode, window, shape, n, seed
+    ):
+        stream = window_stream(shape, n, d, k, seed)
+        config = ClusterConfig(k=k, bootstrap=bootstrap, c_double=c_double, mode=mode, seed=seed)
+        expected = reference_run(stream, config)
+        assert run_stream(stream, **vars(config))[1] == expected
+        clusterer = OnlineClusterer(config)
+        with mock.patch.object(cluster, "_WINDOW", window), mock.patch.object(
+            cluster, "_WINDOW_MIN_ARRIVALS", 0
+        ):
+            assert clusterer._run(stream) == expected
+        clusterer.check()
 
 
 class TestWindowPath:
