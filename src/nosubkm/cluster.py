@@ -36,22 +36,25 @@ Two entry points, one code per event. `process` decides one arrival with
 the transition `_step`; so does `_run` through the bootstrap, while R is
 0, and on a stream with fewer than _WINDOW_MIN_ARRIVALS arrivals left.
 The rest of a `_run` stream is decided a window of _WINDOW arrivals at a
-time (`_decide_window`): against the state at the window's start, then
-corrected event by event. Each event (a take, a sketch insert with any
-new center and fold, a raise of R, a doubling, the population rule's
+time (`_decide_window`). Each event (a take, a sketch insert, a change of
+the sketch's centers, a raise of R, a doubling, the population rule's
 probability) has one method, which both paths call, and every decision bit
-is `_step`'s:
+is `_step`'s. A change of the centers (`_insert` returns None, or the
+sketch is built) stores the population rule's gap and marks a raise due
+(`_sketch_changed`), so the rule choice costs one comparison per arrival,
+and the raise is tested at the first type-1 step after a change. That
+decides as a test at every type-1 step would: P changes only with the
+centers, R never falls, and every test leaves P^2 / (c_raise k ln(k+10))
+<= R, so no raise can fire before the next change, a doubling included.
+An absorb leaves the centers as they were, so the population rule reads
+the absorbing center's count, which a fresh nearest search would find.
 
-* distances: one batch (`geometry.grid_below_sq`) gives every arrival's
-  d(x, S)^2 at the window's start, exact below R. A take can only lower
-  a later arrival's distance, and a grid self-join of the window
-  (`geometry.near_pairs`) lists, for each arrival, the later ones it is
-  nearer to than both R and their distance to S, so a take lowers only
-  those. Any change of R prepares the rest of the window again.
-* the rules: the gap and P change only at sketch events, so the
-  population rule's test is one comparison per arrival; a raise is tested
-  at the first type-1 step after an event, and F against the doubling
-  limit at each type-1 take, as in `_step`.
+In a window, one batch (`geometry.grid_below_sq`) gives every arrival's
+d(x, S)^2 at the window's start, exact below R. A take can only lower a
+later arrival's distance, and a grid self-join of the window
+(`geometry.near_pairs`) lists, for each arrival, the later ones it is
+nearer to than both R and their distance to S, so a take lowers only
+those. Any change of R prepares the rest of the window again.
 
 The distance rule needs d(x, S)^2 exactly only when it is below R, since
 the probability is 1 otherwise. The selected set therefore lives on a
@@ -71,7 +74,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -85,7 +88,7 @@ from .geometry import (
     near_pairs,
     require,
 )
-from .kcenter import KCenterSketch, _nearest
+from .kcenter import AugmentedCenter, KCenterSketch
 
 _U64 = (1 << 64) - 1
 # Philox4x64 round multipliers and key increments (Salmon et al., SC 2011).
@@ -227,6 +230,11 @@ class Decision(NamedTuple):
 class _RunCounters:
     raises: int = 0
     doublings: int = 0
+    # selections by rule, counted at each take
+    takes: dict[str, int] = field(
+        default_factory=lambda: {"bootstrap": 0, "type1": 0, "type2": 0}
+    )
+    peak_aux_points: int = 0  # the most sketch centers held at once
 
 
 class OnlineClusterer:
@@ -239,6 +247,9 @@ class OnlineClusterer:
         self.selected_indices: list[int] = []
         self.selections_since_reset = 0  # F
         self.sketch: KCenterSketch | None = None
+        # `_type2_gap()` and whether a raise is due, set by `_sketch_changed`
+        self._gap = 0.0
+        self._raise_due = False
         self.t = 0
         self.counters = _RunCounters()
         # the draws of arrivals _draws_t, _draws_t + 1, ...
@@ -271,10 +282,12 @@ class OnlineClusterer:
         check the grid of selected points and the sketch.
 
         The selected indices strictly increase within 1..t, one per
-        selected point; F is at most the doubling limit at t; the sketch
-        exists from t = k on and has seen every arrival; the draw buffer
-        starts after the bootstrap and its first and last entries are
-        `step_uniform`'s.
+        selected point, and the takes counted by rule sum to their number;
+        F is at most the doubling limit at t; the sketch exists from t = k
+        on and has seen every arrival; the stored gap is `_type2_gap()`,
+        and unless a raise is due, R is at least the raise target; the draw
+        buffer starts after the bootstrap and its first and last entries
+        are `step_uniform`'s.
         """
         t = self.t
         indices = self.selected_indices
@@ -286,6 +299,11 @@ class OnlineClusterer:
             len(indices) == len(self.selected_points),
             f"{len(indices)} selected indices for {len(self.selected_points)} selected points",
         )
+        takes = self.counters.takes
+        require(
+            sum(takes.values()) == len(indices),
+            f"take counts {takes} do not sum to {len(indices)} selections",
+        )
         limit = self._doubling_limit(t) if t else 0.0
         require(
             self.selections_since_reset <= limit,
@@ -296,6 +314,14 @@ class OnlineClusterer:
             seen == (t if t >= self.config.k else 0),
             f"the sketch has seen {seen} arrivals at t = {t}",
         )
+        if self.sketch is not None:
+            gap = self._type2_gap()
+            require(self._gap == gap, f"stored gap {self._gap} is not the sketch's {gap}")
+            raise_to = self._raise_target()
+            require(
+                self._raise_due or raise_to <= self.threshold,
+                f"no raise is due, but the raise target {raise_to} is above R = {self.threshold}",
+            )
         draws, first = self._draws, self._draws_t
         if draws:
             last = first + len(draws) - 1
@@ -378,12 +404,9 @@ class OnlineClusterer:
         From `_prepare`, every arrival's d2 to the selected set below R;
         a take lowers only the later arrivals on its neighbour list, so d2
         stays exact below R. Every arrival goes through the sketch's
-        `_insert`, and every population-rule probability, take, raise and
-        doubling through the event code that `_step` runs. The gap and P
-        change only with the centers, so they are read again only then, and
-        the raise is tested again only after the centers or R change; any
-        change of R prepares the rest of the window again, since the batch
-        and the lists are exact only below it.
+        `_insert`, and every other event through the code `_step` runs.
+        Any change of R prepares the rest of the window again, since the
+        batch and the lists are exact only below it.
         Arrival r's draw is at r + off in the draw buffer, which `_run`
         filled.
         """
@@ -391,38 +414,29 @@ class OnlineClusterer:
         draws, off = self._draws, self.t + 1 - a - self._draws_t
         b, cur, starts, near, near_sq = self._prepare(X, a, b)
         p = a  # the arrival cur[0] belongs to
-        centers, radius = sketch.centers, sketch.radius
-        aux_points = len(centers)
-        gap = self._type2_gap()
         threshold = self.threshold
-        check_raise = True  # the raise is decided afresh after any change
         t = self.t
         r = a
         while r < b:
             x = stream[r]
             t += 1
             self.t = t
-            sketch._insert(x)
-            if sketch.centers is not centers or len(centers) != aux_points:
-                centers, radius = sketch.centers, sketch.radius
-                aux_points = len(centers)
-                gap = self._type2_gap()
-                check_raise = True
-            if gap > 4.0 * (t + 2) * radius:
+            holder = sketch._insert(x)
+            if holder is None:
+                self._sketch_changed()
+            if self._gap > 4.0 * (t + 2) * sketch.radius:
                 kind = "type2"
-                prob = self._type2_probability(x)
+                prob = self._type2_probability(x, holder)
             else:
                 kind = "type1"
-                if check_raise:
-                    check_raise = False
-                    if self._raise_threshold():
-                        threshold = self.threshold
-                        b, cur, starts, near, near_sq = self._prepare(X, r, b)
-                        p = r
+                if self._raise_due and self._raise_threshold():
+                    threshold = self.threshold
+                    b, cur, starts, near, near_sq = self._prepare(X, r, b)
+                    p = r
                 prob = min(1.0, cur[r - p] / threshold)  # R > 0 here
             selected = draws[r + off] < prob
             if selected:
-                self._take(x)
+                self._take(x, kind)
                 # the later arrivals this one is nearer to than S was
                 for e in range(starts[r - p], starts[r - p + 1]):
                     j = near[e]
@@ -430,11 +444,10 @@ class OnlineClusterer:
                         cur[j] = near_sq[e]
                 if kind == "type1" and self._count_type1_take(t):
                     threshold = self.threshold
-                    check_raise = True
                     if r + 1 < b:
                         b, cur, starts, near, near_sq = self._prepare(X, r + 1, b)
                         p = r + 1
-            decisions.append(Decision(t, kind, selected, prob, threshold, aux_points))
+            decisions.append(Decision(t, kind, selected, prob, threshold, len(sketch.centers)))
             r += 1
         return b
 
@@ -468,20 +481,24 @@ class OnlineClusterer:
         t = self.t
         cfg = self.config
         if t > cfg.k:
-            self.sketch._insert(x)
+            holder = self.sketch._insert(x)
+            if holder is None:
+                self._sketch_changed()
 
         if t <= cfg.bootstrap_size:
-            self._take(x)
+            self._take(x, "bootstrap")
             if t == cfg.k:
                 self.sketch = KCenterSketch(self.selected_points[: cfg.k], cfg.k)
+                self._sketch_changed()
             return self._decision(t, "bootstrap", True, 1.0)
 
-        if self._type2_gap() > 4.0 * (t + 2) * self.sketch.radius:
+        if self._gap > 4.0 * (t + 2) * self.sketch.radius:
             processing = "type2"
-            prob = self._type2_probability(x)
+            prob = self._type2_probability(x, holder)
         else:
             processing = "type1"
-            self._raise_threshold()
+            if self._raise_due:
+                self._raise_threshold()
             # Exact below R; at or above R only its size matters, since
             # prob = min(1, d2 / R) is then 1.0.
             d2 = self._selected.min_sq_dist(x)
@@ -499,7 +516,7 @@ class OnlineClusterer:
             draws, i = self._refill_draws(t, min(_WINDOW, t - cfg.bootstrap_size)), 0
         selected = draws[i] < prob
         if selected:
-            self._take(x)
+            self._take(x, processing)
             if processing == "type1":
                 self._count_type1_take(t)
         return self._decision(t, processing, selected, prob)
@@ -511,6 +528,13 @@ class OnlineClusterer:
         return self._draws
 
     # The events below are the one code of each, for `_step` and the window.
+
+    def _sketch_changed(self) -> None:
+        """The sketch was built, or an arrival became a center: store the
+        gap, mark a raise due and tally the peak of |Z|."""
+        self._gap = self._type2_gap()
+        self._raise_due = True
+        self.counters.peak_aux_points = max(self.counters.peak_aux_points, len(self.sketch))
 
     def _type2_gap(self) -> float:
         """The sketch's center gap where the population rule can run, else
@@ -525,16 +549,23 @@ class OnlineClusterer:
             return 0.0
         return sketch.min_center_gap()
 
-    def _type2_probability(self, x: Point) -> float:
+    def _type2_probability(self, x: Point, holder: AugmentedCenter | None) -> float:
         """The population rule's probability: inverse to the count of x's
-        nearest sketch center."""
-        nearest, _ = _nearest(self.sketch.centers, x)
-        return min(1.0, self.config.c_type2 * self._ln_k10 / nearest.count)
+        nearest sketch center, `holder` when that absorbed x."""
+        if holder is None:
+            holder, _ = self.sketch.nearest_center(x)
+        return min(1.0, self.config.c_type2 * self._ln_k10 / holder.count)
+
+    def _raise_target(self) -> float:
+        """P**2 / (c_raise k ln(k+10)), the value R is raised to."""
+        cfg = self.config
+        return self.sketch.radius**2 / (cfg.c_raise * cfg.k * self._ln_k10)
 
     def _raise_threshold(self) -> bool:
-        """Raise R to P**2 / (c_raise k ln(k+10)) where that is above it."""
-        cfg = self.config
-        raise_to = self.sketch.radius**2 / (cfg.c_raise * cfg.k * self._ln_k10)
+        """Raise R to the raise target where that is above it, and mark no
+        raise due."""
+        self._raise_due = False
+        raise_to = self._raise_target()
         if raise_to > self.threshold:
             self._set_threshold(raise_to)
             self.counters.raises += 1
@@ -564,9 +595,10 @@ class OnlineClusterer:
         self.selections_since_reset = 0
         self._selected.set_threshold(threshold)
 
-    def _take(self, x: Point) -> None:
+    def _take(self, x: Point, processing: str) -> None:
         self._selected.add(x)
         self.selected_indices.append(self.t)
+        self.counters.takes[processing] += 1
 
     def _decision(
         self, t: int, processing: str, selected: bool, prob: float

@@ -311,19 +311,15 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
         seq, exact = lower_estimate(stream, spec.alpha, spec.k)
         lower = (len(seq), exact)
 
-    by_type = {"bootstrap": 0, "type1": 0, "type2": 0}
-    for d in decisions:
-        if d.selected:
-            by_type[d.processing] += 1
-
+    counters = clusterer.counters
     report = RunReport(
         n=n,
         k=spec.k,
         centers_selected=len(clusterer.selected_indices),
-        bootstrap_selections=by_type["bootstrap"],
-        type1_selections=by_type["type1"],
-        type2_selections=by_type["type2"],
-        peak_aux_points=max((d.aux_points for d in decisions), default=0),
+        bootstrap_selections=counters.takes["bootstrap"],
+        type1_selections=counters.takes["type1"],
+        type2_selections=counters.takes["type2"],
+        peak_aux_points=counters.peak_aux_points,
         achieved_cost=achieved,
         oracle_cost=oracle_cost,
         oracle_exact=oracle_exact,
@@ -332,8 +328,8 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
         lower_estimate=lower[0],
         lower_exact=lower[1],
         final_threshold=clusterer.threshold,
-        threshold_raises=clusterer.counters.raises,
-        threshold_doublings=clusterer.counters.doublings,
+        threshold_raises=counters.raises,
+        threshold_doublings=counters.doublings,
         seed=spec.seed,
     )
     return report, decisions

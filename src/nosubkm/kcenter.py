@@ -20,9 +20,10 @@ points to a center at most 2P away, so a point is within
 2P(1 + 1/2 + 1/4 + ...) < 4P of its center.
 
 The sketch is deterministic: the same input prefix always yields the same
-centers, counts, and radius. The minimum center gap is cached and only
-recomputed after the center set changes. `check()` tests these invariants
-on a live sketch; `insert` never calls it.
+centers, counts, and radius. `_insert` returns the center that absorbed
+the point, or None when it became a center, the only case in which the
+centers, P and the center gap can change. `check()` tests these
+invariants on a live sketch; `insert` never calls it.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class KCenterSketch:
         self.centers = [AugmentedCenter(center=first_points[0], count=1, birth=1)]
         self.radius = 0.0  # P
         self.t = 1
-        self._gap: float | None = None  # min_center_gap() cache, None when stale
         for x in first_points[1:]:
             self.insert(x)
 
@@ -88,11 +88,6 @@ class KCenterSketch:
 
     def min_center_gap(self) -> float:
         """Minimum pairwise distance among centers; +inf with fewer than 2."""
-        if self._gap is None:
-            self._gap = self._center_gap()
-        return self._gap
-
-    def _center_gap(self) -> float:
         return min(
             (dist(a.center, b.center) for a, b in itertools.combinations(self.centers, 2)),
             default=math.inf,
@@ -102,10 +97,9 @@ class KCenterSketch:
         """Raise AssertionError unless the sketch invariants hold.
 
         |Z| <= k; the counts sum to t; births strictly increase within
-        1..t; the cached gap is stale (None) or exact; the centers are
-        pairwise more than 2P apart, which holds at every step, warm-up
-        included. Given `prefix`, the t points inserted so far, also every
-        one of them within 4P of a center, with no slack.
+        1..t; the centers are pairwise more than 2P apart, which holds at
+        every step, warm-up included. Given `prefix`, the t points inserted
+        so far, also every one of them within 4P of a center, with no slack.
         """
         t = self.t
         require(len(self.centers) <= self.k, f"{len(self.centers)} centers, more than k = {self.k}")
@@ -116,11 +110,7 @@ class KCenterSketch:
             all(a < b for a, b in itertools.pairwise([0, *births, t + 1])),
             f"births {births} do not strictly increase within 1..{t}",
         )
-        gap = self._center_gap()
-        require(
-            self._gap is None or self._gap == gap,
-            f"cached gap {self._gap} is not the center gap {gap}",
-        )
+        gap = self.min_center_gap()
         require(gap > 2.0 * self.radius, f"center gap {gap} is not above 2P = {2.0 * self.radius}")
         if prefix is not None:
             if len(prefix) != t:
@@ -142,20 +132,20 @@ class KCenterSketch:
         self._check_dimension(x)
         self._insert(x)
 
-    def _insert(self, x: Point) -> None:
+    def _insert(self, x: Point) -> AugmentedCenter | None:
         """`insert` on a point already checked, as `check_point` checks it,
-        and of the centers' dimension."""
+        and of the centers' dimension. Returns the center that absorbed x,
+        or None when x became a center, with any fold done."""
         nearest, d = _nearest(self.centers, x)
         self.t += 1
         if d <= 2.0 * self.radius:
             nearest.count += 1
-            return
-        self._gap = None
+            return nearest
         self.centers.append(AugmentedCenter(center=x, count=1, birth=self.t))
         if len(self.centers) > self.k:
             self.radius = max(self.radius, self.min_center_gap())
             self._merge_pass()
-            self._gap = None
+        return None
 
     def _merge_pass(self) -> None:
         """One fold pass at 2P in insertion order.

@@ -142,9 +142,17 @@ class TestTypeTwo:
     def test_population_rule_reads_the_nearest_center(self, case):
         k, stream = self.POPULATION_CASES[case]
         config = ClusterConfig(k=k, seed=14)
-        clusterer, decisions = run_stream(stream, k=k, seed=14)
+        clusterer = OnlineClusterer(config)
+        decisions = [clusterer.process(x) for x in stream[:-1]]
+        x = stream[-1]
+        # only a new center needs a fresh search; an absorb names its center
+        with mock.patch.object(
+            KCenterSketch, "nearest_center", autospec=True, side_effect=KCenterSketch.nearest_center
+        ) as search:
+            last = clusterer.process(x)
+        assert search.called == (case != "absorbed")
+        decisions.append(last)
         assert decisions == OnlineClusterer(config)._run(stream) == reference_run(stream, config)
-        x, last = stream[-1], decisions[-1]
         assert last.processing == "type2"
         nearest, _ = clusterer.sketch.nearest_center(x)
         assert (nearest.center == x) == (case == "a new center")
@@ -430,11 +438,21 @@ def reference_run(stream, config):
     return decisions
 
 
+def first_difference(got, expected):
+    """None when two decision lists are equal, else the first index where
+    they differ and both entries there: a failure report that stays short,
+    where pytest would diff the whole lists."""
+    for i, pair in enumerate(itertools.zip_longest(got, expected)):
+        if pair[0] != pair[1]:
+            return i, *pair
+    return None
+
+
 class TestReference:
     # Patched small, windows end and start again inside a short stream, and
     # _WINDOW_MIN_ARRIVALS = 0 sends every `_run` stream to them; a small
     # c_double forces doublings, and clusters and spread sequences type 2.
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(
         d=st.integers(1, 3),
         k=st.integers(1, 5),
@@ -452,13 +470,29 @@ class TestReference:
         stream = window_stream(shape, n, d, k, seed)
         config = ClusterConfig(k=k, bootstrap=bootstrap, c_double=c_double, mode=mode, seed=seed)
         expected = reference_run(stream, config)
-        assert run_stream(stream, **vars(config))[1] == expected
-        clusterer = OnlineClusterer(config)
+        by_process, decisions = run_stream(stream, **vars(config))
+        assert first_difference(decisions, expected) is None
+        by_run = OnlineClusterer(config)
         with mock.patch.object(cluster, "_WINDOW", window), mock.patch.object(
             cluster, "_WINDOW_MIN_ARRIVALS", 0
         ):
-            assert clusterer._run(stream) == expected
-        clusterer.check()
+            assert first_difference(by_run._run(stream), expected) is None
+        by_process.check()
+        by_run.check()
+
+    @pytest.mark.parametrize("by_run", [False, True])
+    @pytest.mark.parametrize("shape", ["clusters", "spread", "normal"])
+    def test_tallies_equal_those_of_the_decisions(self, shape, by_run):
+        # takes by rule and the peak of |Z|, counted at the events
+        stream = window_stream(shape, 1500, 2, 3, 8)
+        clusterer = OnlineClusterer(ClusterConfig(k=3, c_double=0.3, seed=8))
+        decisions = clusterer._run(stream) if by_run else list(map(clusterer.process, stream))
+        takes = {"bootstrap": 0, "type1": 0, "type2": 0}
+        for d in decisions:
+            takes[d.processing] += d.selected
+        assert takes["type1"] and (takes["type2"] or shape != "clusters")
+        assert clusterer.counters.takes == takes
+        assert clusterer.counters.peak_aux_points == max(d.aux_points for d in decisions)
 
 
 class TestWindowPath:
@@ -740,12 +774,13 @@ def state_snapshot(clusterer):
         list(clusterer.selected_points),
         list(clusterer.selected_indices),
         (clusterer.counters.raises, clusterer.counters.doublings),
+        (dict(clusterer.counters.takes), clusterer.counters.peak_aux_points),
+        (clusterer._gap, clusterer._raise_due),
         None
         if sketch is None
         else (
             sketch.t,
             sketch.radius,
-            sketch._gap,
             [(c.center, c.count, c.birth) for c in sketch.centers],
         ),
     )
@@ -883,6 +918,12 @@ def swap_two_indices(clusterer):
     idx[3], idx[4] = idx[4], idx[3]
 
 
+def grow_radius_with_no_raise_due(clusterer):
+    # P grows to where the raise target is twice R, as a fold could grow it
+    clusterer.sketch.radius = math.sqrt(2.0 * clusterer.threshold * 24.0 * 3 * math.log(13))
+    clusterer._raise_due = False
+
+
 class TestCheck:
     def test_passes_during_a_live_run(self):
         rng = np.random.default_rng(62)
@@ -916,6 +957,9 @@ class TestCheck:
             (lambda c: c._draws.__setitem__(0, c._draws[1]), "draw buffer"),
             (lambda c: c._draws.__setitem__(-1, 0.5), "draw buffer"),
             (lambda c: setattr(c, "_draws_t", c._draws_t + 1), "draw buffer"),
+            (lambda c: setattr(c, "_gap", math.nextafter(c._gap, math.inf)), "stored gap"),
+            (grow_radius_with_no_raise_due, "raise target"),
+            (lambda c: c.counters.takes.__setitem__("type1", c.counters.takes["type1"] + 1), "take counts"),
         ],
     )
     def test_raises_on_a_broken_invariant(self, mutate, message):

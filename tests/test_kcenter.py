@@ -88,6 +88,15 @@ class TestInsert:
         assert [(c.center, c.count) for c in sketch.centers] == [((0.0,), 2), ((10.0,), 2)]
         assert sketch.radius == 1.0
 
+    def test_private_insert_names_the_absorbing_center(self):
+        # `_insert` returns the center that absorbed x, and None when x
+        # became a center, folded or not
+        sketch = KCenterSketch([(0.0,), (10.0,)], 2)
+        assert sketch._insert((1.0,)) is None  # folds into 0
+        assert sketch._insert((11.0,)) is sketch.centers[1]
+        assert sketch.centers[1].count == 2
+        assert sketch._insert((100.0,)) is None
+
     def test_overflow_merges_and_doubles(self):
         # The overflow raises P to the witness gap among the k+1 centers
         # (10, more than twice the old P = 1), then folds at 2P.
@@ -169,7 +178,6 @@ def sketch_state(sketch):
     return (
         sketch.t,
         sketch.radius,
-        sketch._gap,
         [(c.center, c.count, c.birth) for c in sketch.centers],
     )
 
@@ -178,22 +186,19 @@ def sketch_state(sketch):
 stream_value = st.one_of(st.sampled_from([0.0, 1.0, 3.0]), st.floats(-1e4, 1e4))
 
 
-class TestGapCache:
+class TestCheckAfterEveryInsert:
     @settings(max_examples=150, deadline=None)
     @given(
         k=st.integers(1, 5),
         dim=st.integers(1, 2),
         values=st.lists(stream_value, min_size=12, max_size=80),
     )
-    def test_matches_recomputation_after_every_insert(self, k, dim, values):
+    def test_passes_on_random_streams(self, k, dim, values):
         pts = [tuple(values[i : i + dim]) for i in range(0, len(values) - dim + 1, dim)]
         sketch = KCenterSketch(pts[:k], k)
-        # check() compares the cached gap with a recomputed one
-        sketch.min_center_gap()
         sketch.check()
         for x in pts[k:]:
             sketch.insert(x)
-            sketch.min_center_gap()
             sketch.check()
 
     def test_streams_exercise_merges_and_duplicates(self):
@@ -209,7 +214,6 @@ class TestGapCache:
                 sketch.insert(x)
                 merges += sketch.radius != radius
                 duplicates += x in centers
-                sketch.min_center_gap()
                 sketch.check()
         assert merges > 10 and duplicates > 100
 
@@ -219,15 +223,12 @@ class TestRejectsInvalidInsert:
     @given(
         values=st.lists(stream_value, min_size=3, max_size=30),
         bad=st.sampled_from([math.nan, math.inf, -math.inf]),
-        fill_cache=st.booleans(),
     )
-    def test_non_finite_leaves_sketch_unchanged(self, values, bad, fill_cache):
+    def test_non_finite_leaves_sketch_unchanged(self, values, bad):
         pts = [(v,) for v in values]
         sketch = KCenterSketch(pts[:2], 2)
         for x in pts[2:]:
             sketch.insert(x)
-        if fill_cache:
-            sketch.min_center_gap()
         before = sketch_state(sketch)
         with pytest.raises(ValueError):
             sketch.insert((bad,))
@@ -397,20 +398,16 @@ class TestClustererSketch:
             sketch.insert(x)
             folds += sketch.radius != radius
         assert folds >= 3
-        # t, P and every center's point, count and birth; not the gap
-        # cache, which only a min_center_gap call fills
-        got, expected = sketch_state(clusterer.sketch), sketch_state(sketch)
-        assert got[:2] + got[3:] == expected[:2] + expected[3:]
+        assert sketch_state(clusterer.sketch) == sketch_state(sketch)
 
 
 def live_sketch():
-    """A sketch after several folds with its gap cached, and its prefix."""
+    """A sketch after several folds, and its prefix."""
     rng = np.random.default_rng(47)
     pts = [tuple(rng.uniform(0, 10 ** rng.integers(0, 4), size=2)) for _ in range(80)]
     sketch = KCenterSketch(pts[:3], 3)
     for x in pts[3:]:
         sketch.insert(x)
-    sketch.min_center_gap()
     return sketch, pts
 
 
@@ -434,7 +431,6 @@ class TestCheck:
             (swap_births, "births"),
             (lambda s: setattr(s.centers[-1], "birth", s.t + 1), "births"),
             (lambda s: setattr(s.centers[0], "birth", 0), "births"),
-            (lambda s: setattr(s, "_gap", math.nextafter(s._gap, math.inf)), "cached gap"),
             (lambda s: setattr(s, "radius", s.min_center_gap() / 2.0), "above 2P"),
             (lambda s: setattr(s, "radius", s.radius / 4.0), "beyond 4P"),
         ],
