@@ -452,7 +452,7 @@ class TestReference:
     # Patched small, windows end and start again inside a short stream, and
     # _WINDOW_MIN_ARRIVALS = 0 sends every `_run` stream to them; a small
     # c_double forces doublings, and clusters and spread sequences type 2.
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         d=st.integers(1, 3),
         k=st.integers(1, 5),
@@ -479,20 +479,6 @@ class TestReference:
             assert first_difference(by_run._run(stream), expected) is None
         by_process.check()
         by_run.check()
-
-    @pytest.mark.parametrize("by_run", [False, True])
-    @pytest.mark.parametrize("shape", ["clusters", "spread", "normal"])
-    def test_tallies_equal_those_of_the_decisions(self, shape, by_run):
-        # takes by rule and the peak of |Z|, counted at the events
-        stream = window_stream(shape, 1500, 2, 3, 8)
-        clusterer = OnlineClusterer(ClusterConfig(k=3, c_double=0.3, seed=8))
-        decisions = clusterer._run(stream) if by_run else list(map(clusterer.process, stream))
-        takes = {"bootstrap": 0, "type1": 0, "type2": 0}
-        for d in decisions:
-            takes[d.processing] += d.selected
-        assert takes["type1"] and (takes["type2"] or shape != "clusters")
-        assert clusterer.counters.takes == takes
-        assert clusterer.counters.peak_aux_points == max(d.aux_points for d in decisions)
 
 
 class TestWindowPath:
@@ -755,8 +741,14 @@ class TestOncePerArrival:
             KCenterSketch, "_insert", autospec=True, side_effect=KCenterSketch._insert
         ) as spy:
             decisions = clusterer._run(stream) if by_run else list(map(clusterer.process, stream))
-        assert {"type1", "type2"} <= {d.processing for d in decisions}
         assert spy.call_count == 1999
+        # takes by rule and the peak of |Z| are counted at their events
+        takes = {"bootstrap": 0, "type1": 0, "type2": 0}
+        for d in decisions:
+            takes[d.processing] += d.selected
+        assert takes["type1"] and takes["type2"]
+        assert clusterer.counters.takes == takes
+        assert clusterer.counters.peak_aux_points == max(d.aux_points for d in decisions)
         clusterer.check()
 
 
