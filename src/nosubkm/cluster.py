@@ -32,39 +32,41 @@ the nearest query by bisection (`CellGrid`) made a call take 0.67x and
 0.68x the time and the run peak 13% higher (medians of 10 alternating
 pairs at seeds 1 and 2, 2-CPU Xeon, Python 3.11, numpy 2.4).
 
-Two entry points, one code per event. `process` decides one arrival with
-the transition `_step`; so does `_run` through the bootstrap, while R is
-0, and on a stream with fewer than _WINDOW_MIN_ARRIVALS arrivals left.
-The rest of a `_run` stream is decided a window of _WINDOW arrivals at a
-time (`_decide_window`). Each event (a take, a sketch insert, a change of
+Two entry points, one transition. `process` and `_run` both decide each
+arrival with `_step`, and each event (a take, a sketch insert, a change of
 the sketch's centers, a raise of R, a doubling, the population rule's
-probability) has one method, which both paths call, and every decision bit
-is `_step`'s. A change of the centers (`_insert` returns None, or the
-sketch is built) stores the population rule's gap and marks a raise due
-(`_sketch_changed`), so the rule choice costs one comparison per arrival,
-and the raise is tested at the first type-1 step after a change. That
-decides as a test at every type-1 step would: P changes only with the
-centers, R never falls, and every test leaves P^2 / (c_raise k ln(k+10))
-<= R, so no raise can fire before the next change, a doubling included.
-An absorb leaves the centers as they were, so the population rule reads
-the absorbing center's count, which a fresh nearest search would find.
+probability) has one method, which `_step` calls. A change of the centers
+(`_insert` returns None, or the sketch is built) stores the population
+rule's gap and marks a raise due (`_sketch_changed`), so the rule choice
+costs one comparison per arrival, and the raise is tested at the first
+type-1 step after a change. That decides as a test at every type-1 step
+would: P changes only with the centers, R never falls, and every test
+leaves P^2 / (c_raise k ln(k+10)) <= R, so no raise can fire before the
+next change, a doubling included. An absorb leaves the centers as they
+were, so the population rule reads the absorbing center's count, which a
+fresh nearest search would find.
 
-In a window, one batch (`geometry.grid_below_sq`) gives every arrival's
-d(x, S)^2 at the window's start, exact below R. A take can only lower a
-later arrival's distance, and a grid self-join of the window
+The entry points differ only in where a type-1 step reads d(x, S)^2.
+`process` asks the grid of selected points (below). `_run`, once past the
+bootstrap and with R above 0, on a stream with at least
+_WINDOW_MIN_ARRIVALS arrivals left, asks a `_Window` of the stream
+instead: one batch (`geometry.grid_below_sq`) gives each of up to
+_WINDOW arrivals its d(x, S)^2, exact below R, and a grid self-join
 (`geometry.near_pairs`) lists, for each arrival, the later ones it is
-nearer to than both R and their distance to S, so a take lowers only
-those. Any change of R prepares the rest of the window again.
+nearer to than both R and their distance to S. A take can only lower a
+later arrival's distance, so it lowers only those on its list. A read past
+the prepared arrivals, or after any change of R, prepares again from the
+arrival read.
 
 The distance rule needs d(x, S)^2 exactly only when it is below R, since
 the probability is 1 otherwise. The selected set therefore lives on a
 `geometry.CellGrid` of cell side just above sqrt(R), which answers `_step`'s
 query from the cells next to x, with the bits of a full `nearest_sq` scan
 below R. Its cells are filled again by the first query after R is raised
-or doubled, so the window path, which never queries them, never fills
-them; while R is 0 (warm-up) the query scans every selected point. A
-one-dimensional set has no cells: the grid keeps it sorted and answers
-by bisection, exactly at every R, warm-up included.
+or doubled, so a `_run` that reads a `_Window`, and never queries them,
+never fills them; while R is 0 (warm-up) the query scans every selected
+point. A one-dimensional set has no cells: the grid keeps it sorted and
+answers by bisection, exactly at every R, warm-up included.
 
 `OnlineClusterer.check()` tests the selector's invariants on a live
 object, and those of its grid and sketch; `process` never calls it.
@@ -364,9 +366,10 @@ class OnlineClusterer:
         them by one `uniform_draws` call.
 
         The bootstrap, and every step while R is 0 (a type-1 step then
-        reads whether d2 > 0, not d2 / R), go through `_step`, as does a
-        stream with fewer than _WINDOW_MIN_ARRIVALS arrivals left after
-        them. The rest is decided a window at a time (`_decide_window`).
+        reads whether d2 > 0, not d2 / R), go through `_step` as `process`
+        runs it. So does the rest, reading d(x, S)^2 from a `_Window` of
+        the stream when at least _WINDOW_MIN_ARRIVALS arrivals are left,
+        and from the grid query otherwise.
         """
         cfg = self.config
         n = len(stream)
@@ -381,118 +384,36 @@ class OnlineClusterer:
         while i < n and (self.t < cfg.bootstrap_size or self.threshold == 0.0):
             decisions.append(step(stream[i]))
             i += 1
-        if n - i < _WINDOW_MIN_ARRIVALS:
-            decisions.extend(step(x) for x in stream[i:])
-            return decisions
-        X = np.asarray(stream, dtype=np.float64) if rows is None else rows
-        while i < n:
-            i = self._decide_window(stream, X, i, min(n, i + _WINDOW), decisions)
+        window = None
+        if n - i >= _WINDOW_MIN_ARRIVALS:
+            X = np.asarray(stream, dtype=np.float64) if rows is None else rows
+            window = _Window(self._selected, X[i:], self.t + 1)
+        decisions.extend(step(x, window) for x in stream[i:])
         return decisions
 
-    def _decide_window(
-        self,
-        stream: Sequence[Point],
-        X: np.ndarray,
-        a: int,
-        b: int,
-        decisions: list[Decision],
-    ) -> int:
-        """Decide on arrivals a, a + 1, ... as `_step` would, appending each
-        one's `Decision` to `decisions`; returns the end of the window, at
-        most b.
-
-        From `_prepare`, every arrival's d2 to the selected set below R;
-        a take lowers only the later arrivals on its neighbour list, so d2
-        stays exact below R. Every arrival goes through the sketch's
-        `_insert`, and every other event through the code `_step` runs.
-        Any change of R prepares the rest of the window again, since the
-        batch and the lists are exact only below it.
-        Arrival r's draw is at r + off in the draw buffer, which `_run`
-        filled.
-        """
-        sketch = self.sketch
-        draws, off = self._draws, self.t + 1 - a - self._draws_t
-        b, cur, starts, near, near_sq = self._prepare(X, a, b)
-        p = a  # the arrival cur[0] belongs to
-        threshold = self.threshold
-        t = self.t
-        r = a
-        while r < b:
-            x = stream[r]
-            t += 1
-            self.t = t
-            holder = sketch._insert(x)
-            if holder is None:
-                self._sketch_changed()
-            if self._gap > 4.0 * (t + 2) * sketch.radius:
-                kind = "type2"
-                prob = self._type2_probability(x, holder)
-            else:
-                kind = "type1"
-                if self._raise_due and self._raise_threshold():
-                    threshold = self.threshold
-                    b, cur, starts, near, near_sq = self._prepare(X, r, b)
-                    p = r
-                prob = min(1.0, cur[r - p] / threshold)  # R > 0 here
-            selected = draws[r + off] < prob
-            if selected:
-                self._take(x, kind)
-                # the later arrivals this one is nearer to than S was
-                for e in range(starts[r - p], starts[r - p + 1]):
-                    j = near[e]
-                    if near_sq[e] < cur[j]:
-                        cur[j] = near_sq[e]
-                if kind == "type1" and self._count_type1_take(t):
-                    threshold = self.threshold
-                    if r + 1 < b:
-                        b, cur, starts, near, near_sq = self._prepare(X, r + 1, b)
-                        p = r + 1
-            decisions.append(Decision(t, kind, selected, prob, threshold, len(sketch.centers)))
-            r += 1
-        return b
-
-    def _prepare(self, X: np.ndarray, a: int, b: int) -> tuple[int, list, list, list, list]:
-        """For arrivals a..b' - 1, b' <= b: each one's squared distance to
-        the selected set, exact below R and else at or above it
-        (`grid_below_sq`), and its neighbour list, the later arrivals below
-        both R and their own distance (`near_pairs`), as (b', d2, starts,
-        later, squared distances), indexed from a: arrival i's list is at
-        starts[i]:starts[i + 1]. b' is b, halved towards a until the
-        self-join measures at most _NEAR_PAIRS_PER_ARRIVAL candidate pairs
-        per arrival."""
-        R = self.threshold
-        while True:
-            limit = min(NEAREST_SQ_BUDGET, _NEAR_PAIRS_PER_ARRIVAL * (b - a))
-            pairs = near_pairs(X[a:b], R, limit)
-            if pairs is not None:
-                break
-            b = a + max(1, (b - a) // 2)
-        base = grid_below_sq(X[a:b], self._selected.rows, R)
-        i, j, sq = pairs
-        nearer = sq < base[j]
-        i, j, sq = i[nearer], j[nearer], sq[nearer]
-        starts = np.searchsorted(i, np.arange(b - a + 1))
-        return b, base.tolist(), starts.tolist(), j.tolist(), sq.tolist()
-
-    def _step(self, x: Point) -> Decision:
+    def _step(self, x: Point, window: _Window | None = None) -> Decision:
         """The transition on a checked arrival x, whose draw is read from
-        the draw buffer, refilled from arrival t if it does not hold it."""
+        the draw buffer, refilled from arrival t if it does not hold it.
+        d(x, S)^2 comes from `window` when one is given, else from the grid
+        query."""
         self.t += 1
         t = self.t
         cfg = self.config
+        sketch = self.sketch
         if t > cfg.k:
-            holder = self.sketch._insert(x)
+            holder = sketch._insert(x)
             if holder is None:
                 self._sketch_changed()
 
         if t <= cfg.bootstrap_size:
             self._take(x, "bootstrap")
             if t == cfg.k:
-                self.sketch = KCenterSketch(self.selected_points[: cfg.k], cfg.k)
+                self.sketch = sketch = KCenterSketch(self.selected_points[: cfg.k], cfg.k)
                 self._sketch_changed()
-            return self._decision(t, "bootstrap", True, 1.0)
+            aux_points = 0 if sketch is None else len(sketch.centers)
+            return Decision(t, "bootstrap", True, 1.0, self.threshold, aux_points)
 
-        if self._gap > 4.0 * (t + 2) * self.sketch.radius:
+        if self._gap > 4.0 * (t + 2) * sketch.radius:
             processing = "type2"
             prob = self._type2_probability(x, holder)
         else:
@@ -501,7 +422,7 @@ class OnlineClusterer:
                 self._raise_threshold()
             # Exact below R; at or above R only its size matters, since
             # prob = min(1, d2 / R) is then 1.0.
-            d2 = self._selected.min_sq_dist(x)
+            d2 = self._selected.min_sq_dist(x) if window is None else window.d2(t)
             threshold = self.threshold
             if threshold > 0.0:
                 prob = min(1.0, d2 / threshold)
@@ -517,9 +438,13 @@ class OnlineClusterer:
         selected = draws[i] < prob
         if selected:
             self._take(x, processing)
+            if window is not None:
+                window.took(t)
             if processing == "type1":
                 self._count_type1_take(t)
-        return self._decision(t, processing, selected, prob)
+        return Decision(
+            t, processing, selected, prob, self._selected.threshold, len(sketch.centers)
+        )
 
     def _refill_draws(self, t: int, n: int) -> list[float]:
         """Fill the draw buffer with the draws of arrivals t..t + n - 1."""
@@ -527,7 +452,7 @@ class OnlineClusterer:
         self._draws_t = t
         return self._draws
 
-    # The events below are the one code of each, for `_step` and the window.
+    # The events below are the one code of each.
 
     def _sketch_changed(self) -> None:
         """The sketch was built, or an arrival became a center: store the
@@ -561,7 +486,7 @@ class OnlineClusterer:
         cfg = self.config
         return self.sketch.radius**2 / (cfg.c_raise * cfg.k * self._ln_k10)
 
-    def _raise_threshold(self) -> bool:
+    def _raise_threshold(self) -> None:
         """Raise R to the raise target where that is above it, and mark no
         raise due."""
         self._raise_due = False
@@ -569,12 +494,10 @@ class OnlineClusterer:
         if raise_to > self.threshold:
             self._set_threshold(raise_to)
             self.counters.raises += 1
-            return True
-        return False
 
-    def _count_type1_take(self, t: int) -> bool:
+    def _count_type1_take(self, t: int) -> None:
         """Count a type-1 take at arrival t in F, and double R if F passes
-        the doubling limit; returns whether it did.
+        the doubling limit.
 
         F grows only here, and the limit never falls as t grows, so F can
         first pass it at a type-1 take: no other arrival needs the test.
@@ -583,8 +506,6 @@ class OnlineClusterer:
         if self.selections_since_reset > self._doubling_limit(t):
             self._set_threshold(2.0 * self.threshold)
             self.counters.doublings += 1
-            return True
-        return False
 
     def _doubling_limit(self, t: int) -> float:
         """The count F of type-1 selections may reach at arrival t >= 1
@@ -600,9 +521,66 @@ class OnlineClusterer:
         self.selected_indices.append(self.t)
         self.counters.takes[processing] += 1
 
-    def _decision(
-        self, t: int, processing: str, selected: bool, prob: float
-    ) -> Decision:
-        sketch = self.sketch
-        aux_points = 0 if sketch is None else len(sketch.centers)
-        return Decision(t, processing, selected, prob, self._selected.threshold, aux_points)
+
+class _Window:
+    """d(x, S)^2 for the arrivals of one `_run` stream, exact below R, for
+    `_step` to read in place of the grid query (module docstring). Row r
+    of `rows` is arrival first + r; the rows are prepared a window at a
+    time, and `_step` reports each take (`took`).
+    """
+
+    def __init__(self, selected: CellGrid, rows: np.ndarray, first: int):
+        self._selected = selected
+        self._rows = rows
+        self._first = first  # the arrival of rows[0]
+        # rows _start.._end - 1 are prepared, at threshold _threshold
+        self._start = self._end = 0
+        self._threshold = selected.threshold
+        self._d2: list[float] = []
+        self._starts: list[int] = []
+        self._near: list[int] = []
+        self._near_sq: list[float] = []
+
+    def d2(self, t: int) -> float:
+        """Arrival t's squared distance to the selected set, exact below R
+        and else at or above it."""
+        r = t - self._first
+        if r >= self._end or self._threshold != self._selected.threshold:
+            self._prepare(r)
+        return self._d2[r - self._start]
+
+    def took(self, t: int) -> None:
+        """Lower the distances of the later rows that arrival t, just taken,
+        is nearer to."""
+        r = t - self._first
+        if r < self._end:
+            d2, near, near_sq = self._d2, self._near, self._near_sq
+            i = r - self._start
+            for e in range(self._starts[i], self._starts[i + 1]):
+                j = near[e]
+                if near_sq[e] < d2[j]:
+                    d2[j] = near_sq[e]
+
+    def _prepare(self, a: int) -> None:
+        """Prepare rows a..b - 1 at the current R. b is the end of the
+        prepared rows when a is before it, else _WINDOW rows on, halved
+        towards a until the self-join measures at most
+        _NEAR_PAIRS_PER_ARRIVAL candidate pairs per row. Row i's
+        neighbours, less a, and their squared distances are at
+        _starts[i - a]:_starts[i - a + 1] of _near and _near_sq."""
+        X, R = self._rows, self._selected.threshold
+        b = self._end if a < self._end else min(len(X), a + _WINDOW)
+        while True:
+            limit = min(NEAREST_SQ_BUDGET, _NEAR_PAIRS_PER_ARRIVAL * (b - a))
+            pairs = near_pairs(X[a:b], R, limit)
+            if pairs is not None:
+                break
+            b = a + max(1, (b - a) // 2)
+        base = grid_below_sq(X[a:b], self._selected.rows, R)
+        i, j, sq = pairs
+        nearer = sq < base[j]
+        i, j, sq = i[nearer], j[nearer], sq[nearer]
+        starts = np.searchsorted(i, np.arange(b - a + 1))
+        self._start, self._end, self._threshold = a, b, R
+        self._d2, self._starts = base.tolist(), starts.tolist()
+        self._near, self._near_sq = j.tolist(), sq.tolist()

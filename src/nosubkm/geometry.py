@@ -52,10 +52,10 @@ COORD_LIMIT and h >= sqrt(DBL_MIN), so |x_j ± r| / h < 2e254.
 The same argument serves the self-join of `near_pairs`, with each row as
 both a query and a center: a pair whose computed squared distance is
 below R lies in the scanned cells of its earlier row, and the distance is
-symmetric to the bit, since fl(b - a) = -fl(a - b). So `grid_below_sq`'s
-distances at the start of a window, each lowered by the later pairs of
-the window's takes, are `nearest_sq`'s distances to the grown set
-wherever those are below R.
+symmetric to the bit, since fl(b - a) = -fl(a - b). So the distances a
+`cluster._Window` reads, `grid_below_sq`'s at the start of a window, each
+lowered by the later pairs of the window's takes, are `nearest_sq`'s
+distances to the grown set wherever those are below R.
 
 In one dimension no grid is needed. Take points b <= b' <= x: then
 x - b >= x - b' >= 0, and rounding is monotone, so fl(x - b) >= fl(x - b')
@@ -235,7 +235,7 @@ class CellGrid:
     floor(v / grid_side(threshold)) per coordinate. The cells are filled on
     the first query that reads them after the threshold changes, and kept
     up to date by `add` from then on, so a caller that adds points without
-    querying (the window path of `cluster`) never pays for them.
+    querying (`cluster`'s `_run` reading a `_Window`) never pays for them.
     `min_sq_dist` scans `nearest_sq` over every point when there is no grid
     or when the cells near x outnumber what a scan costs.
 

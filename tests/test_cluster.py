@@ -335,7 +335,7 @@ class TestRun:
         _, by_process = run_stream(stream, k=3, bootstrap=bootstrap, seed=8)
         clusterer = OnlineClusterer(ClusterConfig(k=3, bootstrap=bootstrap, seed=8))
         head = [clusterer.process(x) for x in stream[:first]]
-        assert head + clusterer._run(stream[first:]) == by_process
+        assert first_difference(head + clusterer._run(stream[first:]), by_process) is None
         clusterer.check()
 
     def test_empty_stream(self):
@@ -353,7 +353,7 @@ class TestRun:
         ):
             _, decisions = harness.run_trial(spec)
         _, by_process = run_stream(harness.materialize_stream(spec), **vars(spec.cluster_config()))
-        assert decisions == by_process
+        assert first_difference(decisions, by_process) is None
 
 
 def end_state(clusterer):
@@ -511,7 +511,7 @@ class TestWindowPath:
         ), mock.patch.object(cluster, "_NEAR_PAIRS_PER_ARRIVAL", pairs):
             decisions = [clusterer.process(x) for x in stream[:first]]
             decisions += clusterer._run(stream[first:])
-        assert decisions == expected
+        assert first_difference(decisions, expected) is None
         assert end_state(clusterer) == end_state(reference)
         clusterer.check()
 
@@ -526,7 +526,17 @@ class TestWindowPath:
         stream = [(0.0,), (1.0,), (20.0,), *rows] * 40
         with mock.patch.object(cluster, "_WINDOW_MIN_ARRIVALS", 0):
             by_process, by_run = run_both(stream, k=2, seed=0)
-        assert by_run == by_process
+        assert first_difference(by_run, by_process) is None
+
+    def test_population_rule_takes_lower_later_distances(self):
+        # Arrivals 256-271 are type 2, and type-1 arrival 273 reads a
+        # distance that those takes lowered, at the R its window was
+        # prepared at: a window lowered only by type-1 takes gives it
+        # probability 0.0097, where `process` gives 0.00043.
+        stream = window_stream("clusters", 273, 1, 5, 2981874736)
+        by_process, by_run = run_both(stream, k=5, bootstrap=6, c_double=0.3, seed=2981874736)
+        assert [d.processing for d in by_run[255:]] == ["type2"] * 16 + ["type1"] * 2
+        assert first_difference(by_run, by_process) is None
 
     def test_exact_small_streams_never_open_a_window(self):
         spec = harness.TrialSpec(
@@ -535,7 +545,7 @@ class TestWindowPath:
         )
         stream = harness.materialize_stream(spec)
         with mock.patch.object(
-            OnlineClusterer, "_decide_window", side_effect=AssertionError("a window was opened")
+            cluster._Window, "_prepare", side_effect=AssertionError("a window was prepared")
         ):
             harness.run_trial(spec)
             # after the bootstrap, one arrival short of the windows' minimum
@@ -549,15 +559,32 @@ class TestWindowPath:
             ordering="shuffled", seed=3,
         )
         clusterer = OnlineClusterer(ClusterConfig(k=5, seed=3))
-        with mock.patch.object(
-            OnlineClusterer, "_decide_window", autospec=True, side_effect=OnlineClusterer._decide_window
-        ) as window:
+        queried_at = []  # the arrival of each grid query
+        query = CellGrid.min_sq_dist
+
+        def spy_query(grid, x):
+            queried_at.append(clusterer.t)
+            return query(grid, x)
+
+        with mock.patch.object(CellGrid, "min_sq_dist", spy_query), mock.patch.object(
+            cluster._Window, "_prepare", autospec=True, side_effect=cluster._Window._prepare
+        ) as prepare:
             decisions = clusterer._run(stream)
-        assert window.call_count == 2  # 1,995 arrivals after the bootstrap
+        # two windows for 1,995 arrivals after the bootstrap, and one more
+        # for each change of R inside them
+        assert prepare.call_count >= 2
+        # warm-up ends with the arrival that raises R above 0; no later
+        # arrival queries the grid
+        warm_up = 1 + next(i for i, d in enumerate(decisions) if d.threshold_after > 0.0)
+        assert queried_at and max(queried_at) <= warm_up
         # A Decision equals the plain tuple of its fields, so == alone would
         # pass a window that recorded tuples.
         assert all(type(d) is Decision for d in decisions)
-        assert decisions == run_stream(stream, k=5, seed=3)[1]
+        with mock.patch.object(
+            cluster, "_Window", side_effect=AssertionError("process built a window")
+        ):
+            _, by_process = run_stream(stream, k=5, seed=3)
+        assert first_difference(decisions, by_process) is None
 
     def test_one_window_of_near_pairs_within_budget(self):
         # Every pair of the 1,024 window arrivals is within sqrt(R) (about
@@ -582,7 +609,7 @@ class TestWindowPath:
         # pair arrays of at most the budget.
         assert peak <= 200 * len(stream) + 12 * 8 * budget + (64 << 10)
         _, expected = run_stream([(0.0, 0.0), (100.0, 0.0), (0.0, 100.0), *stream], k=2, seed=0)
-        assert decisions == expected[3:]
+        assert first_difference(decisions, expected[3:]) is None
         clusterer.check()
 
 
