@@ -29,7 +29,9 @@ A faster `process` raises the peak RSS of a caller that records every
 call's latency, since a run of fixed length then makes more calls and
 keeps more records. On the benchmark's `sparse_stream` (d = 1), answering
 the nearest query by bisection (`CellGrid`) made a call take 0.67x and
-0.68x the time and the run peak 13% higher (medians of 10 alternating
+0.68x the time and the run peak 13% higher, and then finding the sketch's
+nearest center by bisection (`KCenterSketch`) made it take 0.80x and
+0.78x the time and the peak 9% and 10% higher (medians of 10 alternating
 pairs at seeds 1 and 2, 2-CPU Xeon, Python 3.11, numpy 2.4).
 
 Two entry points, one transition. `process` and `_run` both decide each
@@ -257,6 +259,8 @@ class OnlineClusterer:
         # the draws of arrivals _draws_t, _draws_t + 1, ...
         self._draws: list[float] = []
         self._draws_t = 0
+        # derived from the config once, for the per-arrival code
+        self._bootstrap = config.bootstrap_size
         self._ln_k10 = math.log(config.k + 10)
         self._doubling_scale = config.c_double * config.k * self._ln_k10
 
@@ -371,17 +375,16 @@ class OnlineClusterer:
         the stream when at least _WINDOW_MIN_ARRIVALS arrivals are left,
         and from the grid query otherwise.
         """
-        cfg = self.config
         n = len(stream)
         # The bootstrap arrivals are taken without a draw.
-        first = self.t + 1 + min(n, max(0, cfg.bootstrap_size - self.t))
+        first = self.t + 1 + min(n, max(0, self._bootstrap - self.t))
         end = self.t + n + 1
         if first < end:
             self._refill_draws(first, end - first)
         step = self._step
         decisions = []
         i = 0
-        while i < n and (self.t < cfg.bootstrap_size or self.threshold == 0.0):
+        while i < n and (self.t < self._bootstrap or self.threshold == 0.0):
             decisions.append(step(stream[i]))
             i += 1
         window = None
@@ -405,7 +408,7 @@ class OnlineClusterer:
             if holder is None:
                 self._sketch_changed()
 
-        if t <= cfg.bootstrap_size:
+        if t <= self._bootstrap:
             self._take(x, "bootstrap")
             if t == cfg.k:
                 self.sketch = sketch = KCenterSketch(self.selected_points[: cfg.k], cfg.k)
@@ -434,7 +437,7 @@ class OnlineClusterer:
 
         draws, i = self._draws, t - self._draws_t
         if i >= len(draws):
-            draws, i = self._refill_draws(t, min(_WINDOW, t - cfg.bootstrap_size)), 0
+            draws, i = self._refill_draws(t, min(_WINDOW, t - self._bootstrap)), 0
         selected = draws[i] < prob
         if selected:
             self._take(x, processing)

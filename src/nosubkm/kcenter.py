@@ -19,6 +19,24 @@ doubles at every fold. Absorption is within 2P, and a fold hands a center's
 points to a center at most 2P away, so a point is within
 2P(1 + 1/2 + 1/4 + ...) < 4P of its center.
 
+One dimension. One-dimensional centers are also kept in an index: their
+coordinates in increasing order, and the centers in that order. A center
+never moves, so a point that becomes a center is inserted at its bisection
+position, and a fold rebuilds the index. `_insert` and `nearest_center`
+then bisect x among the coordinates and measure outwards from x's two
+neighbours with abs(a - b), which is what `_nearest` computes: for one
+coordinate `math.dist` returns fabs(a - b) exactly. For centers
+b <= b' <= x, x - b >= x - b' >= 0, and rounding is monotone, so
+fl(x - b) >= fl(x - b'); the same holds for centers at or above x. So no
+center farther along a side is nearer than x's neighbour on that side, but
+rounding can make it as near: from x = 2**54, centers 0.25 and 0.5 both
+read 2**54. Each side is therefore walked on past the neighbour while the
+distance stays the same, and the earliest birth among the centers at the
+least distance wins, the center `_nearest`'s scan in birth order returns.
+The search gives `_nearest(centers, x)`'s center and distance for every x.
+The fold pass, which searches the kept centers only, `min_center_gap` and
+every sketch of higher dimension scan.
+
 The sketch is deterministic: the same input prefix always yields the same
 centers, counts, and radius. `_insert` returns the center that absorbed
 the point, or None when it became a center, the only case in which the
@@ -30,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,6 +90,12 @@ class KCenterSketch:
         self.centers = [AugmentedCenter(center=first_points[0], count=1, birth=1)]
         self.radius = 0.0  # P
         self.t = 1
+        # one-dimensional centers' coordinates in increasing order, and the
+        # centers in that order; None in higher dimensions
+        self._line: list[float] | None = None
+        self._on_line: list[AugmentedCenter] | None = None
+        if len(first_points[0]) == 1:
+            self._index()
         for x in first_points[1:]:
             self.insert(x)
 
@@ -80,7 +105,45 @@ class KCenterSketch:
     def nearest_center(self, x: Point) -> tuple[AugmentedCenter, float]:
         """Nearest center and its distance; ties go to the earliest birth."""
         self._check_dimension(x)
-        return _nearest(self.centers, x)
+        return self._search(x)
+
+    def _search(self, x: Point) -> tuple[AugmentedCenter, float]:
+        """`_nearest(self.centers, x)`, found by bisection when the centers
+        are one-dimensional (module docstring)."""
+        line = self._line
+        if line is None:
+            return _nearest(self.centers, x)
+        on_line = self._on_line
+        a = x[0]
+        n = len(line)
+        i = bisect_left(line, a)
+        # x's successor, then the centers after it at the same distance
+        if i < n:
+            best, best_d = on_line[i], abs(a - line[i])
+            j = i + 1
+            while j < n and abs(a - line[j]) == best_d:
+                if on_line[j].birth < best.birth:
+                    best = on_line[j]
+                j += 1
+        else:
+            best, best_d = None, math.inf
+        # x's predecessor, then the centers before it at the same distance
+        if i:
+            j = i - 1
+            d = abs(a - line[j])
+            if d <= best_d:
+                if d < best_d or on_line[j].birth < best.birth:
+                    best, best_d = on_line[j], d
+                while j and abs(a - line[j - 1]) == d:
+                    j -= 1
+                    if on_line[j].birth < best.birth:
+                        best = on_line[j]
+        return best, best_d
+
+    def _index(self) -> None:
+        """Sort the one-dimensional centers into the index."""
+        self._on_line = sorted(self.centers, key=lambda c: c.center[0])
+        self._line = [c.center[0] for c in self._on_line]
 
     def _check_dimension(self, x: Point) -> None:
         if len(x) != len(self.centers[0].center):
@@ -98,7 +161,9 @@ class KCenterSketch:
 
         |Z| <= k; the counts sum to t; births strictly increase within
         1..t; the centers are pairwise more than 2P apart, which holds at
-        every step, warm-up included. Given `prefix`, the t points inserted
+        every step, warm-up included. A one-dimensional sketch's index
+        holds its centers, their coordinates strictly increasing; a sketch
+        of higher dimension has none. Given `prefix`, the t points inserted
         so far, also every one of them within 4P of a center, with no slack.
         """
         t = self.t
@@ -112,6 +177,24 @@ class KCenterSketch:
         )
         gap = self.min_center_gap()
         require(gap > 2.0 * self.radius, f"center gap {gap} is not above 2P = {2.0 * self.radius}")
+        line, on_line = self._line, self._on_line
+        if len(self.centers[0].center) == 1:
+            require(line is not None and on_line is not None, "a one-dimensional sketch has no index")
+            require(
+                all(a < b for a, b in itertools.pairwise(line)),
+                f"the index coordinates {line} do not strictly increase",
+            )
+            require(
+                line == [c.center[0] for c in on_line],
+                "the index coordinates are not those of its centers",
+            )
+            require(
+                len(on_line) == len(self.centers)
+                and {id(c) for c in on_line} == {id(c) for c in self.centers},
+                "the index does not hold the sketch's centers",
+            )
+        else:
+            require(line is None and on_line is None, "a sketch of dimension above 1 has an index")
         if prefix is not None:
             if len(prefix) != t:
                 raise ValueError(f"prefix has {len(prefix)} points, not t = {t}")
@@ -136,15 +219,23 @@ class KCenterSketch:
         """`insert` on a point already checked, as `check_point` checks it,
         and of the centers' dimension. Returns the center that absorbed x,
         or None when x became a center, with any fold done."""
-        nearest, d = _nearest(self.centers, x)
+        nearest, d = self._search(x)
         self.t += 1
         if d <= 2.0 * self.radius:
             nearest.count += 1
             return nearest
-        self.centers.append(AugmentedCenter(center=x, count=1, birth=self.t))
+        center = AugmentedCenter(center=x, count=1, birth=self.t)
+        self.centers.append(center)
+        line = self._line
         if len(self.centers) > self.k:
             self.radius = max(self.radius, self.min_center_gap())
             self._merge_pass()
+            if line is not None:
+                self._index()
+        elif line is not None:
+            i = bisect_left(line, x[0])
+            line.insert(i, x[0])
+            self._on_line.insert(i, center)
         return None
 
     def _merge_pass(self) -> None:

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nosubkm.cluster import ClusterConfig, OnlineClusterer
-from nosubkm.geometry import dist
-from nosubkm.kcenter import AugmentedCenter, KCenterSketch
+from nosubkm.geometry import COORD_LIMIT, dist
+from nosubkm.kcenter import AugmentedCenter, KCenterSketch, _nearest
 from nosubkm.oracle import optimal_kmeans
 
 
@@ -128,12 +128,21 @@ class TestInsert:
 
     def test_matches_reference_on_random_streams(self):
         rng = np.random.default_rng(41)
+        streams = []
         for trial in range(30):
             k = int(rng.integers(2, 6))
             n = int(rng.integers(k + 1, 80))
             d = int(rng.integers(1, 4))
             scale = 10 ** int(rng.integers(0, 4))
-            pts = [tuple(rng.uniform(0, scale, size=d)) for _ in range(n)]
+            streams.append((k, [tuple(rng.uniform(0, scale, size=d)) for _ in range(n)]))
+        # integer-valued 1-D streams: duplicates and centers equidistant
+        # from an arrival, for the sketch's bisection and its tie rule
+        rng = np.random.default_rng(48)
+        for trial in range(30):
+            k = int(rng.integers(2, 6))
+            n = int(rng.integers(k + 1, 80))
+            streams.append((k, [(float(v),) for v in rng.integers(-30, 31, size=n)]))
+        for k, pts in streams:
             sketch = KCenterSketch(pts[:k], k)
             Z, P = reference_init(pts, k)
             for x in pts[k:]:
@@ -172,6 +181,74 @@ class TestQueries:
         sketch = KCenterSketch([(0.0,), (10.0,)], 2)
         center, d = sketch.nearest_center((10.0,))
         assert center.center == (10.0,) and d == 0.0
+
+
+class TestLineSearch:
+    """A one-dimensional sketch finds its nearest center by bisection, and
+    must return `_nearest`'s center and distance for every query."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.floats(allow_nan=False, allow_infinity=False),
+        b=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_dist_of_one_coordinate_is_the_absolute_difference(self, a, b):
+        # the identity the search relies on, on the running Python
+        assert math.dist((a,), (b,)) == abs(a - b)
+
+    @pytest.mark.parametrize(
+        "coordinates, x, d",
+        [
+            # exact midpoints, the earlier birth below x or above it
+            ((0.0, 10.0), 5.0, 5.0),
+            ((10.0, 0.0), 5.0, 5.0),
+            # both centers read 2**54 from +-2**54: rounding ties two
+            # centers on one side, below x or above it
+            ((0.25, 0.5), 2.0**54, 2.0**54),
+            ((0.5, 0.25), 2.0**54, 2.0**54),
+            ((0.25, 0.5), -(2.0**54), 2.0**54),
+            ((0.5, 0.25), -(2.0**54), 2.0**54),
+        ],
+    )
+    def test_tie_goes_to_the_earlier_birth(self, coordinates, x, d):
+        sketch = KCenterSketch([(c,) for c in coordinates], 2)
+        center, found = sketch.nearest_center((x,))
+        assert center.birth == 1 and found == d
+        assert (center, found) == _nearest(sketch.centers, (x,))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        values=st.lists(
+            st.one_of(st.integers(-20, 20).map(float), st.sampled_from([0.0, -0.0])),
+            min_size=5,
+            max_size=60,
+        ),
+        queries=st.lists(
+            st.one_of(
+                # the centers' neighbourhood, midpoints included, and
+                # points below and above every center
+                st.integers(-100, 100).map(lambda v: v / 2.0),
+                st.sampled_from([0.0, -0.0, COORD_LIMIT, -COORD_LIMIT, 2.0**54, -(2.0**54)]),
+                st.floats(-COORD_LIMIT, COORD_LIMIT),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_matches_a_scan_on_integer_streams(self, k, values, queries):
+        assume(len(values) >= k)
+        pts = [(v,) for v in values]
+        sketch = KCenterSketch(pts[:k], k)
+        for x in pts[k:] + [(q,) for q in queries]:
+            for q in queries:
+                center, d = sketch.nearest_center((q,))
+                ref, ref_d = _nearest(sketch.centers, (q,))
+                assert center is ref and d == ref_d
+            ref, ref_d = _nearest(sketch.centers, x)
+            absorbs = ref_d <= 2.0 * sketch.radius
+            assert sketch._insert(x) is (ref if absorbs else None)
+            sketch.check()
 
 
 def sketch_state(sketch):
@@ -401,10 +478,10 @@ class TestClustererSketch:
         assert sketch_state(clusterer.sketch) == sketch_state(sketch)
 
 
-def live_sketch():
+def live_sketch(d=2):
     """A sketch after several folds, and its prefix."""
     rng = np.random.default_rng(47)
-    pts = [tuple(rng.uniform(0, 10 ** rng.integers(0, 4), size=2)) for _ in range(80)]
+    pts = [tuple(rng.uniform(0, 10 ** rng.integers(0, 4), size=d)) for _ in range(80)]
     sketch = KCenterSketch(pts[:3], 3)
     for x in pts[3:]:
         sketch.insert(x)
@@ -414,6 +491,25 @@ def live_sketch():
 def swap_births(sketch):
     first, second = sketch.centers[:2]
     first.birth, second.birth = second.birth, first.birth
+
+
+def swap_index_entries(sketch):
+    for index in (sketch._line, sketch._on_line):
+        index[0], index[1] = index[1], index[0]
+
+
+def drop_index_entry(sketch):
+    del sketch._line[1], sketch._on_line[1]
+
+
+def stale_index_after_a_fold(sketch):
+    line, on_line = list(sketch._line), list(sketch._on_line)
+    radius = sketch.radius
+    x = 10.0 * max(line) + 1.0
+    while sketch.radius == radius:
+        sketch.insert((x,))
+        x *= 3.0
+    sketch._line, sketch._on_line = line, on_line
 
 
 class TestCheck:
@@ -445,3 +541,30 @@ class TestCheck:
         sketch, pts = live_sketch()
         with pytest.raises(ValueError):
             sketch.check(pts[:-1])
+
+    def test_passes_on_a_live_one_dimensional_sketch(self):
+        sketch, pts = live_sketch(d=1)
+        assert sketch.radius > 0.0 and len(sketch) == 3
+        sketch.check(pts)
+
+    # Each mutation breaks the index of a live one-dimensional sketch.
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (swap_index_entries, "do not strictly increase"),
+            (drop_index_entry, "does not hold the sketch's centers"),
+            (stale_index_after_a_fold, "does not hold the sketch's centers"),
+            (lambda s: setattr(s, "_line", None), "has no index"),
+        ],
+    )
+    def test_raises_on_a_broken_index(self, mutate, message):
+        sketch, _ = live_sketch(d=1)
+        mutate(sketch)
+        with pytest.raises(AssertionError, match=message):
+            sketch.check()
+
+    def test_raises_on_an_index_above_one_dimension(self):
+        sketch, _ = live_sketch()
+        sketch._index()
+        with pytest.raises(AssertionError, match="has an index"):
+            sketch.check()
