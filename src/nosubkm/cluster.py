@@ -15,24 +15,16 @@ sketch of the stream decides between two randomized selection rules:
 Selection randomness is counter-based: the draw at arrival t depends only
 on (seed, t), so runs are reproducible and the branch taken at each step is
 a deterministic function of the input prefix alone. Both entry points read
-their draws from one buffer of consecutive arrivals' draws. An arrival
-outside it refills it with one `uniform_draws` call, which evaluates Philox
-on a numpy array of counters and falls back to scalar draws below
-_BLOCK_MIN_DRAWS, where the block's fixed cost does not pay. `process`
-refills at the m-th arrival after the bootstrap with min(m, _WINDOW)
-draws, so a run computes at most about twice the draws it reads, and one
-of fewer than _BLOCK_MIN_DRAWS arrivals after the bootstrap never computes
-a block. `_run`, which knows its length, refills with every draw its
-stream has left. The buffer holds at most _WINDOW draws for `process`.
+their draws from one buffer, which `_step` refills at an arrival outside
+it, the m-th after the bootstrap: with that arrival's draw alone while
+m < _BLOCK_MIN_DRAWS, where a numpy block's fixed cost does not pay, and
+from then on with the next _DRAW_BLOCK draws in one `uniform_draws` call,
+which evaluates Philox on a numpy array of counters. So the buffer never
+holds more than one block, and a run of fewer than _BLOCK_MIN_DRAWS
+arrivals after the bootstrap never computes one.
 
 A faster `process` raises the peak RSS of a caller that records every
-call's latency, since a run of fixed length then makes more calls and
-keeps more records. On the benchmark's `sparse_stream` (d = 1), answering
-the nearest query by bisection (`CellGrid`) made a call take 0.67x and
-0.68x the time and the run peak 13% higher, and then finding the sketch's
-nearest center by bisection (`KCenterSketch`) made it take 0.80x and
-0.78x the time and the peak 9% and 10% higher (medians of 10 alternating
-pairs at seeds 1 and 2, 2-CPU Xeon, Python 3.11, numpy 2.4).
+call's latency, since a run of fixed length then makes more calls.
 
 Two entry points, one transition. `process` and `_run` both decide each
 arrival with `_step`, and each event (a take, a sketch insert, a change of
@@ -127,6 +119,11 @@ def step_uniform(seed: int, t: int) -> float:
 # numpy 2.4): 48 scalar draws took 0.39 ms and 64 took 0.52, against
 # 0.45 ms for a block of either size.
 _BLOCK_MIN_DRAWS = 64
+# Draws per block refill. A block's cost per draw, best of 5x10 calls on the
+# same host: 0.67 us at 1,024 draws, 0.42 at 2,048, 0.29 at 4,096, 0.26 at
+# 8,192 and 0.32 at 16,384. Draws computed past the end of a run are wasted,
+# so the smaller of the two cheapest.
+_DRAW_BLOCK = 4096
 
 # Arrivals per window of `_run`, and the fewest arrivals left after
 # warm-up for which `_run` opens windows at all. A window pays a fixed
@@ -292,8 +289,9 @@ class OnlineClusterer:
         F is at most the doubling limit at t; the sketch exists from t = k
         on and has seen every arrival; the stored gap is `_type2_gap()`,
         and unless a raise is due, R is at least the raise target; the draw
-        buffer starts after the bootstrap and its first and last entries
-        are `step_uniform`'s.
+        buffer starts after the bootstrap, holds one draw while it starts
+        fewer than _BLOCK_MIN_DRAWS arrivals after it and _DRAW_BLOCK from
+        then on, and its first and last entries are `step_uniform`'s.
         """
         t = self.t
         indices = self.selected_indices
@@ -330,9 +328,15 @@ class OnlineClusterer:
             )
         draws, first = self._draws, self._draws_t
         if draws:
+            bootstrap = self.config.bootstrap_size
+            size = 1 if first - bootstrap < _BLOCK_MIN_DRAWS else _DRAW_BLOCK
+            require(
+                len(draws) == size,
+                f"the draw buffer holds {len(draws)} draws from arrival {first}, not {size}",
+            )
             last = first + len(draws) - 1
             require(
-                first > self.config.bootstrap_size
+                first > bootstrap
                 and draws[0] == step_uniform(self.config.seed, first)
                 and draws[-1] == step_uniform(self.config.seed, last),
                 f"the draw buffer does not hold the draws of arrivals {first}..{last}",
@@ -365,9 +369,8 @@ class OnlineClusterer:
         Only for a stream whose points were checked when it was made, as
         `check_point` checks them, with one dimension, that of any earlier
         arrivals: nothing here checks them again. `rows`, when given, is
-        the stream as a float array, one row per point. Every draw the
-        stream reads comes from the draw buffer, refilled here with all of
-        them by one `uniform_draws` call.
+        the stream as a float array, one row per point. `_step` reads each
+        arrival's draw from the draw buffer, as it does for `process`.
 
         The bootstrap, and every step while R is 0 (a type-1 step then
         reads whether d2 > 0, not d2 / R), go through `_step` as `process`
@@ -376,15 +379,10 @@ class OnlineClusterer:
         and from the grid query otherwise.
         """
         n = len(stream)
-        # The bootstrap arrivals are taken without a draw.
-        first = self.t + 1 + min(n, max(0, self._bootstrap - self.t))
-        end = self.t + n + 1
-        if first < end:
-            self._refill_draws(first, end - first)
         step = self._step
         decisions = []
         i = 0
-        while i < n and (self.t < self._bootstrap or self.threshold == 0.0):
+        while i < n and (self.t < self._bootstrap or self._selected.threshold == 0.0):
             decisions.append(step(stream[i]))
             i += 1
         window = None
@@ -414,7 +412,7 @@ class OnlineClusterer:
                 self.sketch = sketch = KCenterSketch(self.selected_points[: cfg.k], cfg.k)
                 self._sketch_changed()
             aux_points = 0 if sketch is None else len(sketch.centers)
-            return Decision(t, "bootstrap", True, 1.0, self.threshold, aux_points)
+            return Decision(t, "bootstrap", True, 1.0, self._selected.threshold, aux_points)
 
         if self._gap > 4.0 * (t + 2) * sketch.radius:
             processing = "type2"
@@ -426,7 +424,7 @@ class OnlineClusterer:
             # Exact below R; at or above R only its size matters, since
             # prob = min(1, d2 / R) is then 1.0.
             d2 = self._selected.min_sq_dist(x) if window is None else window.d2(t)
-            threshold = self.threshold
+            threshold = self._selected.threshold
             if threshold > 0.0:
                 prob = min(1.0, d2 / threshold)
             else:
@@ -437,7 +435,8 @@ class OnlineClusterer:
 
         draws, i = self._draws, t - self._draws_t
         if i >= len(draws):
-            draws, i = self._refill_draws(t, min(_WINDOW, t - self._bootstrap)), 0
+            n = 1 if t - self._bootstrap < _BLOCK_MIN_DRAWS else _DRAW_BLOCK
+            draws, i = self._refill_draws(t, n), 0
         selected = draws[i] < prob
         if selected:
             self._take(x, processing)

@@ -621,21 +621,22 @@ def draws_requested(run):
 
 
 class TestDrawBuffer:
-    # _WINDOW patched to 16 makes process refill at most 16 draws at a
-    # time, so a short stream crosses many refills; _WINDOW_MIN_ARRIVALS
-    # = 0 sends every _run segment to the windows.
+    # _DRAW_BLOCK patched to 16 or 64 makes the refills past the first 63
+    # arrivals after the bootstrap 16 or 64 draws each, so a short stream
+    # crosses many refills, scalar and numpy; _WINDOW_MIN_ARRIVALS = 0 sends
+    # every _run segment to the windows.
     @settings(max_examples=150, deadline=None)
     @given(
         k=st.integers(1, 4),
         bootstrap=st.sampled_from([None, 36]),
         seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
-        window=st.sampled_from([16, 1024]),
+        block=st.sampled_from([16, 64, cluster._DRAW_BLOCK]),
         shape=st.sampled_from(["clusters", "normal"]),
         segments=st.lists(
             st.tuples(st.booleans(), st.integers(0, 150)), min_size=1, max_size=6
         ),
     )
-    def test_every_draw_is_step_uniform(self, k, bootstrap, seed, window, shape, segments):
+    def test_every_draw_is_step_uniform(self, k, bootstrap, seed, block, shape, segments):
         # Segments of process calls and of _run, in any order, with check()
         # after each; every decision after the bootstrap reads the draw of
         # its own arrival.
@@ -643,7 +644,7 @@ class TestDrawBuffer:
         stream = window_stream(shape, n, 2, k, seed & 0xFFFF)
         clusterer = OnlineClusterer(ClusterConfig(k=k, bootstrap=bootstrap, seed=seed))
         decisions, i = [], 0
-        with mock.patch.object(cluster, "_WINDOW", window), mock.patch.object(
+        with mock.patch.object(cluster, "_DRAW_BLOCK", block), mock.patch.object(
             cluster, "_WINDOW_MIN_ARRIVALS", 0
         ):
             for by_run, length in segments:
@@ -657,36 +658,78 @@ class TestDrawBuffer:
 
     @pytest.mark.parametrize("bootstrap", [None, 36])
     def test_short_process_runs_compute_no_block(self, bootstrap):
-        # 63 arrivals after the bootstrap refill 1, 2, 4, ..., 32 draws;
-        # the 64th asks for the first block.
+        # 63 arrivals after the bootstrap read one scalar draw each; the
+        # 64th asks for the first block.
         config = ClusterConfig(k=3, bootstrap=bootstrap, seed=5)
         stream = window_stream("normal", config.bootstrap_size + 64, 2, 3, 5)
         clusterer = OnlineClusterer(config)
         short = draws_requested(lambda: [clusterer.process(x) for x in stream[:-1]])
-        assert short == [1, 2, 4, 8, 16, 32]
+        assert short == [1] * 63
         assert max(short) < cluster._BLOCK_MIN_DRAWS
-        assert draws_requested(lambda: clusterer.process(stream[-1])) == [64]
+        assert draws_requested(lambda: clusterer.process(stream[-1])) == [cluster._DRAW_BLOCK]
 
-    def test_process_refills_at_most_a_window(self):
+    def test_process_refills_one_block_at_a_time(self):
+        block = cluster._DRAW_BLOCK
         clusterer = OnlineClusterer(ClusterConfig(k=3, seed=5))
-        stream = window_stream("normal", 3 + 3000, 2, 3, 5)
-        sizes = draws_requested(lambda: [clusterer.process(x) for x in stream])
-        assert sizes == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 1024]
-        assert clusterer._draws_t == 3 + 2048
+        stream = window_stream("normal", 3 + 63 + 2 * block + 1, 2, 3, 5)
+
+        def feed():
+            for x in stream:
+                clusterer.process(x)
+                assert len(clusterer._draws) <= block
+
+        assert draws_requested(feed) == [1] * 63 + [block] * 3
+        assert clusterer._draws_t == 3 + 64 + 2 * block
         clusterer.check()
 
-    def test_run_fills_the_stream_at_once(self):
-        # every _run asks for all its draws after the bootstrap in one call
+    def test_run_refills_as_process_does(self):
+        # _run reads its draws through _step's refill: 63 scalar draws after
+        # the bootstrap, then one block, whatever the segments
         spec, stream = trial_stream(
             k=5, generator="gaussian_mixture", gen_params={"n": 600, "k": 5, "d": 2},
             ordering="shuffled", oracle="lloyd", seed=3,
         )
-        assert draws_requested(lambda: harness.run_trial(spec)) == [595]
+        sizes = [1] * 63 + [cluster._DRAW_BLOCK]
+        assert draws_requested(lambda: harness.run_trial(spec)) == sizes
         clusterer = OnlineClusterer(ClusterConfig(k=5, seed=3))
-        assert draws_requested(lambda: clusterer._run(stream[:-100])) == [495]
-        assert draws_requested(lambda: clusterer._run(stream[-100:-50])) == [50]
+        assert draws_requested(lambda: clusterer._run(stream[:-100])) == sizes
+        assert draws_requested(lambda: clusterer._run(stream[-100:-50])) == []
         clusterer.process(stream[-50])
-        assert draws_requested(lambda: clusterer._run(stream[-49:])) == [49]
+        assert draws_requested(lambda: clusterer._run(stream[-49:])) == []
+        clusterer.check()
+        # with blocks of 100, the 532 arrivals past the scalar draws cross
+        # five refills, and both entry points ask for the same draws
+        by_run = OnlineClusterer(ClusterConfig(k=5, seed=3))
+        by_process = OnlineClusterer(ClusterConfig(k=5, seed=3))
+        with mock.patch.object(cluster, "_DRAW_BLOCK", 100):
+            run_sizes = draws_requested(lambda: by_run._run(stream))
+            process_sizes = draws_requested(lambda: [by_process.process(x) for x in stream])
+        assert run_sizes == process_sizes == [1] * 63 + [100] * 6
+
+    def test_run_holds_the_selected_set_and_one_block(self):
+        # Measured at these 5*10^4 arrivals: 486 KB held once the decisions
+        # are dropped, for 4,410 selected points and the draw buffer. A point
+        # costs about 80 bytes: its row at up to twice its 16 (the array
+        # doubles), a slot in each of two lists and its arrival index as an
+        # int. A buffered draw costs 32 (its float and its list slot). A
+        # buffer of every draw held 1.95 MB here.
+        spec, stream = trial_stream(
+            k=3, generator="gaussian_mixture",
+            gen_params={"n": 50_000, "k": 3, "d": 2, "spread": 0.3, "separation": 30.0},
+            ordering="shuffled", seed=5,
+        )
+        rows = np.asarray(stream)
+        clusterer = OnlineClusterer(spec.cluster_config())
+        tracemalloc.start()
+        try:
+            decisions = clusterer._run(stream, rows)
+            del decisions
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        selected = len(clusterer.selected_indices)
+        assert selected > 1000
+        assert held <= 100 * selected + 32 * cluster._DRAW_BLOCK + (64 << 10)
         clusterer.check()
 
 
@@ -976,6 +1019,8 @@ class TestCheck:
             (lambda c: c._draws.__setitem__(0, c._draws[1]), "draw buffer"),
             (lambda c: c._draws.__setitem__(-1, 0.5), "draw buffer"),
             (lambda c: setattr(c, "_draws_t", c._draws_t + 1), "draw buffer"),
+            (lambda c: c._refill_draws(c._draws_t, cluster._DRAW_BLOCK + 1), "draw buffer holds"),
+            (lambda c: c._refill_draws(c._bootstrap + 1, 2), "draw buffer holds"),
             (lambda c: setattr(c, "_gap", math.nextafter(c._gap, math.inf)), "stored gap"),
             (grow_radius_with_no_raise_due, "raise target"),
             (lambda c: c.counters.takes.__setitem__("type1", c.counters.takes["type1"] + 1), "take counts"),
