@@ -40,17 +40,17 @@ next change, a doubling included. An absorb leaves the centers as they
 were, so the population rule reads the absorbing center's count, which a
 fresh nearest search would find.
 
-The entry points differ only in where a type-1 step reads d(x, S)^2.
-`process` asks the grid of selected points (below). `_run`, once past the
-bootstrap and with R above 0, on a stream with at least
-_WINDOW_MIN_ARRIVALS arrivals left, asks a `_Window` of the stream
-instead: one batch (`geometry.grid_below_sq`) gives each of up to
-_WINDOW arrivals its d(x, S)^2, exact below R, and a grid self-join
-(`geometry.near_pairs`) lists, for each arrival, the later ones it is
-nearer to than both R and their distance to S. A take can only lower a
-later arrival's distance, so it lowers only those on its list. A read past
-the prepared arrivals, or after any change of R, prepares again from the
-arrival read.
+The entry points differ only in where a type-1 step reads d(x, S)^2, and
+only at d >= 2. `process` asks the grid of selected points (below). `_run`,
+on a stream of two or more dimensions, once past the bootstrap and with R
+above 0, with at least _WINDOW_MIN_ARRIVALS arrivals left, asks a
+`_Window` of the stream instead: one batch (`geometry.grid_below_sq`)
+gives each of up to _WINDOW arrivals its d(x, S)^2, exact below R, and a
+grid self-join (`geometry.near_pairs`) lists, for each arrival, the later
+ones it is nearer to than both R and their distance to S. A take can only
+lower a later arrival's distance, so it lowers only those on its list. A
+read past the prepared arrivals, or after any change of R, prepares again
+from the arrival read.
 
 The distance rule needs d(x, S)^2 exactly only when it is below R, since
 the probability is 1 otherwise. The selected set therefore lives on a
@@ -60,7 +60,8 @@ below R. Its cells are filled again by the first query after R is raised
 or doubled, so a `_run` that reads a `_Window`, and never queries them,
 never fills them; while R is 0 (warm-up) the query scans every selected
 point. A one-dimensional set has no cells: the grid keeps it sorted and
-answers by bisection, exactly at every R, warm-up included.
+answers by bisection, exactly at every R, warm-up included. So at d = 1
+`_run` opens no window, and reads the grid query as `process` does.
 
 `OnlineClusterer.check()` tests the selector's invariants on a live
 object, and those of its grid and sketch; `process` never calls it.
@@ -133,7 +134,9 @@ _DRAW_BLOCK = 4096
 # arrivals took 1.23x, 1.06x, 1.02x and 1.24x the time of 1,024; on
 # shuffled k = 3 and 5, d = 2 mixtures, windows took 1.03x the time of
 # `_step` at 64 arrivals, 0.94x at 128, 0.87x at 256 and 0.75x at 1,024.
-# At 256 every exact-oracle stream stays on `_step`.
+# At 256 every exact-oracle stream stays on `_step`. All of this traffic
+# is d = 2: at d = 1 the grid's sorted line answers, and `_run` opens no
+# window.
 _WINDOW = 1024
 _WINDOW_MIN_ARRIVALS = 256
 # Candidate pairs per arrival the self-join may measure before the window
@@ -375,8 +378,10 @@ class OnlineClusterer:
         The bootstrap, and every step while R is 0 (a type-1 step then
         reads whether d2 > 0, not d2 / R), go through `_step` as `process`
         runs it. So does the rest, reading d(x, S)^2 from a `_Window` of
-        the stream when at least _WINDOW_MIN_ARRIVALS arrivals are left,
-        and from the grid query otherwise.
+        the stream when it has two or more dimensions and at least
+        _WINDOW_MIN_ARRIVALS arrivals are left, and from the grid query
+        otherwise: at d = 1 always, since the grid's sorted line answers
+        every query by bisection.
         """
         n = len(stream)
         step = self._step
@@ -386,7 +391,8 @@ class OnlineClusterer:
             decisions.append(step(stream[i]))
             i += 1
         window = None
-        if n - i >= _WINDOW_MIN_ARRIVALS:
+        # a one-dimensional set's sorted line answers as a window would
+        if n - i >= _WINDOW_MIN_ARRIVALS and self._selected._sorted is None:
             X = np.asarray(stream, dtype=np.float64) if rows is None else rows
             window = _Window(self._selected, X[i:], self.t + 1)
         decisions.extend(step(x, window) for x in stream[i:])
@@ -512,7 +518,7 @@ class OnlineClusterer:
     def _doubling_limit(self, t: int) -> float:
         """The count F of type-1 selections may reach at arrival t >= 1
         before R doubles."""
-        return self._doubling_scale * math.log(t, 2.0)
+        return self._doubling_scale * math.log2(t)
 
     def _set_threshold(self, threshold: float) -> None:
         self.selections_since_reset = 0
@@ -525,10 +531,11 @@ class OnlineClusterer:
 
 
 class _Window:
-    """d(x, S)^2 for the arrivals of one `_run` stream, exact below R, for
-    `_step` to read in place of the grid query (module docstring). Row r
-    of `rows` is arrival first + r; the rows are prepared a window at a
-    time, and `_step` reports each take (`took`).
+    """d(x, S)^2 for the arrivals of one `_run` stream of two or more
+    dimensions, exact below R, for `_step` to read in place of the grid
+    query (module docstring). Row r of `rows` is arrival first + r; the
+    rows are prepared a window at a time, and `_step` reports each take
+    (`took`).
     """
 
     def __init__(self, selected: CellGrid, rows: np.ndarray, first: int):

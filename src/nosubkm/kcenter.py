@@ -25,10 +25,9 @@ never moves, so a point that becomes a center is inserted at its bisection
 position, and a fold rebuilds the index. `_insert` and `nearest_center`
 then bisect x among the coordinates and measure outwards from x's two
 neighbours with abs(a - b), which is what `_nearest` computes: for one
-coordinate `math.dist` returns fabs(a - b) exactly. For centers
-b <= b' <= x, x - b >= x - b' >= 0, and rounding is monotone, so
-fl(x - b) >= fl(x - b'); the same holds for centers at or above x. So no
-center farther along a side is nearer than x's neighbour on that side, but
+coordinate `math.dist` returns fabs(a - b) exactly. Rounding is monotone,
+so no center farther along a side is nearer than x's neighbour on that
+side (the one-dimensional argument of `geometry`'s module docstring), but
 rounding can make it as near: from x = 2**54, centers 0.25 and 0.5 both
 read 2**54. Each side is therefore walked on past the neighbour while the
 distance stays the same, and the earliest birth among the centers at the

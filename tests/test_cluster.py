@@ -103,6 +103,16 @@ class TestTypeOne:
         for d in decisions:
             assert 0.0 <= d.probability <= 1.0
 
+    @pytest.mark.parametrize("c_double", [289.0, 0.3])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_doubling_limit_equals_the_reference(self, k, c_double):
+        # `reference_run`'s limit, associated as it associates it; log(t, 2)
+        # differs from log2(t) in the last bit at each of these t.
+        clusterer = OnlineClusterer(ClusterConfig(k=k, c_double=c_double))
+        for t in (3, 9, 10, 11, 12):
+            expected = c_double * k * math.log(k + 10) * math.log2(t)
+            assert clusterer._doubling_limit(t) == expected
+
 
 class TestTypeTwo:
     def test_far_point_routes_to_population_rule(self):
@@ -279,6 +289,26 @@ def run_both(stream, **config_kwargs):
     by_run = clusterer._run(stream)
     clusterer.check()
     return by_process, by_run
+
+
+def run_line_and_lifted(stream, **config_kwargs):
+    """`run_both` on a one-dimensional stream, and on the same stream lifted
+    to 2-D, each v as (v, 0.0), with _WINDOW_MIN_ARRIVALS = 0. The 1-D
+    `_run` reads the grid's sorted line and the lifted one windows, which
+    it must prepare. Lifting moves no distance, since
+    math.dist((a, 0.0), (b, 0.0)) == abs(a - b), so all four decision lists
+    are equal. Returns the 1-D `_run`'s."""
+    prepare = mock.patch.object(
+        cluster._Window, "_prepare", autospec=True, side_effect=cluster._Window._prepare
+    )
+    with mock.patch.object(cluster, "_WINDOW_MIN_ARRIVALS", 0):
+        by_process, by_run = run_both(stream, **config_kwargs)
+        with prepare as prepared:
+            lifted = run_both([(v, 0.0) for (v,) in stream], **config_kwargs)
+    assert prepared.call_count > 0
+    for decisions in (by_run, *lifted):
+        assert first_difference(decisions, by_process) is None
+    return by_run
 
 
 def trial_stream(**spec_kwargs):
@@ -524,19 +554,36 @@ class TestWindowPath:
         assert clusterer.sketch.radius == 1.0
         rows = [(10.0,), (1.0,), (22.0,), (21.0,), (25.0,), (0.0,)]
         stream = [(0.0,), (1.0,), (20.0,), *rows] * 40
-        with mock.patch.object(cluster, "_WINDOW_MIN_ARRIVALS", 0):
-            by_process, by_run = run_both(stream, k=2, seed=0)
-        assert first_difference(by_run, by_process) is None
+        run_line_and_lifted(stream, k=2, seed=0)
 
     def test_population_rule_takes_lower_later_distances(self):
-        # Arrivals 256-271 are type 2, and type-1 arrival 273 reads a
-        # distance that those takes lowered, at the R its window was
+        # Lifted, arrivals 256-271 are type 2, and type-1 arrival 273 reads
+        # a distance that those takes lowered, at the R its window was
         # prepared at: a window lowered only by type-1 takes gives it
         # probability 0.0097, where `process` gives 0.00043.
         stream = window_stream("clusters", 273, 1, 5, 2981874736)
-        by_process, by_run = run_both(stream, k=5, bootstrap=6, c_double=0.3, seed=2981874736)
+        by_run = run_line_and_lifted(stream, k=5, bootstrap=6, c_double=0.3, seed=2981874736)
         assert [d.processing for d in by_run[255:]] == ["type2"] * 16 + ["type1"] * 2
-        assert first_difference(by_run, by_process) is None
+
+    def test_one_dimensional_streams_open_no_window(self):
+        # The sorted line answers every query at d = 1, so `_run` builds no
+        # window however few arrivals a window needs, an empty remainder
+        # included.
+        _, stream = trial_stream(
+            k=5, generator="gaussian_mixture", gen_params={"n": 2000, "k": 5, "d": 1},
+            ordering="shuffled", seed=3,
+        )
+        _, by_process = run_stream(stream, k=5, seed=3)
+        no_window = mock.patch.object(
+            cluster, "_Window", side_effect=AssertionError("a window was built")
+        )
+        for min_arrivals in (cluster._WINDOW_MIN_ARRIVALS, 0):
+            clusterer = OnlineClusterer(ClusterConfig(k=5, seed=3))
+            with no_window, mock.patch.object(cluster, "_WINDOW_MIN_ARRIVALS", min_arrivals):
+                decisions = clusterer._run(stream[:1500]) + clusterer._run(stream[1500:])
+                assert clusterer._run([]) == []
+            assert first_difference(decisions, by_process) is None
+            clusterer.check()
 
     def test_exact_small_streams_never_open_a_window(self):
         spec = harness.TrialSpec(
