@@ -17,6 +17,11 @@ moves only the full digest; one that also moves the companion changes
 something else. Their full digests were re-recorded when every cost
 became a `math.fsum` (each oracle cost and ratio moved by one ulp), with
 the companions unchanged.
+Every pin also has a draw-free companion (`draw_free_digest`): each
+decision's index, rule and sketch size, and the record fields that no
+selection draw can move. A change to the selection draws moves only the
+full digests; one that also moves a draw-free companion changes something
+else.
 A change that moves one of them changes a decision, a probability,
 a threshold or a report value for a fixed seed, and has to say why in
 CHANGES.md.
@@ -42,6 +47,24 @@ def digest(decisions, record) -> str:
             ).encode()
         )
     h.update(json.dumps(record, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+# The record fields that no selection draw can move: a trial's are read
+# from its stream and the sketch, which sees every arrival; a `process`
+# stream's from the sketch alone.
+TRIAL_FIELDS = (
+    "n", "k", "seed", "lower_estimate", "lower_exact", "oracle_cost", "oracle_exact",
+    "peak_aux_points",
+)
+SKETCH_FIELDS = ("sketch_radius", "sketch_counts")
+
+
+def draw_free_digest(decisions, record, fields) -> str:
+    h = hashlib.sha256()
+    for d in decisions:
+        h.update(repr((d.index, d.processing, d.aux_points)).encode())
+    h.update(json.dumps({key: record[key] for key in fields}, sort_keys=True).encode())
     return h.hexdigest()
 
 
@@ -82,6 +105,9 @@ def test_full_sketch_stream():
     assert digest(decisions, clusterer_record(clusterer)) == (
         "2b6ad3b781b89c75150deba7c2ca6be8c21fb4cdda69bf64906143da593231c8"
     )
+    assert draw_free_digest(decisions, clusterer_record(clusterer), SKETCH_FIELDS) == (
+        "96304a563886e707efd7b4bd624992ed2e4d3308e27e16a3f24d3fb818906095"
+    )
 
 
 def test_doubling_stream_three_dimensions():
@@ -100,6 +126,9 @@ def test_doubling_stream_three_dimensions():
     assert len(clusterer.selected_points) > 27
     assert digest(decisions, clusterer_record(clusterer)) == (
         "bbc6c3a458f770b5672003e52e6b59ea57b39218a99d4d19796514b78a7f79d1"
+    )
+    assert draw_free_digest(decisions, clusterer_record(clusterer), SKETCH_FIELDS) == (
+        "c23e30e6e45074f8ceb4d9c1d4191f6c12446ff5b248490806ba7205957a5d25"
     )
 
 
@@ -121,6 +150,9 @@ def test_lloyd_trial():
     )
     assert digest(decisions, without_oracle_cost(report.to_record())) == (
         "fdfe57de28f4b7072b0848a666c7a90e9758b992af2a598ff2053835a95354a7"
+    )
+    assert draw_free_digest(decisions, report.to_record(), TRIAL_FIELDS) == (
+        "a2ac07f2ed04b82be4cae51b575b9f3b19aaf0a06e785869c962e504862c599f"
     )
 
 
@@ -149,6 +181,9 @@ def test_lloyd_trial_five_dimensions():
     assert digest(decisions, without_oracle_cost(report.to_record())) == (
         "edb31fa29727a6c246720e3548260f4b665d37333e3961f9096446cb7301c810"
     )
+    assert draw_free_digest(decisions, report.to_record(), TRIAL_FIELDS) == (
+        "b3039c381b2e1df6b114a9f2661c86df3edf3ce5ff18def62e97b8b7b2c8d1ef"
+    )
 
 
 def test_lloyd_trial_one_dimension():
@@ -171,6 +206,9 @@ def test_lloyd_trial_one_dimension():
     assert digest(decisions, without_oracle_cost(report.to_record())) == (
         "574b80bd402201db5488921619e4606ff657a3bcfb88682e2967751e60cf8d91"
     )
+    assert draw_free_digest(decisions, report.to_record(), TRIAL_FIELDS) == (
+        "49516fff96cfa8a10f72cad38810c6d7e41805510d424d9ee03d482a2708e9dc"
+    )
 
 
 def test_alpha_k_sequence_trial_with_type2():
@@ -185,6 +223,9 @@ def test_alpha_k_sequence_trial_with_type2():
     assert sum(d.processing == "type2" for d in decisions) > 0
     assert digest(decisions, report.to_record()) == (
         "937e9b782d641846f9b735567b93bcc212710c1bd5fb894eeb2d0176098a336b"
+    )
+    assert draw_free_digest(decisions, report.to_record(), TRIAL_FIELDS) == (
+        "a2b7d57d286cf486571d74119c15dddcbb51c98268f9b0a20bbc7eb6be21916a"
     )
 
 
@@ -209,6 +250,9 @@ def test_exact_adversarial_mixture_trial():
     assert digest(decisions, without_oracle_cost(record)) == (
         "b7c3b0a8cd2f3a4302d8f8b5a7644070bc73d80163fbbae25b631f7e6a3df5c7"
     )
+    assert draw_free_digest(decisions, record, (*TRIAL_FIELDS, "stream")) == (
+        "3bdee1e71653637b7187400430374173ff53c6c0e0d164358dcd2f644ec5f0b1"
+    )
 
 
 def test_exact_alpha_k_sequence_trial():
@@ -227,6 +271,9 @@ def test_exact_alpha_k_sequence_trial():
     assert sum(d.processing == "type2" for d in decisions) > 0
     assert digest(decisions, report.to_record()) == (
         "d982df966138a08f318c2285c101dac9929bef480243e5b945c546eaeccd46aa"
+    )
+    assert draw_free_digest(decisions, report.to_record(), TRIAL_FIELDS) == (
+        "c8ad78f1823a3185082e94128d8c9a99596175161ec0f2e592b5ac1e6f401207"
     )
 
 
