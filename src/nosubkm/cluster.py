@@ -12,16 +12,15 @@ sketch of the stream decides between two randomized selection rules:
   inversely proportional to the estimated population of its nearest sketch
   cluster.
 
-Selection randomness is counter-based: the draw at arrival t depends only
-on (seed, t), so runs are reproducible and the branch taken at each step is
-a deterministic function of the input prefix alone. Both entry points read
-their draws from one buffer, which `_step` refills at an arrival outside
-it, the m-th after the bootstrap: with that arrival's draw alone while
-m < _BLOCK_MIN_DRAWS, where a numpy block's fixed cost does not pay, and
-from then on with the next _DRAW_BLOCK draws in one `uniform_draws` call,
-which evaluates Philox on a numpy array of counters. So the buffer never
-holds more than one block, and a run of fewer than _BLOCK_MIN_DRAWS
-arrivals after the bootstrap never computes one.
+Selection randomness is counter-based: the draw at arrival t is word t of
+numpy's Philox4x64-10 stream under key (seed mod 2^64, 0) (`step_uniform`),
+so it depends only on (seed, t), runs are reproducible and the branch taken
+at each step is a deterministic function of the input prefix alone. Both
+entry points read their draws from one buffer, which `_step` refills at an
+arrival outside it with that arrival's draw and the _DRAW_BLOCK - 1 after
+it, one slice of the stream in one numpy call (`uniform_draws`). So from
+the first arrival after the bootstrap on the buffer holds one block, and
+every run past the bootstrap computes at least one.
 
 A faster `process` raises the peak RSS of a caller that records every
 call's latency, since a run of fixed length then makes more calls.
@@ -77,7 +76,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geometry import (
-    NEAREST_SQ_BUDGET,
     CellGrid,
     Point,
     check_point,
@@ -96,35 +94,32 @@ _PHILOX_W1 = 0xBB67AE8584CAA73B
 
 
 def step_uniform(seed: int, t: int) -> float:
-    """The uniform [0,1) draw for arrival t under this seed.
+    """The uniform [0,1) draw for arrival t under this seed, 0 <= t < 2^64.
 
-    Philox4x64-10 evaluated directly on counter (1, 0, 0, 0) with key
-    (seed mod 2^64, t); the first output word, shifted right by 11, times
-    2^-53. This is the double numpy's
-    `Generator(Philox(key=(seed & (2**64 - 1)) | t << 64)).random()` returns.
+    Word t of the Philox4x64-10 stream under key (seed mod 2^64, 0): output
+    word t % 4 of counter (t // 4 + 1, 0, 0, 0), evaluated directly,
+    shifted right by 11, times 2^-53. numpy's raw stream starts at counter
+    1, so this is `(Philox(key=seed & (2**64 - 1)).random_raw(t + 1)[t]
+    >> 11) * 2**-53`.
     """
-    k0, k1 = seed & _U64, t
-    c0, c1, c2, c3 = 1, 0, 0, 0
+    k0, k1 = seed & _U64, 0
+    c0, c1, c2, c3 = t // 4 + 1, 0, 0, 0
     for _ in range(10):
         p0 = _PHILOX_M0 * c0
         p1 = _PHILOX_M1 * c2
         c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _U64, (p0 >> 64) ^ c3 ^ k1, p0 & _U64
         k0 = (k0 + _PHILOX_W0) & _U64
         k1 = (k1 + _PHILOX_W1) & _U64
-    return (c0 >> 11) * 2.0**-53
+    return ((c0, c1, c2, c3)[t % 4] >> 11) * 2.0**-53
 
 
-# Fewest draws worth a numpy block. The block costs a fixed ~0.45 ms (ten
-# rounds of about thirty uint64 array operations) plus ~0.2 us a draw; a
-# scalar `step_uniform` costs ~8 us. Measured on a 2-CPU Xeon (Python 3.11,
-# numpy 2.4): 48 scalar draws took 0.39 ms and 64 took 0.52, against
-# 0.45 ms for a block of either size.
-_BLOCK_MIN_DRAWS = 64
-# Draws per block refill. A block's cost per draw, best of 5x10 calls on the
-# same host: 0.67 us at 1,024 draws, 0.42 at 2,048, 0.29 at 4,096, 0.26 at
-# 8,192 and 0.32 at 16,384. Draws computed past the end of a run are wasted,
-# so the smaller of the two cheapest.
-_DRAW_BLOCK = 4096
+# Draws per refill. One numpy Philox call costs a fixed ~14 us plus ~25 ns
+# a draw: 19 us for 256 draws, 36 for 1,024 and 118 for 4,096, against
+# 5.6 us for one scalar `step_uniform` (best of 5x200 calls on a 2-CPU Xeon,
+# Python 3.11, numpy 2.4). An exact-oracle trial reads about 8 draws, so a
+# block of 256 costs it less than its scalar draws would; draws computed
+# past the end of a run are wasted.
+_DRAW_BLOCK = 256
 
 # Arrivals per window of `_run`, and the fewest arrivals left after
 # warm-up for which `_run` opens windows at all. A window pays a fixed
@@ -146,40 +141,14 @@ _WINDOW_MIN_ARRIVALS = 256
 # 1.71x, 1.23x, 0.99x and 1.92x the time of 64 (same host).
 _NEAR_PAIRS_PER_ARRIVAL = 64
 
-_LO32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-
 
 def uniform_draws(seed: int, t0: int, n: int) -> list[float]:
-    """`[step_uniform(seed, t) for t in range(t0, t0 + n)]`, to the bit.
-
-    From _BLOCK_MIN_DRAWS draws on, the ten rounds run once on a uint64
-    array of the counters.
-    """
-    if n < _BLOCK_MIN_DRAWS:
-        return [step_uniform(seed, t) for t in range(t0, t0 + n)]
-    k0 = seed & _U64
-    k1 = np.uint64(t0) + np.arange(n, dtype=np.uint64)
-    c0 = np.ones(n, dtype=np.uint64)
-    c1 = c2 = c3 = np.zeros(n, dtype=np.uint64)
-    for _ in range(10):
-        hi0, lo0 = _mulhilo(c0, _PHILOX_M0)
-        hi1, lo1 = _mulhilo(c2, _PHILOX_M1)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-        k0 = (k0 + _PHILOX_W0) & _U64
-        k1 = k1 + np.uint64(_PHILOX_W1)  # wraps mod 2^64, as step_uniform masks it
-    return ((c0 >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
-
-
-def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low 64-bit words of each a * m, from 32-bit halves."""
-    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
-    a_hi, a_lo = a >> _SHIFT32, a & _LO32
-    lh = a_lo * m_hi
-    hl = a_hi * m_lo
-    # at most 2 (2^32 - 1) + (2^32 - 1)^2 = 2^64 - 1, so it cannot wrap
-    cross = ((a_lo * m_lo) >> _SHIFT32) + (lh & _LO32) + hl
-    return a_hi * m_hi + (lh >> _SHIFT32) + (cross >> _SHIFT32), a * np.uint64(m)
+    """`[step_uniform(seed, t) for t in range(t0, t0 + n)]`, to the bit,
+    for 0 <= t0 and t0 + n <= 2^64: words t0..t0 + n - 1 of numpy's raw
+    Philox stream, from one call on the counter block that holds word t0."""
+    skip = t0 % 4
+    raw = np.random.Philox(key=seed & _U64, counter=t0 // 4).random_raw(skip + n)[skip:]
+    return ((raw >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
 
 
 # "type1_only" never runs the population rule.
@@ -292,9 +261,8 @@ class OnlineClusterer:
         F is at most the doubling limit at t; the sketch exists from t = k
         on and has seen every arrival; the stored gap is `_type2_gap()`,
         and unless a raise is due, R is at least the raise target; the draw
-        buffer starts after the bootstrap, holds one draw while it starts
-        fewer than _BLOCK_MIN_DRAWS arrivals after it and _DRAW_BLOCK from
-        then on, and its first and last entries are `step_uniform`'s.
+        buffer, once filled, holds _DRAW_BLOCK draws from an arrival after
+        the bootstrap, and its first and last entries are `step_uniform`'s.
         """
         t = self.t
         indices = self.selected_indices
@@ -331,15 +299,13 @@ class OnlineClusterer:
             )
         draws, first = self._draws, self._draws_t
         if draws:
-            bootstrap = self.config.bootstrap_size
-            size = 1 if first - bootstrap < _BLOCK_MIN_DRAWS else _DRAW_BLOCK
             require(
-                len(draws) == size,
-                f"the draw buffer holds {len(draws)} draws from arrival {first}, not {size}",
+                len(draws) == _DRAW_BLOCK,
+                f"the draw buffer holds {len(draws)} draws from arrival {first}, not {_DRAW_BLOCK}",
             )
             last = first + len(draws) - 1
             require(
-                first > bootstrap
+                first > self._bootstrap
                 and draws[0] == step_uniform(self.config.seed, first)
                 and draws[-1] == step_uniform(self.config.seed, last),
                 f"the draw buffer does not hold the draws of arrivals {first}..{last}",
@@ -391,8 +357,8 @@ class OnlineClusterer:
             decisions.append(step(stream[i]))
             i += 1
         window = None
-        # a one-dimensional set's sorted line answers as a window would
-        if n - i >= _WINDOW_MIN_ARRIVALS and self._selected._sorted is None:
+        # a one-dimensional stream's sorted line answers as a window would
+        if i < n and n - i >= _WINDOW_MIN_ARRIVALS and len(stream[i]) > 1:
             X = np.asarray(stream, dtype=np.float64) if rows is None else rows
             window = _Window(self._selected, X[i:], self.t + 1)
         decisions.extend(step(x, window) for x in stream[i:])
@@ -441,8 +407,7 @@ class OnlineClusterer:
 
         draws, i = self._draws, t - self._draws_t
         if i >= len(draws):
-            n = 1 if t - self._bootstrap < _BLOCK_MIN_DRAWS else _DRAW_BLOCK
-            draws, i = self._refill_draws(t, n), 0
+            draws, i = self._refill_draws(t, _DRAW_BLOCK), 0
         selected = draws[i] < prob
         if selected:
             self._take(x, processing)
@@ -580,8 +545,7 @@ class _Window:
         X, R = self._rows, self._selected.threshold
         b = self._end if a < self._end else min(len(X), a + _WINDOW)
         while True:
-            limit = min(NEAREST_SQ_BUDGET, _NEAR_PAIRS_PER_ARRIVAL * (b - a))
-            pairs = near_pairs(X[a:b], R, limit)
+            pairs = near_pairs(X[a:b], R, _NEAR_PAIRS_PER_ARRIVAL * (b - a))
             if pairs is not None:
                 break
             b = a + max(1, (b - a) // 2)

@@ -507,8 +507,8 @@ def near_pairs(
     """The pairs of rows i < j of X whose squared distance, with the bits
     of nearest_sq, is below `threshold`, as arrays (i, j, sq) in increasing
     order of i. None where that takes more than `limit` candidate pairs,
-    which bounds the pair temporaries; `limit` is at most
-    NEAREST_SQ_BUDGET.
+    or NEAREST_SQ_BUDGET if that is smaller, which bounds the pair
+    temporaries.
 
     A grid self-join: every row is both a query and a center of the √R
     grid, and row i's candidates are the later rows in its cells. By the
@@ -519,6 +519,7 @@ def near_pairs(
     rows by all rows.
     """
     n, d = X.shape
+    limit = min(limit, NEAREST_SQ_BUDGET)
     found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
     plan = _cell_runs(X, X, grid_side(threshold))
     if plan is None:

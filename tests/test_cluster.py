@@ -237,9 +237,11 @@ class TestTypeOneOnlyMode:
 
 
 def numpy_philox_draw(seed, t):
-    """Reference draw: numpy's Philox generator keyed by (seed mod 2^64, t)."""
-    key = (seed & (2**64 - 1)) | (t << 64)
-    return float(np.random.Generator(np.random.Philox(key=key)).random())
+    """Reference draw: numpy's double from word t of its Philox stream under
+    key seed mod 2^64, read from the counter block that holds the word."""
+    bit_generator = np.random.Philox(key=seed & (2**64 - 1), counter=t // 4)
+    bit_generator.random_raw(t % 4)
+    return float(np.random.Generator(bit_generator).random())
 
 
 class TestStepUniform:
@@ -265,20 +267,24 @@ class TestStepUniform:
 
 
 class TestUniformDraws:
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 0x9B1F_53C2_04E7_6AD5])
-    @pytest.mark.parametrize("t0", [1, 2**40])
+    # t0 and n at every residue mod 4, so a slice starts and ends at every
+    # word of a counter block; n up to past one refill block.
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 0x9B1F_53C2_04E7_6AD5, 2**64 + 5, -3])
+    @pytest.mark.parametrize("t0", [1, 2, 3, 2**40])
     @pytest.mark.parametrize(
-        "n",
-        [0, 1, 2, cluster._BLOCK_MIN_DRAWS - 1, cluster._BLOCK_MIN_DRAWS, 1000],
+        "n", [0, 1, 2, 63, 64, 1000, cluster._DRAW_BLOCK, cluster._DRAW_BLOCK + 3]
     )
     def test_equals_step_uniform(self, seed, t0, n):
         expected = [step_uniform(seed, t) for t in range(t0, t0 + n)]
         assert uniform_draws(seed, t0, n) == expected
 
     def test_block_wraps_the_key_as_step_uniform_does(self):
-        # the counters near 2^64 wrap when the key is bumped each round
-        t0 = 2**64 - 200
-        assert uniform_draws(7, t0, 200) == [step_uniform(7, t) for t in range(t0, 2**64)]
+        # the key wraps mod 2^64 as it is bumped each round, and the last
+        # words before t = 2^64 lie in counter blocks near 2^62; t0 at
+        # every residue mod 4
+        for t0 in range(2**64 - 203, 2**64 - 199):
+            expected = [step_uniform(7, t) for t in range(t0, 2**64)]
+            assert uniform_draws(7, t0, 2**64 - t0) == expected
 
 
 def run_both(stream, **config_kwargs):
@@ -332,7 +338,6 @@ class TestRun:
             k=3, generator="gaussian_mixture", gen_params={"n": n, "k": 3},
             ordering="adversarial", seed=1,
         )
-        assert n < cluster._BLOCK_MIN_DRAWS
         by_process, by_run = run_both(stream, k=3, seed=spec.cluster_config().seed)
         assert by_run == by_process
 
@@ -644,8 +649,8 @@ class TestWindowPath:
         stream = [tuple(p) for p in (rng.uniform(-0.5, 0.5, size=(1024, 2)) + 50.0).tolist()]
         rows = np.asarray(stream)
         with mock.patch.object(geometry, "NEAREST_SQ_BUDGET", budget), mock.patch.object(
-            cluster, "NEAREST_SQ_BUDGET", budget
-        ), mock.patch.object(cluster, "_NEAR_PAIRS_PER_ARRIVAL", 1 << 20):
+            cluster, "_NEAR_PAIRS_PER_ARRIVAL", 1 << 20
+        ):
             tracemalloc.start()
             try:
                 decisions = clusterer._run(stream, rows)
@@ -668,9 +673,8 @@ def draws_requested(run):
 
 
 class TestDrawBuffer:
-    # _DRAW_BLOCK patched to 16 or 64 makes the refills past the first 63
-    # arrivals after the bootstrap 16 or 64 draws each, so a short stream
-    # crosses many refills, scalar and numpy; _WINDOW_MIN_ARRIVALS = 0 sends
+    # _DRAW_BLOCK patched to 16 or 64 makes every refill 16 or 64 draws, so
+    # a short stream crosses many refills; _WINDOW_MIN_ARRIVALS = 0 sends
     # every _run segment to the windows.
     @settings(max_examples=150, deadline=None)
     @given(
@@ -704,54 +708,62 @@ class TestDrawBuffer:
             assert d.selected == (step_uniform(seed, d.index) < d.probability)
 
     @pytest.mark.parametrize("bootstrap", [None, 36])
-    def test_short_process_runs_compute_no_block(self, bootstrap):
-        # 63 arrivals after the bootstrap read one scalar draw each; the
-        # 64th asks for the first block.
+    def test_short_process_runs_compute_one_block(self, bootstrap):
+        # The bootstrap reads no draw; the first arrival after it asks for
+        # one block, which the next _DRAW_BLOCK - 1 read, and the arrival
+        # after those asks for the next.
         config = ClusterConfig(k=3, bootstrap=bootstrap, seed=5)
-        stream = window_stream("normal", config.bootstrap_size + 64, 2, 3, 5)
+        block, head = cluster._DRAW_BLOCK, config.bootstrap_size
+        stream = window_stream("normal", head + block + 1, 2, 3, 5)
         clusterer = OnlineClusterer(config)
-        short = draws_requested(lambda: [clusterer.process(x) for x in stream[:-1]])
-        assert short == [1] * 63
-        assert max(short) < cluster._BLOCK_MIN_DRAWS
-        assert draws_requested(lambda: clusterer.process(stream[-1])) == [cluster._DRAW_BLOCK]
+        assert draws_requested(lambda: [clusterer.process(x) for x in stream[:head]]) == []
+        assert draws_requested(lambda: [clusterer.process(x) for x in stream[head:-1]]) == [block]
+        assert draws_requested(lambda: clusterer.process(stream[-1])) == [block]
 
     def test_process_refills_one_block_at_a_time(self):
         block = cluster._DRAW_BLOCK
         clusterer = OnlineClusterer(ClusterConfig(k=3, seed=5))
-        stream = window_stream("normal", 3 + 63 + 2 * block + 1, 2, 3, 5)
+        stream = window_stream("normal", 3 + 2 * block + 1, 2, 3, 5)
 
         def feed():
             for x in stream:
                 clusterer.process(x)
                 assert len(clusterer._draws) <= block
 
-        assert draws_requested(feed) == [1] * 63 + [block] * 3
-        assert clusterer._draws_t == 3 + 64 + 2 * block
+        assert draws_requested(feed) == [block] * 3
+        assert clusterer._draws_t == 3 + 1 + 2 * block
         clusterer.check()
 
     def test_run_refills_as_process_does(self):
-        # _run reads its draws through _step's refill: 63 scalar draws after
-        # the bootstrap, then one block, whatever the segments
+        # _run reads its draws through _step's refill: one block at arrival
+        # 6, the first after the bootstrap, and one at every _DRAW_BLOCK
+        # arrivals from there, whatever the segments
         spec, stream = trial_stream(
             k=5, generator="gaussian_mixture", gen_params={"n": 600, "k": 5, "d": 2},
             ordering="shuffled", oracle="lloyd", seed=3,
         )
-        sizes = [1] * 63 + [cluster._DRAW_BLOCK]
-        assert draws_requested(lambda: harness.run_trial(spec)) == sizes
+        block = cluster._DRAW_BLOCK
+
+        def refills(first, last):
+            """The requests of arrivals first..last: one block at each
+            arrival 6, 6 + block, ... among them."""
+            return [block] * (len(range(6, last + 1, block)) - len(range(6, first, block)))
+
+        assert draws_requested(lambda: harness.run_trial(spec)) == refills(1, 600)
         clusterer = OnlineClusterer(ClusterConfig(k=5, seed=3))
-        assert draws_requested(lambda: clusterer._run(stream[:-100])) == sizes
-        assert draws_requested(lambda: clusterer._run(stream[-100:-50])) == []
+        assert draws_requested(lambda: clusterer._run(stream[:-100])) == refills(1, 500)
+        assert draws_requested(lambda: clusterer._run(stream[-100:-50])) == refills(501, 550)
         clusterer.process(stream[-50])
-        assert draws_requested(lambda: clusterer._run(stream[-49:])) == []
+        assert draws_requested(lambda: clusterer._run(stream[-49:])) == refills(552, 600)
         clusterer.check()
-        # with blocks of 100, the 532 arrivals past the scalar draws cross
-        # five refills, and both entry points ask for the same draws
+        # with blocks of 100, the 595 arrivals after the bootstrap cross six
+        # refills, and both entry points ask for the same draws
         by_run = OnlineClusterer(ClusterConfig(k=5, seed=3))
         by_process = OnlineClusterer(ClusterConfig(k=5, seed=3))
         with mock.patch.object(cluster, "_DRAW_BLOCK", 100):
             run_sizes = draws_requested(lambda: by_run._run(stream))
             process_sizes = draws_requested(lambda: [by_process.process(x) for x in stream])
-        assert run_sizes == process_sizes == [1] * 63 + [100] * 6
+        assert run_sizes == process_sizes == [100] * 6
 
     def test_run_holds_the_selected_set_and_one_block(self):
         # Measured at these 5*10^4 arrivals: 486 KB held once the decisions

@@ -19,9 +19,11 @@ became a `math.fsum` (each oracle cost and ratio moved by one ulp), with
 the companions unchanged.
 Every pin also has a draw-free companion (`draw_free_digest`): each
 decision's index, rule and sketch size, and the record fields that no
-selection draw can move. A change to the selection draws moves only the
-full digests; one that also moves a draw-free companion changes something
-else.
+selection draw can move. A change to the selection draws alone leaves
+every draw-free companion as it was; one that moves a draw-free companion
+changes something else. The other digests of the five streams whose draws
+decide an arrival were re-recorded when each draw became a word of numpy's
+raw Philox stream, with every draw-free companion unchanged.
 A change that moves one of them changes a decision, a probability,
 a threshold or a report value for a fixed seed, and has to say why in
 CHANGES.md.
@@ -103,7 +105,7 @@ def test_full_sketch_stream():
     clusterer, decisions = run_stream(spec, ClusterConfig(k=20, seed=seed))
     assert len(clusterer.selected_points) > 16
     assert digest(decisions, clusterer_record(clusterer)) == (
-        "2b6ad3b781b89c75150deba7c2ca6be8c21fb4cdda69bf64906143da593231c8"
+        "7055c18b8d20e1412073b4c46370ba4cc498440c3a6bec77944b30cf63c0f583"
     )
     assert draw_free_digest(decisions, clusterer_record(clusterer), SKETCH_FIELDS) == (
         "96304a563886e707efd7b4bd624992ed2e4d3308e27e16a3f24d3fb818906095"
@@ -125,7 +127,7 @@ def test_doubling_stream_three_dimensions():
     assert clusterer.counters.doublings > 0
     assert len(clusterer.selected_points) > 27
     assert digest(decisions, clusterer_record(clusterer)) == (
-        "bbc6c3a458f770b5672003e52e6b59ea57b39218a99d4d19796514b78a7f79d1"
+        "2b08d5f64abbe3f736d53920a94e8fd812fbeb7a5d7142c132a60a312328bb89"
     )
     assert draw_free_digest(decisions, clusterer_record(clusterer), SKETCH_FIELDS) == (
         "c23e30e6e45074f8ceb4d9c1d4191f6c12446ff5b248490806ba7205957a5d25"
@@ -146,10 +148,10 @@ def test_lloyd_trial():
     report, decisions = harness.run_trial(spec)
     assert 3 <= report.centers_selected * 2 // geometry._BATCH_ROWS_PER_PASS
     assert digest(decisions, report.to_record()) == (
-        "db486d130dd05c939cffe89b57e44bd2897fe58e1cb943c8464fe8fd42d712c4"
+        "25839434f68ac4979fd77eebe4e208c0abd10f6650120b6696a4681f2d337032"
     )
     assert digest(decisions, without_oracle_cost(report.to_record())) == (
-        "fdfe57de28f4b7072b0848a666c7a90e9758b992af2a598ff2053835a95354a7"
+        "35c3e42601a9e7d9640154e3f793fdfd143566119153d75f0bfae1a99a9cd605"
     )
     assert draw_free_digest(decisions, report.to_record(), TRIAL_FIELDS) == (
         "a2ac07f2ed04b82be4cae51b575b9f3b19aaf0a06e785869c962e504862c599f"
@@ -176,10 +178,10 @@ def test_lloyd_trial_five_dimensions():
     assert 3**4 > report.centers_selected * 5 // geometry._BATCH_ROWS_PER_PASS
     assert report.achieved_cost > 0.0
     assert digest(decisions, report.to_record()) == (
-        "574d30dfc152e4885bb55773ca4c780f56154c49f2659f3cabb012d8f9160dea"
+        "012aec5ad010a63d7fa4dfa1d7b4480dbd8e62819eaac7d64f97dd217cb066ef"
     )
     assert digest(decisions, without_oracle_cost(report.to_record())) == (
-        "edb31fa29727a6c246720e3548260f4b665d37333e3961f9096446cb7301c810"
+        "8c4f3290746aba12d6301b992024eadba4a464f43be3d2dd80b042d40b54be32"
     )
     assert draw_free_digest(decisions, report.to_record(), TRIAL_FIELDS) == (
         "b3039c381b2e1df6b114a9f2661c86df3edf3ce5ff18def62e97b8b7b2c8d1ef"
@@ -201,10 +203,10 @@ def test_lloyd_trial_one_dimension():
     )
     report, decisions = harness.run_trial(spec)
     assert digest(decisions, report.to_record()) == (
-        "db6f4ebd136865128f763910ce2b9d4b7167f609fdeb224c9425bad4d75908c8"
+        "38a7096efddbebfb7a58ecf51c4f2c5174d28713139e901edeeb94f38a7eae69"
     )
     assert digest(decisions, without_oracle_cost(report.to_record())) == (
-        "574b80bd402201db5488921619e4606ff657a3bcfb88682e2967751e60cf8d91"
+        "9f05c0d13ef46753f466ba699e900fb80a579914f93c0522045350353497b6e9"
     )
     assert draw_free_digest(decisions, report.to_record(), TRIAL_FIELDS) == (
         "49516fff96cfa8a10f72cad38810c6d7e41805510d424d9ee03d482a2708e9dc"
