@@ -28,6 +28,8 @@ The exact searches run on tables over all 2**n subsets of a small set
 (`subset_tables`). `least_partition`, one layer of `min_over_splits` per
 part over the split table `_splits`, gives `l_fold_diameter` with
 np.maximum on diameters and the exact k-means oracle with np.add.
+`min_over_splits_at` folds the splits of chosen masks only, for
+`lower_bound.lower_exact`'s last fold level.
 
 Exactness. Let u = 2**-53, R >= DBL_MIN and h = r = fl(fl(sqrt(R)) *
 (1 + GRID_MARGIN)); the scan covers, in each coordinate j, the cells
@@ -81,7 +83,8 @@ import numpy as np
 Point = tuple[float, ...]
 
 # Largest set whose l-fold diameter is exact; beyond it l_fold_diameter
-# returns a certified greedy upper bound. `least_partition` splits the
+# returns a certified greedy upper bound, except at l = 1 and at l + 1
+# points, whose closed forms are exact at any size. `least_partition` splits the
 # subsets of all but one point, so at 12 points and l >= 3 it builds the
 # 11-point split table: 88,573 splits, 371 kB kept, 903 kB at its build.
 EXACT_PARTITION_LIMIT = 12
@@ -451,7 +454,9 @@ def _cell_runs(X: np.ndarray, C: np.ndarray, h: float):
     what a scan costs, or where cell numbers leave the range where doubles
     hold integers exactly."""
     n, d = X.shape
-    if not h or n == 0:
+    if not h or n == 0 or len(C) * d < _BATCH_ROWS_PER_PASS:
+        # With fewer center coordinates every span fails the pass test
+        # below, as span >= 1, so no cell number need be computed.
         return None
     lo = np.floor((X - h) / h)
     span = int((np.floor((X + h) / h) - lo).max()) + 1
@@ -586,9 +591,11 @@ def l_fold_diameter(points: Sequence[Point], l: int) -> float:
     Exact up to EXACT_PARTITION_LIMIT points: `least_partition` with
     np.maximum on every subset's diameter (`subset_tables`), a maximum of
     `distance_table` entries or 0.0. Beyond, a certified upper bound from
-    greedy farthest-point splitting. At l = 1 the greedy split is one part,
-    whose diameter it returns, and |points| <= l gives 0.0: both are exact
-    at any size.
+    greedy farthest-point splitting. Three closed forms are exact at any
+    size and build no table: |points| <= l gives 0.0; l + 1 points give
+    the closest pair's `dist`, since some part holds two points and the
+    closest pair with every other point alone is a split; at l = 1 the
+    greedy split is one part, whose diameter it returns.
     """
     if not points:
         raise ValueError("points must be nonempty")
@@ -596,6 +603,8 @@ def l_fold_diameter(points: Sequence[Point], l: int) -> float:
         raise ValueError(f"l must be >= 1, got {l}")
     if len(points) <= l:
         return 0.0
+    if len(points) == l + 1:
+        return min(dist(a, b) for a, b in itertools.combinations(points, 2))
     if l > 1 and len(points) <= EXACT_PARTITION_LIMIT:
         diam = subset_tables(distance_table(points), np.maximum, 0.0)[1]
         return least_partition(diam, l, np.maximum)[0]
@@ -664,16 +673,36 @@ def min_over_splits(part: np.ndarray, rest: np.ndarray, combine: np.ufunc) -> np
     may hold every member, so fewer parts count too. On the diameters and
     the l-fold diameters np.maximum gives the (l+1)-fold diameters; on the
     part costs and the least l-part costs np.add gives the least (l+1)-part
-    costs. The split table is the smallest that covers the masks."""
+    costs. The split table is the smallest that covers the masks, and its
+    uint16 rows are gathered with np.take, about twice as fast as fancy
+    indexing (numpy 2.4). A caller that reads few masks takes `min_over_splits_at`."""
     splits_a, splits_rest, starts = _splits((len(rest) - 1).bit_length())
     out = np.zeros_like(rest)
     for lo in range(1, len(rest), _FOLD_CHUNK):
         hi = min(lo + _FOLD_CHUNK, len(rest))
         a, b = starts[lo - 1], starts[hi - 1]
-        scores = part[splits_a[a:b]]
-        combine(scores, rest[splits_rest[a:b]], out=scores)
+        scores = np.take(part, splits_a[a:b])
+        combine(scores, np.take(rest, splits_rest[a:b]), out=scores)
         out[lo:hi] = np.minimum.reduceat(scores, starts[lo - 1 : hi - 1] - a)
     return out
+
+
+def min_over_splits_at(
+    masks: np.ndarray, part: np.ndarray, rest: np.ndarray, combine: np.ufunc
+) -> np.ndarray:
+    """min_over_splits(part, rest, combine)[masks] for a nonempty array of
+    distinct nonempty masks, folding only their splits: the same minimum
+    over the same values, so the same bits."""
+    splits_a, splits_rest, starts = _splits((len(rest) - 1).bit_length())
+    lo = starts[masks - 1]
+    count = starts[masks] - lo
+    first = np.cumsum(count) - count
+    # the positions of each mask's splits, one run after another
+    at = np.repeat(lo - first, count)
+    at += np.arange(len(at))
+    scores = np.take(part, np.take(splits_a, at))
+    combine(scores, np.take(rest, np.take(splits_rest, at)), out=scores)
+    return np.minimum.reduceat(scores, first)
 
 
 def least_partition(score: np.ndarray, l: int, combine: np.ufunc) -> tuple[float, list[int]]:
@@ -701,7 +730,7 @@ def least_partition(score: np.ndarray, l: int, combine: np.ufunc) -> tuple[float
         if best:
             part, rest, starts = _splits((len(inner) - 1).bit_length())
             lo, hi = starts[free - 1], starts[free]
-            scores = combine(inner[part[lo:hi]], best.pop()[rest[lo:hi]])
+            scores = combine(np.take(inner, part[lo:hi]), np.take(best.pop(), rest[lo:hi]))
             taken = int(part[lo + np.argmin(scores)])
         parts.append(taken << 1)
         free ^= taken

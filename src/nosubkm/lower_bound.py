@@ -23,6 +23,7 @@ from .geometry import (
     distance_table,
     l_fold_diameter,
     min_over_splits,
+    min_over_splits_at,
     subset_tables,
 )
 
@@ -52,8 +53,9 @@ def _prefix_threshold(
 
     Prefixes of fewer than k points have zero (k-1)-fold diameter, so the
     threshold degenerates to requiring a distinct point. Beyond the exact
-    partition limit the diameter is a greedy upper bound, which makes
-    certification conservative (it can reject, never wrongly accept).
+    partition limit the diameter is a greedy upper bound, except for a
+    prefix of exactly k points, whose closest pair is exact; the bound
+    makes certification conservative (it can reject, never wrongly accept).
     """
     if k < 2:
         return math.inf if prefix else 0.0
@@ -88,16 +90,22 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> tuple[int, ...
 
     The search runs on tables over all 2**n subsets (`subset_tables`), built
     once per call from one table of pairwise distances with the bits of
-    `dist`: every point's distance to each subset's nearest member, and the
-    subset's (k-1)-fold diameter (`min_over_splits` with np.maximum). Each
-    is a minimum or maximum of table entries, so a threshold has the bits
-    of the one `is_alpha_k_sequence` computes, exact on subsets of up to
-    EXACT_PARTITION_LIMIT >= EXACT_SEARCH_LIMIT points. A layer of reachable
-    subsets of one size grows by one compare of their nearest-member rows
-    against their thresholds. Subsets grow in mask order and the first to
-    reach a subset keeps it, so the answer is deterministic (small masks and
-    small indices first): the order that first reached the last layer's
-    first subset.
+    `dist`: every point's distance to each subset's nearest member, each
+    subset's closest pair and diameter, and its l-fold diameters for
+    l = 2 .. k - 2 (`min_over_splits` with np.maximum). The (k-1)-fold
+    diameter that a threshold needs is read per layer at the layer's
+    subsets only: 0 below k points, the closest pair at k, and beyond the
+    least over each subset's splits (`min_over_splits_at`), so k = 3 folds
+    no full table. Each value is a minimum or maximum of table entries, so
+    a threshold has the bits of the one `is_alpha_k_sequence` computes,
+    exact on subsets of up to EXACT_PARTITION_LIMIT >= EXACT_SEARCH_LIMIT
+    points. A layer of reachable subsets of one size grows by one compare
+    of their nearest-member rows against their thresholds, and a
+    scatter-min over the 2**n masks keeps each grown subset's first
+    candidate. Subsets grow in mask order and the first to reach a subset
+    keeps it, so the answer is deterministic (small masks and small
+    indices first): the order that first reached the last layer's first
+    subset.
     """
     _validate_alpha_k(alpha, k)
     n = len(points)
@@ -114,10 +122,13 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> tuple[int, ...
         return (0,)
 
     # nearest[mask, j]: the distance from point j to mask's nearest member
-    nearest, _ = subset_tables(table, np.minimum, math.inf)
+    # closest[mask]: the distance between its closest pair of members
+    nearest, closest = subset_tables(table, np.minimum, math.inf)
     diam = subset_tables(table, np.maximum, 0.0)[1]  # diam[mask]: its diameter
-    fold = diam  # l-fold diameters, from l = 1 to k - 1, or to n: all 0 from there
-    for _ in range(min(k - 1, n) - 1):
+    # The l-fold diameters of every subset, from l = 1 to k - 2, which only
+    # the layers of more than k points read.
+    fold = diam
+    for _ in range(k - 3 if k < n else 0):
         fold = min_over_splits(diam, fold, np.maximum)
 
     # One layer per size: its masks in increasing order, and for each the
@@ -126,13 +137,30 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> tuple[int, ...
     grown_layers = []
     first = 0  # position of the layer's first-reached subset
     for size in range(1, n + 1):
+        # The layer's (k-1)-fold diameters: 0 up to k - 1 points, the
+        # closest pair's distance at k (`l_fold_diameter`'s closed form),
+        # and beyond read from its subsets' splits alone.
+        if size < k:
+            thresholds = np.zeros(len(masks))
+        elif size == k:
+            thresholds = closest[masks]
+        elif k == 2:
+            thresholds = diam[masks]
+        else:
+            thresholds = min_over_splits_at(masks, diam, fold, np.maximum)
+        thresholds *= math.sqrt((size + 1) * alpha)
         # Members are at distance 0 from the subset, and no threshold is
         # negative, so only outside points pass.
-        thresholds = fold[masks] * math.sqrt((size + 1) * alpha)
         parents, added = np.nonzero(nearest[masks] > thresholds[:, None])
         if not len(parents):
             break
-        masks, reached = np.unique(masks[parents] | 1 << added, return_index=True)
+        # Each grown subset keeps its first candidate, in the order of
+        # (parent, added), by a scatter-min of candidate numbers.
+        grown = masks[parents] | 1 << added
+        reached = np.full(1 << n, len(grown))
+        np.minimum.at(reached, grown, np.arange(len(grown)))
+        masks = np.flatnonzero(reached < len(grown))
+        reached = reached[masks]
         grown_layers.append((parents[reached], added[reached]))
         first = int(reached.argmin())
 

@@ -411,6 +411,22 @@ class TestReferenceEquivalence:
             for l in (1, 2, 3, 4):
                 assert geometry.l_fold_diameter(pts, l) == reference_fold_diameter(pts, l)
 
+    @pytest.mark.parametrize("l", range(2, 12))
+    def test_one_point_more_than_parts_is_the_closest_pair(self, l):
+        # The closed form: l + 1 points in l parts, exact at any size.
+        rng = np.random.default_rng(60 + l)
+        sets = [
+            [tuple(rng.normal(0, 10, size=2)) for _ in range(l + 1)],
+            # duplicates and tied distances
+            [tuple(rng.choice([0.0, 1.0, 5.0], size=2)) for _ in range(l + 1)],
+            [(3.0 * i,) for i in rng.permutation(l + 1)],
+            [(float(i % 2), 0.0) for i in range(l + 1)],
+        ]
+        for pts in sets:
+            expected = reference_partition_diameter(pts, l)
+            got = geometry.l_fold_diameter(pts, l)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (pts, l)
+
     @pytest.mark.parametrize("m", [11, 12])
     def test_l_fold_diameter_matches_reference_at_the_limit(self, m):
         # The cases above rarely reach 11 or 12 points, where the inner
@@ -512,16 +528,64 @@ class TestSubsetTables:
         assert geometry._splits.cache_info().currsize == 0
 
     def test_small_fold_builds_the_table_it_needs(self):
-        # Five points at l = 4 split the subsets of the last four points
-        # only, so the 4-point table (40 splits) is the one built.
+        # Six points at l = 4 split the subsets of the last five points
+        # only, so the 5-point table (121 splits) is the one built. Five
+        # points at l = 4 take the closed form and build none.
         rng = np.random.default_rng(7)
-        pts = [tuple(rng.normal(0, 10, size=2)) for _ in range(5)]
+        pts = [tuple(rng.normal(0, 10, size=2)) for _ in range(6)]
         geometry._splits.cache_clear()
         geometry.l_fold_diameter(pts, 4)
         info = geometry._splits.cache_info()
         assert info.currsize == 1
-        geometry._splits(4)
+        geometry._splits(5)
         assert geometry._splits.cache_info().hits == info.hits + 1
+
+    def test_fold_at_some_masks_matches_the_full_fold(self):
+        rng = np.random.default_rng(19)
+        pts = [tuple(rng.choice([0.0, 1.0, 3.0], size=2)) for _ in range(7)]
+        diam = geometry.subset_tables(geometry.distance_table(pts), np.maximum, 0.0)[1]
+        fold = diam
+        for _ in range(3):
+            full = geometry.min_over_splits(diam, fold, np.maximum)
+            for masks in (np.arange(1, 1 << 7), np.array([1]), np.array([5, 6, 96, 127])):
+                at = geometry.min_over_splits_at(masks, diam, fold, np.maximum)
+                assert at.tobytes() == full[masks].tobytes()
+            fold = full
+
+    @pytest.mark.parametrize("k, calls", [(2, 0), (3, 0), (4, 1), (5, 2)])
+    def test_full_fold_tables_stop_below_the_last_level(self, monkeypatch, k, calls):
+        # The layers read the (k-1)-fold diameter only at their own subsets,
+        # so the full tables stop at k - 2 (l = 1 is the diameter table).
+        made = []
+
+        def counted(*args):
+            made.append(1)
+            return geometry.min_over_splits(*args)
+
+        monkeypatch.setattr(lower_bound, "min_over_splits", counted)
+        rng = np.random.default_rng(8)
+        pts = [tuple(rng.normal(0, 10, size=2)) for _ in range(10)]
+        assert lower_exact(pts, 1.5, k) == reference_lower_exact(pts, 1.5, k)
+        assert len(made) == calls
+
+    def test_dense_search_reaches_every_subset(self, monkeypatch):
+        # The worst case for the per-layer reads: in a shuffled spread
+        # sequence every subset is reachable, so the layers of 4 points or
+        # more read the 2-fold diameter of all 848 of their subsets from
+        # their splits (the 3-point layer takes its closest pairs).
+        read = []
+
+        def spied(masks, *args):
+            read.append(len(masks))
+            return geometry.min_over_splits_at(masks, *args)
+
+        monkeypatch.setattr(lower_bound, "min_over_splits_at", spied)
+        line = gen_alpha_k_sequence(3, 4.0, 10, seed=3)
+        pts = [line[i] for i in np.random.default_rng(3).permutation(10)]
+        seq = lower_exact(pts, 4.0, 3)
+        assert seq == reference_lower_exact(pts, 4.0, 3)
+        assert len(seq) == 10
+        assert read == [math.comb(10, size) for size in range(4, 11)]
 
     def test_import_builds_no_table(self):
         script = (
