@@ -17,12 +17,14 @@ The √R grid (Bentley, Stanat & Williams, IPL 1977) finds the squared
 distance from x to its nearest center exactly whenever that is below a
 threshold R, by looking only at the cells near x. `CellGrid` answers one
 query at a time over a growing center set (a one-dimensional set by
-bisection instead, for every R); `grid_nearest_sq` answers a batch. Both
-use the cell side of `grid_side` and the cell rule floor(v / h), and fall
-back to `nearest_sq` where the grid cannot answer or costs more than the
-scan. `grid_below_sq` is the batch without its fallback, for a caller
-that needs the distance only below R, and `near_pairs` joins a batch with
-itself: every pair of its rows whose squared distance is below R.
+bisection instead, for every R); `grid_below_sq` answers a batch, exactly
+where the distance is below R, and `grid_nearest_sq` is that batch with a
+`nearest_sq` scan of the rows it leaves at or above R. Both use the cell
+side of `grid_side` and the cell rule floor(v / h), and take `nearest_sq`
+where the grid cannot answer or costs more than the scan. `near_pairs`
+joins a batch with itself: every pair of its rows whose squared distance
+is below R, its candidates the later rows in a row's cells or, with no
+grid, all the later rows, measured in the same pair loop.
 
 The exact searches run on tables over all 2**n subsets of a small set
 (`subset_tables`). `least_partition`, one layer of `min_over_splits` per
@@ -54,10 +56,11 @@ COORD_LIMIT and h >= sqrt(DBL_MIN), so |x_j ± r| / h < 2e254.
 The same argument serves the self-join of `near_pairs`, with each row as
 both a query and a center: a pair whose computed squared distance is
 below R lies in the scanned cells of its earlier row, and the distance is
-symmetric to the bit, since fl(b - a) = -fl(a - b). So the distances a
-`cluster._Window` reads, `grid_below_sq`'s at the start of a window, each
-lowered by the later pairs of the window's takes, are `nearest_sq`'s
-distances to the grown set wherever those are below R.
+symmetric to the bit, since fl(b - a) = -fl(a - b); with no grid every
+later row is a candidate. So the distances a `cluster._Window` reads,
+`grid_below_sq`'s at the start of a window, each lowered by the later
+pairs of the window's takes, are `nearest_sq`'s distances to the grown set
+wherever those are below R.
 
 In one dimension no grid is needed. Take points b <= b' <= x: then
 x - b >= x - b' >= 0, and rounding is monotone, so fl(x - b) >= fl(x - b')
@@ -392,14 +395,10 @@ class CellGrid:
 
 
 def grid_nearest_sq(X: np.ndarray, C: np.ndarray, threshold: float) -> np.ndarray:
-    """`nearest_sq(X, C)[1]` to the bit, found on the √R grid of C.
-
-    The rows that `grid_below_sq` leaves at or above `threshold` fall back
-    to nearest_sq, as does the whole batch where the grid cannot answer.
-    """
-    best = _grid_below(X, C, threshold)
-    if best is None:
-        return nearest_sq(X, C)[1]
+    """`nearest_sq(X, C)[1]` to the bit, found on the √R grid of C: the
+    rows that `grid_below_sq` leaves at or above `threshold` fall back to
+    nearest_sq."""
+    best = grid_below_sq(X, C, threshold)
     miss = np.flatnonzero(~(best < threshold))
     if len(miss):
         best[miss] = nearest_sq(X[miss], C)[1]
@@ -410,31 +409,22 @@ def grid_below_sq(X: np.ndarray, C: np.ndarray, threshold: float) -> np.ndarray:
     """`nearest_sq(X, C)[1]` to the bit where that is below `threshold`;
     elsewhere some value at or above the threshold, inf included.
 
-    This is `grid_nearest_sq` without its fallback scan, for a caller that
-    needs the distance only below the threshold. C is sorted by a linear
-    cell key whose first coordinate has stride 1, so a row's cells that
-    differ only there are one run of keys, found with two searchsorted
-    calls; one pass runs per combination of cells in the other
-    coordinates. Where the grid cannot answer (`_cell_runs`), every row
-    takes nearest_sq.
+    Each row's least squared distance, summed as in nearest_sq, to the
+    centers in its cells of the √R grid of C, inf where there are none: by
+    the module docstring's argument nearest_sq's value wherever that is
+    below R, and a minimum over fewer centers elsewhere. C is sorted by a
+    linear cell key whose first coordinate has stride 1, so a row's cells
+    that differ only there are one run of keys, found with two searchsorted
+    calls; one pass runs per combination of cells in the other coordinates.
+    Where the grid cannot answer (`_cell_runs`), every row takes nearest_sq.
     """
-    best = _grid_below(X, C, threshold)
-    return nearest_sq(X, C)[1] if best is None else best
-
-
-def _grid_below(X: np.ndarray, C: np.ndarray, threshold: float) -> np.ndarray | None:
-    """Each row's least squared distance, summed as in nearest_sq, to the
-    centers in its cells of the √R grid of C, inf where there are none;
-    None where `_cell_runs` finds no grid. By the module docstring's
-    argument this is nearest_sq's value wherever that is below R, and at
-    or above R elsewhere, as a minimum over fewer centers."""
     if len(C) == 0:
         raise ValueError("centers must be nonempty")
     if C.shape[1] != X.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {C.shape[1]}")
     plan = _cell_runs(X, C, grid_side(threshold))
     if plan is None:
-        return None
+        return nearest_sq(X, C)[1]
     order, runs = plan
     C = C[order]
     best = np.full(len(X), np.inf)
@@ -520,37 +510,28 @@ def near_pairs(
     module docstring's argument, with row i as the query and row j as the
     center, every pair below the threshold is among them; the same pair may
     be listed twice where cell keys alias. Where the grid cannot answer
-    (`_cell_runs`), every pair i < j is a candidate, measured in blocks of
-    rows by all rows.
+    (`_cell_runs`), row i's candidates are all the later rows, one run in
+    the same pair loop, so every pair i < j is measured once.
     """
     n, d = X.shape
     limit = min(limit, NEAREST_SQ_BUDGET)
-    found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
     plan = _cell_runs(X, X, grid_side(threshold))
     if plan is None:
-        if n * (n - 1) // 2 > limit:
-            return None
-        rows = max(1, limit // (2 * n))
-        for s in range(0, n, rows):
-            block = X[s : s + rows]
-            sq = _sum_sq(lambda c: np.subtract.outer(block[:, c], X[:, c]), d)
-            i, j = np.nonzero(sq < threshold)
-            later = j > i + s
-            i, j = i[later], j[later]
-            found.append((i + s, j, sq[i, j]))
+        order, runs = np.arange(n), [(np.arange(1, n + 1), np.arange(n - 1, -1, -1))]
     else:
         order, runs = plan
         runs = list(runs)
-        if sum(int(count.sum()) for _, count in runs) > limit:
-            return None
-        for start, count in runs:
-            for _, _, i, j in _pair_groups(start, count):
-                j = order[j]
-                later = j > i
-                i, j = i[later], j[later]
-                sq = _sum_sq(lambda c: X[j, c] - X[i, c], d)
-                near = sq < threshold
-                found.append((i[near], j[near], sq[near]))
+    if sum(int(count.sum()) for _, count in runs) > limit:
+        return None
+    found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    for start, count in runs:
+        for _, _, i, j in _pair_groups(start, count):
+            j = order[j]
+            later = j > i
+            i, j = i[later], j[later]
+            sq = _sum_sq(lambda c: X[j, c] - X[i, c], d)
+            near = sq < threshold
+            found.append((i[near], j[near], sq[near]))
     i, j, sq = (np.concatenate(column) for column in zip(*found))
     by_row = np.argsort(i, kind="stable")
     return i[by_row], j[by_row], sq[by_row]

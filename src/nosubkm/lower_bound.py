@@ -56,9 +56,11 @@ def _prefix_threshold(
     partition limit the diameter is a greedy upper bound, except for a
     prefix of exactly k points, whose closest pair is exact; the bound
     makes certification conservative (it can reject, never wrongly accept).
+    At k = 1 it is inf: no point passes after the first. Every caller
+    passes a nonempty prefix.
     """
     if k < 2:
-        return math.inf if prefix else 0.0
+        return math.inf
     return math.sqrt(position * alpha) * l_fold_diameter(prefix, k - 1)
 
 

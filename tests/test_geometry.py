@@ -795,7 +795,7 @@ def brute_near_pairs(X, R):
 
 class TestNearPairs:
     # Forced, the grid runs whatever the crossover says; otherwise small
-    # sets and high d take the blocks of all pairs.
+    # sets and high d take every later row as a candidate.
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda d: boundary_case(d, 40, 40)), st.booleans())
     def test_every_pair_below_threshold(self, case, forced):
@@ -811,9 +811,22 @@ class TestNearPairs:
     @pytest.mark.parametrize("forced", [True, False])
     def test_more_candidates_than_the_limit(self, forced):
         # 30 points in one cell: on the grid every row has at least the 30
-        # of its cell as candidates; the blocks measure the 435 pairs.
+        # of its cell as candidates; without it the later rows give 435.
         X = np.random.default_rng(3).uniform(0.0, 0.1, size=(30, 2))
         with mock.patch.object(geometry, "_BATCH_ROWS_PER_PASS", 1e-9 if forced else 1e9):
             assert near_pairs(X, 1.0, 899 if forced else 434) is None
             i, j, _ = near_pairs(X, 1.0, geometry.NEAREST_SQ_BUDGET if forced else 435)
         assert len(set(zip(i.tolist(), j.tolist()))) == 435
+
+    def test_later_rows_plan_within_budget(self):
+        # Without the grid all n(n - 1) / 2 = limit pairs of the 1,024 rows
+        # are candidates, and all are below R, so the self-join holds one
+        # group of pair arrays of the limit, then the pairs found, their
+        # concatenation and its sorted copy.
+        X = np.random.default_rng(64).uniform(size=(1024, 2))
+        limit = 1024 * 1023 // 2
+        with mock.patch.object(geometry, "_BATCH_ROWS_PER_PASS", 1e9):
+            (i, _, _), peak = traced_peak(near_pairs, X, 10.0, limit)
+        assert len(i) == limit
+        # A dozen 8-byte arrays of the limit, and object overhead.
+        assert peak <= 12 * 8 * limit + (64 << 10)
