@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -135,10 +136,12 @@ _DRAW_BLOCK = 256
 _WINDOW = 1024
 _WINDOW_MIN_ARRIVALS = 256
 # Candidate pairs per arrival the self-join may measure before the window
-# shrinks. The `lloyd_trial` streams measure 2-18, and any limit from 16 to
-# 1,024 timed within 3% there. On 1,500-point uniform boxes whose doublings
-# leave every pair of a window within sqrt(R), 16, 32, 128 and 1,024 took
-# 1.71x, 1.23x, 0.99x and 1.92x the time of 64 (same host).
+# shrinks; it measures each pair of rows in one another's cells once. The
+# seed-1 `lloyd_trial` windows measure 0.1-8.7 (2.6 on average), and any
+# limit from 16 to 1,024 timed within 7% of 64 there. On 1,500-point
+# uniform boxes (k = 3, c_double = 0.3, d = 2..4, seeds 1..3), 16, 32, 128
+# and 1,024 took 2.10x, 1.31x, 1.00x and 2.73x the time of 64 (same host,
+# median of 9 rounds).
 _NEAR_PAIRS_PER_ARRIVAL = 64
 
 
@@ -166,6 +169,10 @@ class ClusterConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.k, numbers.Integral):
+            raise ValueError(f"k must be an int, got {self.k!r}")
+        if self.bootstrap is not None and not isinstance(self.bootstrap, numbers.Integral):
+            raise ValueError(f"bootstrap must be an int, got {self.bootstrap!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.bootstrap is not None and self.bootstrap < self.k:
@@ -538,9 +545,11 @@ class _Window:
     def _prepare(self, a: int) -> None:
         """Prepare rows a..b - 1 at the current R. b is the end of the
         prepared rows when a is before it, else _WINDOW rows on, halved
-        towards a until the self-join measures at most
-        _NEAR_PAIRS_PER_ARRIVAL candidate pairs per row. Row i's
-        neighbours, less a, and their squared distances are at
+        towards a until the self-join, which measures each row against
+        the rows of its cells that come after it in the grid's order
+        (with no grid, every later row), measures at most
+        _NEAR_PAIRS_PER_ARRIVAL candidate pairs per row.
+        Row i's neighbours, less a, and their squared distances are at
         _starts[i - a]:_starts[i - a + 1] of _near and _near_sq."""
         X, R = self._rows, self._selected.threshold
         b = self._end if a < self._end else min(len(X), a + _WINDOW)

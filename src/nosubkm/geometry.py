@@ -23,8 +23,9 @@ where the distance is below R, and `grid_nearest_sq` is that batch with a
 side of `grid_side` and the cell rule floor(v / h), and take `nearest_sq`
 where the grid cannot answer or costs more than the scan. `near_pairs`
 joins a batch with itself: every pair of its rows whose squared distance
-is below R, its candidates the later rows in a row's cells or, with no
-grid, all the later rows, measured in the same pair loop.
+is below R, each row measuring only the rows after it in the grid's order
+that lie in its cells; with no grid the order is the rows' own and the
+one run is all of them, so each pair is measured once either way.
 
 The exact searches run on tables over all 2**n subsets of a small set
 (`subset_tables`). `least_partition`, one layer of `min_over_splits` per
@@ -54,10 +55,11 @@ depend on d. Every cell number is finite: points have coordinates within
 COORD_LIMIT and h >= sqrt(DBL_MIN), so |x_j ± r| / h < 2e254.
 
 The same argument serves the self-join of `near_pairs`, with each row as
-both a query and a center: a pair whose computed squared distance is
-below R lies in the scanned cells of its earlier row, and the distance is
-symmetric to the bit, since fl(b - a) = -fl(a - b); with no grid every
-later row is a candidate. So the distances a `cluster._Window` reads,
+both a query and a center: the distance is symmetric to the bit, since
+fl(b - a) = -fl(a - b), so a pair whose computed squared distance is below
+R lies in the scanned cells of each of its rows, and in particular of the
+one that comes first in the grid's order; with no grid every row after it
+is a candidate. So the distances a `cluster._Window` reads,
 `grid_below_sq`'s at the start of a window, each lowered by the later
 pairs of the window's takes, are `nearest_sq`'s distances to the grown set
 wherever those are below R.
@@ -506,33 +508,37 @@ def near_pairs(
     temporaries.
 
     A grid self-join: every row is both a query and a center of the √R
-    grid, and row i's candidates are the later rows in its cells. By the
-    module docstring's argument, with row i as the query and row j as the
-    center, every pair below the threshold is among them; the same pair may
-    be listed twice where cell keys alias. Where the grid cannot answer
-    (`_cell_runs`), row i's candidates are all the later rows, one run in
-    the same pair loop, so every pair i < j is measured once.
+    grid, whose `order` sorts the rows by cell. A row's candidates are the
+    rows in its cells that come after its own position in `order`: each
+    run of positions is clamped to start past it. By the module
+    docstring's argument, with the earlier of the two in `order` as the
+    query, every pair below the threshold is among them, measured once;
+    the same pair may be listed twice where cell keys alias. Where the grid
+    cannot answer (`_cell_runs`), `order` is the identity and each row's
+    one run is every row, which the clamp cuts to the later rows.
     """
     n, d = X.shape
-    limit = min(limit, NEAREST_SQ_BUDGET)
     plan = _cell_runs(X, X, grid_side(threshold))
-    if plan is None:
-        order, runs = np.arange(n), [(np.arange(1, n + 1), np.arange(n - 1, -1, -1))]
-    else:
-        order, runs = plan
-        runs = list(runs)
-    if sum(int(count.sum()) for _, count in runs) > limit:
+    order, runs = plan or (np.arange(n), [(np.zeros(n, np.intp), np.full(n, n))])
+    after = np.empty(n, np.intp)
+    after[order] = np.arange(1, n + 1)
+    runs = [(np.maximum(s, after), np.maximum(s + c, after)) for s, c in runs]
+    runs = [(s, e - s) for s, e in runs]
+    if sum(int(count.sum()) for _, count in runs) > min(limit, NEAREST_SQ_BUDGET):
         return None
-    found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
-    for start, count in runs:
-        for _, _, i, j in _pair_groups(start, count):
-            j = order[j]
-            later = j > i
-            i, j = i[later], j[later]
-            sq = _sum_sq(lambda c: X[j, c] - X[i, c], d)
-            near = sq < threshold
-            found.append((i[near], j[near], sq[near]))
-    i, j, sq = (np.concatenate(column) for column in zip(*found))
+    Y = X[order]
+
+    def near(i, p):
+        # row i against the rows at positions p of the order
+        sq = _sum_sq(lambda c: Y[p, c] - X[i, c], d)
+        keep = sq < threshold
+        i, j, sq = i[keep], order[p[keep]], sq[keep]
+        return np.minimum(i, j), np.maximum(i, j, out=j), sq
+
+    # No name holds the groups' arrays, so they go once concatenated.
+    found = (near(i, p) for start, count in runs for _, _, i, p in _pair_groups(start, count))
+    empty = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
+    i, j, sq = (np.concatenate(column) for column in zip(empty, *found))
     by_row = np.argsort(i, kind="stable")
     return i[by_row], j[by_row], sq[by_row]
 

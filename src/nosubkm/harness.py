@@ -200,6 +200,8 @@ class TrialSpec:
             raise ValueError(f"oracle must be one of {ORACLES}")
         # every trial runs lower_estimate at this alpha, whatever the ordering
         _validate_alpha_k(self.alpha, self.k)
+        if not isinstance(self.lloyd_restarts, numbers.Integral):
+            raise ValueError(f"lloyd_restarts must be an int, got {self.lloyd_restarts!r}")
         if self.lloyd_restarts < 1:
             raise ValueError("lloyd_restarts must be >= 1")
 

@@ -12,6 +12,7 @@ sequence as the tuple of its indices into the set.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -118,10 +119,11 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> tuple[int, ...
         )
     if n == 0:
         return ()
-    table = distance_table(points)
     if k < 2:
-        # Past the first point the threshold is infinite.
-        return (0,)
+        # Past the first point the threshold is infinite, so the greedy
+        # search returns (0,) too; it checks the dimensions with no table.
+        return lower_greedy(points, alpha, k)
+    table = distance_table(points)
 
     # nearest[mask, j]: the distance from point j to mask's nearest member
     # closest[mask]: the distance between its closest pair of members
@@ -273,5 +275,7 @@ def _validate_alpha_k(alpha: float, k: int) -> None:
     # NaN fails too; inf would give short prefixes a threshold inf * 0 = NaN
     if not 1 < alpha < math.inf:
         raise ValueError(f"alpha must be > 1 and finite, got {alpha}")
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an int, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

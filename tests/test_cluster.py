@@ -40,6 +40,17 @@ class TestConfig:
     def test_bootstrap_defaults_to_k(self):
         assert ClusterConfig(k=4).bootstrap_size == 4
 
+    @pytest.mark.parametrize("k", [2.5, 2.0])
+    def test_k_that_is_not_an_int_rejected(self, k):
+        # unchecked, k = 2.5 fails only at the third arrival, after t moved
+        with pytest.raises(ValueError, match="k must be an int"):
+            ClusterConfig(k=k)
+
+    @pytest.mark.parametrize("bootstrap", [2.5, 3.0])
+    def test_bootstrap_that_is_not_an_int_rejected(self, bootstrap):
+        with pytest.raises(ValueError, match="bootstrap must be an int"):
+            ClusterConfig(k=2, bootstrap=bootstrap)
+
     @pytest.mark.parametrize("name", ["c_raise", "c_double", "c_type2"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_constants_must_be_positive_and_finite(self, name, value):

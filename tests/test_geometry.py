@@ -810,13 +810,23 @@ class TestNearPairs:
 
     @pytest.mark.parametrize("forced", [True, False])
     def test_more_candidates_than_the_limit(self, forced):
-        # 30 points in one cell: on the grid every row has at least the 30
-        # of its cell as candidates; without it the later rows give 435.
+        # 30 points in one cell: on the grid the cell keys alias, so each of
+        # a row's three runs holds the cell's rows after it in the grid's
+        # order, 1,305 candidates in all; without it the later rows give 435.
         X = np.random.default_rng(3).uniform(0.0, 0.1, size=(30, 2))
         with mock.patch.object(geometry, "_BATCH_ROWS_PER_PASS", 1e-9 if forced else 1e9):
             assert near_pairs(X, 1.0, 899 if forced else 434) is None
             i, j, _ = near_pairs(X, 1.0, geometry.NEAREST_SQ_BUDGET if forced else 435)
         assert len(set(zip(i.tolist(), j.tolist()))) == 435
+
+    def test_each_pair_measured_once_on_the_grid(self):
+        # 30 points in one 1-D cell: each row's one run is the whole cell,
+        # and only the rows after it in the grid's order are measured.
+        X = np.random.default_rng(3).uniform(0.0, 0.1, size=(30, 1))
+        with mock.patch.object(geometry, "_BATCH_ROWS_PER_PASS", 1e-9):
+            assert near_pairs(X, 1.0, 434) is None
+            i, j, _ = near_pairs(X, 1.0, 435)
+        assert sorted(zip(i.tolist(), j.tolist())) == list(itertools.combinations(range(30), 2))
 
     def test_later_rows_plan_within_budget(self):
         # Without the grid all n(n - 1) / 2 = limit pairs of the 1,024 rows

@@ -166,6 +166,14 @@ class TestTrialSpec:
         with pytest.raises(ValueError):
             TrialSpec(k=2, input_path="x.csv", generator="uniform_box")
 
+    def test_k_that_is_not_an_int_rejected(self):
+        with pytest.raises(ValueError, match="k must be an int"):
+            TrialSpec(k=2.5, generator="uniform_box", gen_params={"n": 5})
+
+    def test_lloyd_restarts_that_is_not_an_int_rejected(self):
+        with pytest.raises(ValueError, match="lloyd_restarts must be an int"):
+            TrialSpec(k=2, generator="uniform_box", gen_params={"n": 5}, lloyd_restarts=2.5)
+
     def test_adversarial_needs_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             TrialSpec(

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,9 +174,29 @@ class TestOneCenter:
         assert lower_exact(pts, 9.0, 1) == (0,)
         assert lower_greedy(pts, 9.0, 1) == (0,)
 
+    def test_exact_search_builds_no_distance_table(self):
+        with mock.patch.object(lower_bound, "distance_table") as table:
+            assert lower_exact(POINTS_0_1_7_50, 9.0, 1) == (0,)
+        table.assert_not_called()
+
     def test_estimate_beyond_the_search_limit(self):
         pts = [(float(3**i),) for i in range(12)]
         assert lower_estimate(pts, 9.0, 1) == ((0,), False)
+
+
+class TestIntegralK:
+    # Unchecked, a k of 2.5 reaches `range` and raises TypeError there.
+    def test_lower_exact_rejects_a_k_that_is_not_an_int(self):
+        with pytest.raises(ValueError, match="k must be an int"):
+            lower_exact(POINTS_0_1_7_50, 9.0, 2.5)
+
+    def test_lower_greedy_rejects_a_k_that_is_not_an_int(self):
+        with pytest.raises(ValueError, match="k must be an int"):
+            lower_greedy(POINTS_0_1_7_50, 9.0, 2.5)
+
+    def test_is_alpha_k_sequence_rejects_a_k_that_is_not_an_int(self):
+        with pytest.raises(ValueError, match="k must be an int"):
+            is_alpha_k_sequence(POINTS_0_1_7_50, [0, 1, 2], 9.0, 2.5)
 
 
 class TestAdversarialOrder:
