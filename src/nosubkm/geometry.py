@@ -28,9 +28,10 @@ that lie in its cells; with no grid the order is the rows' own and the
 one run is all of them, so each pair is measured once either way.
 
 The exact searches run on tables over all 2**n subsets of a small set
-(`subset_tables`). `least_partition`, one layer of `min_over_splits` per
-part over the split table `_splits`, gives `l_fold_diameter` with
-np.maximum on diameters and the exact k-means oracle with np.add.
+(`subset_tables`, or `subset_pairs` where only the pairs are read).
+`least_partition`, one layer of `min_over_splits` per part over the
+split table `_splits`, gives `l_fold_diameter` with np.maximum on
+diameters and the exact k-means oracle with np.add.
 `min_over_splits_at` folds the splits of chosen masks only, for
 `lower_bound.lower_exact`'s last fold level.
 
@@ -437,14 +438,16 @@ def grid_below_sq(X: np.ndarray, C: np.ndarray, threshold: float) -> np.ndarray:
     return best
 
 
-def _cell_runs(X: np.ndarray, C: np.ndarray, h: float):
+def _cell_runs(X: np.ndarray, C: np.ndarray, h: float, self_join: bool = False):
     """Where the grid of side h serves the rows of X against the centers C:
     the order that sorts C by linear cell key, and an iterator over the
     combinations of cells outside the first coordinate that gives each
-    row's run of centers, in that order, as arrays (start, count). None
-    where there is no grid (h = 0 or no rows), where the passes outnumber
-    what a scan costs, or where cell numbers leave the range where doubles
-    hold integers exactly."""
+    row's run of centers, in that order, as arrays (start, count). For a
+    self-join, X being C, the rows are taken in that order too, so each
+    searchsorted gets its queries sorted but for rounding. None where there
+    is no grid (h = 0 or no rows), where the passes outnumber what a scan
+    costs, or where cell numbers leave the range where doubles hold
+    integers exactly."""
     n, d = X.shape
     if not h or n == 0 or len(C) * d < _BATCH_ROWS_PER_PASS:
         # With fewer center coordinates every span fails the pass test
@@ -465,7 +468,7 @@ def _cell_runs(X: np.ndarray, C: np.ndarray, h: float):
     keys = (cc - base).astype(np.int64) @ strides
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    low = (lo - base).astype(np.int64)
+    low = ((lo[order] if self_join else lo) - base).astype(np.int64)
 
     def runs():
         for offset in itertools.product(range(span), repeat=d - 1):
@@ -508,35 +511,36 @@ def near_pairs(
     temporaries.
 
     A grid self-join: every row is both a query and a center of the √R
-    grid, whose `order` sorts the rows by cell. A row's candidates are the
-    rows in its cells that come after its own position in `order`: each
-    run of positions is clamped to start past it. By the module
-    docstring's argument, with the earlier of the two in `order` as the
-    query, every pair below the threshold is among them, measured once;
-    the same pair may be listed twice where cell keys alias. Where the grid
-    cannot answer (`_cell_runs`), `order` is the identity and each row's
-    one run is every row, which the clamp cuts to the later rows.
+    grid, whose `order` sorts the rows by cell, and the queries are taken
+    in that order. A row's candidates are the rows in its cells that come
+    after its own position in `order`: each run of positions is clamped to
+    start past it. By the module docstring's argument, with the earlier of
+    the two in `order` as the query, every pair below the threshold is
+    among them, measured once; the same pair may be listed twice where
+    cell keys alias. Where the grid cannot answer (`_cell_runs`), `order`
+    is the identity and each row's one run is every row, which the clamp
+    cuts to the later rows.
     """
     n, d = X.shape
-    plan = _cell_runs(X, X, grid_side(threshold))
+    plan = _cell_runs(X, X, grid_side(threshold), self_join=True)
     order, runs = plan or (np.arange(n), [(np.zeros(n, np.intp), np.full(n, n))])
-    after = np.empty(n, np.intp)
-    after[order] = np.arange(1, n + 1)
+    # the query at position q of the order measures the positions after q
+    after = np.arange(1, n + 1)
     runs = [(np.maximum(s, after), np.maximum(s + c, after)) for s, c in runs]
     runs = [(s, e - s) for s, e in runs]
     if sum(int(count.sum()) for _, count in runs) > min(limit, NEAREST_SQ_BUDGET):
         return None
     Y = X[order]
 
-    def near(i, p):
-        # row i against the rows at positions p of the order
-        sq = _sum_sq(lambda c: Y[p, c] - X[i, c], d)
+    def near(q, p):
+        # the rows at positions q of the order against those at positions p
+        sq = _sum_sq(lambda c: Y[p, c] - Y[q, c], d)
         keep = sq < threshold
-        i, j, sq = i[keep], order[p[keep]], sq[keep]
+        i, j, sq = order[q[keep]], order[p[keep]], sq[keep]
         return np.minimum(i, j), np.maximum(i, j, out=j), sq
 
     # No name holds the groups' arrays, so they go once concatenated.
-    found = (near(i, p) for start, count in runs for _, _, i, p in _pair_groups(start, count))
+    found = (near(q, p) for start, count in runs for _, _, q, p in _pair_groups(start, count))
     empty = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
     i, j, sq = (np.concatenate(column) for column in zip(empty, *found))
     by_row = np.argsort(i, kind="stable")
@@ -576,7 +580,7 @@ def l_fold_diameter(points: Sequence[Point], l: int) -> float:
     """Smallest D such that `points` splits into l parts of diameter <= D.
 
     Exact up to EXACT_PARTITION_LIMIT points: `least_partition` with
-    np.maximum on every subset's diameter (`subset_tables`), a maximum of
+    np.maximum on every subset's diameter (`subset_pairs`), a maximum of
     `distance_table` entries or 0.0. Beyond, a certified upper bound from
     greedy farthest-point splitting. Three closed forms are exact at any
     size and build no table: |points| <= l gives 0.0; l + 1 points give
@@ -593,7 +597,7 @@ def l_fold_diameter(points: Sequence[Point], l: int) -> float:
     if len(points) == l + 1:
         return min(dist(a, b) for a, b in itertools.combinations(points, 2))
     if l > 1 and len(points) <= EXACT_PARTITION_LIMIT:
-        diam = subset_tables(distance_table(points), np.maximum, 0.0)[1]
+        diam = subset_pairs(distance_table(points), np.maximum, 0.0)
         return least_partition(diam, l, np.maximum)[0]
     return _greedy_partition_diameter(points, l)
 
@@ -629,6 +633,25 @@ def subset_tables(
         combine(pairs[:lo], rows[:lo, i], out=pairs[lo:hi])
         combine(rows[:lo], table[i], out=rows[lo:hi])
     return rows, pairs
+
+
+def subset_pairs(table: np.ndarray, combine: np.ufunc, empty: float) -> np.ndarray:
+    """`subset_tables(table, combine, empty)[1]`, to the bit, from only the
+    member rows that the pairs read: the masks whose highest member is i
+    read column i of the rows below 1 << i, so step i extends only the
+    columns after i, and no step writes the rows from 2**(n-1) on. The
+    rows are kept column by column, so each column is one contiguous run."""
+    n = len(table)
+    columns = np.empty((n, 1 << max(n - 1, 0)))  # columns[x, S]: rows[S, x]
+    columns[:, 0] = empty
+    pairs = np.empty(1 << n)
+    pairs[0] = empty
+    for i in range(n):
+        lo, hi = 1 << i, 2 << i
+        combine(pairs[:lo], columns[i, :lo], out=pairs[lo:hi])
+        if i + 1 < n:
+            combine(columns[i + 1 :, :lo], table[i, i + 1 :, None], out=columns[i + 1 :, lo:hi])
+    return pairs
 
 
 @functools.cache

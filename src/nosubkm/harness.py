@@ -17,6 +17,11 @@ import io
 import json
 import math
 import numbers
+import os
+import signal
+import sys
+import threading
+import types
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -277,29 +282,31 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
     `math.fsum` of `nearest_sq`'s distances, found on the √R grid. The
     stream becomes an array once, which the oracle, the selector and the
     scoring share.
+
+    The exact oracle runs first, in this process, so that it refuses an
+    instance past its limit before any arrival. Only the Lloyd oracle goes
+    to the helper process, one per process (`_beside_lloyd`): it computes
+    `lloyd_kmeans(X, ...).cost` while this process runs the arrivals, the
+    scoring and the lower estimate, on a second CPU where there is one.
+    The helper runs the same function on the same array, so the cost has
+    the same bits as an in-process call.
     """
     stream, lower = _materialize(spec)
-    n = len(stream)
     X = np.asarray(stream, dtype=np.float64)
-
-    # The oracle reads only the stream, so it may refuse one before any arrival.
     oracle_exact = spec.oracle == "exact"
     if oracle_exact:
+        # The oracle reads only the stream, so it may refuse one before any arrival.
         oracle_cost = optimal_kmeans(stream, spec.k).cost
+        trial = _select_and_score(spec, stream, X, lower)
     else:
-        oracle_cost = lloyd_kmeans(
-            X, spec.k, restarts=spec.lloyd_restarts, seed=_sub_seed(spec.seed, _SEED_LLOYD)
-        ).cost
-
-    clusterer = OnlineClusterer(spec.cluster_config())
-    decisions = clusterer._run(stream, X)  # the stream was checked when it was made
-
-    # A type-1 reject was within sqrt(R) of a center when it arrived, and
-    # neither S nor R shrinks, so the grid of the final R finds every
-    # point's distance but the type-2 rejects', which fall back to a scan.
-    achieved = math.fsum(
-        grid_nearest_sq(X, clusterer.selected_rows, clusterer.threshold).tolist()
-    )
+        trial, oracle_cost = _beside_lloyd(
+            lambda: _select_and_score(spec, stream, X, lower),
+            X,
+            spec.k,
+            spec.lloyd_restarts,
+            _sub_seed(spec.seed, _SEED_LLOYD),
+        )
+    clusterer, decisions, achieved, lower = trial
 
     ratio: float | str
     if oracle_cost > 0.0:
@@ -309,13 +316,9 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
         ratio = RATIO_ZERO_COST if achieved == 0.0 else RATIO_INFINITE
         within = achieved == 0.0
 
-    if lower is None:
-        seq, exact = lower_estimate(stream, spec.alpha, spec.k)
-        lower = (len(seq), exact)
-
     counters = clusterer.counters
     report = RunReport(
-        n=n,
+        n=len(stream),
         k=spec.k,
         centers_selected=len(clusterer.selected_indices),
         bootstrap_selections=counters.takes["bootstrap"],
@@ -335,6 +338,112 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
         seed=spec.seed,
     )
     return report, decisions
+
+
+def _select_and_score(
+    spec: TrialSpec, stream: list[Point], X: np.ndarray, lower: tuple[int, bool] | None
+) -> tuple[OnlineClusterer, list[Decision], float, tuple[int, bool]]:
+    """A trial's arrivals, its achieved cost, and its lower estimate
+    (length, exact) unless the ordering already found it."""
+    clusterer = OnlineClusterer(spec.cluster_config())
+    decisions = clusterer._run(stream, X)  # the stream was checked when it was made
+
+    # A type-1 reject was within sqrt(R) of a center when it arrived, and
+    # neither S nor R shrinks, so the grid of the final R finds every
+    # point's distance but the type-2 rejects', which fall back to a scan.
+    achieved = math.fsum(
+        grid_nearest_sq(X, clusterer.selected_rows, clusterer.threshold).tolist()
+    )
+    if lower is None:
+        seq, exact = lower_estimate(stream, spec.alpha, spec.k)
+        lower = (len(seq), exact)
+    return clusterer, decisions, achieved, lower
+
+
+# The Lloyd oracle's helper process, the parent's end of its pipe, and the
+# pid of the process that started it; None until the first Lloyd trial.
+_lloyd = None
+_lloyd_lock = threading.Lock()  # one request in the pipe at a time
+
+
+def _beside_lloyd(work, X: np.ndarray, k: int, restarts: int, seed: int):
+    """work()'s result, and `lloyd_kmeans(X, k, restarts, seed).cost`,
+    which the helper process computes while work() runs.
+
+    An exception that Lloyd raises in the helper is raised here, with its
+    type and message. A helper that died raises RuntimeError, and the next
+    call starts a new one; so does any exception while a request is in
+    the pipe, since its reply would answer the next request.
+    """
+    global _lloyd
+    if len(X) < k:  # Lloyd's own check, made before any arrival
+        raise ValueError(f"need at least k={k} points, got {len(X)}")
+    with _lloyd_lock:
+        if _lloyd is None or _lloyd[2] != os.getpid() or not _lloyd[0].is_alive():
+            _lloyd = _start_lloyd()
+        process, conn, _ = _lloyd
+        try:
+            conn.send((X, k, restarts, seed))
+            result = work()
+            reply = conn.recv()
+        except BaseException as exc:
+            _lloyd = None
+            process.kill()
+            process.join()
+            conn.close()
+            if isinstance(exc, (EOFError, OSError)):
+                raise RuntimeError(
+                    f"the Lloyd helper process ended (exit code {process.exitcode}) "
+                    "before it replied"
+                ) from exc
+            raise
+    if isinstance(reply, BaseException):
+        raise reply
+    return result, reply
+
+
+def _start_lloyd():
+    """Start the helper: a daemon `spawn` process that ends with this one,
+    on EOF of its pipe if this one is killed."""
+    import multiprocessing  # imported by the first Lloyd trial, not at start-up
+
+    context = multiprocessing.get_context("spawn")
+    conn, child_conn = context.Pipe()
+    process = context.Process(
+        target=_serve_lloyd, args=(child_conn,), name="nosubkm-lloyd", daemon=True
+    )
+    # The helper needs nothing of __main__, so it starts with a blank one:
+    # spawn would re-run the caller's script in it, and a script without a
+    # `__name__ == "__main__"` guard would fail there.
+    main = sys.modules["__main__"]
+    sys.modules["__main__"] = types.ModuleType("__main__")
+    try:
+        process.start()
+    finally:
+        sys.modules["__main__"] = main
+    child_conn.close()  # the helper's end, so that recv sees EOF once it ends
+    return process, conn, os.getpid()
+
+
+def _serve_lloyd(conn) -> None:
+    """The helper's loop: for each (X, k, restarts, seed) received, send
+    back Lloyd's cost, or the exception Lloyd raised, until EOF."""
+    # Ctrl-C reaches the whole process group; the parent handles it, and
+    # ends the helper if a request is in the pipe.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            X, k, restarts, seed = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = lloyd_kmeans(X, k, restarts=restarts, seed=seed).cost
+        except Exception as exc:
+            reply = exc
+        try:
+            conn.send(reply)
+        except OSError:  # the parent is gone
+            return
 
 
 def trial_seeds(master_seed: int, trials: int) -> list[int]:

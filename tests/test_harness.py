@@ -1,13 +1,21 @@
 import json
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from nosubkm import lower_bound
+import nosubkm
+from nosubkm import harness, lower_bound
 from nosubkm.cluster import OnlineClusterer
 from nosubkm.geometry import centroid, grid_nearest_sq, kmeans_cost
 from nosubkm.harness import (
@@ -277,19 +285,17 @@ class TestRunTrial:
         "oracle, n, k, message",
         [("exact", 20, 2, "exact limit 14"), ("lloyd", 2, 3, "at least k=3")],
     )
-    def test_oracle_refuses_before_any_arrival(self, oracle, n, k, message):
-        real = OnlineClusterer.process
-        calls = []
-
-        def counted(self, x):
-            calls.append(x)
-            return real(self, x)
-
+    def test_oracle_refuses_before_any_arrival(self, monkeypatch, oracle, n, k, message):
+        # A trial's arrivals go through _run. Lloyd's check is made in this
+        # process, so no request reaches a helper either.
+        monkeypatch.setattr(harness, "_lloyd", None)
+        monkeypatch.setattr(harness, "_start_lloyd", mock.Mock(side_effect=AssertionError))
+        arrivals = mock.Mock(side_effect=AssertionError("an arrival ran"))
+        monkeypatch.setattr(OnlineClusterer, "_run", arrivals)
         spec = TrialSpec(k=k, generator="uniform_box", gen_params={"n": n}, oracle=oracle)
-        with mock.patch.object(OnlineClusterer, "process", counted):
-            with pytest.raises(ValueError, match=message):
-                run_trial(spec)
-        assert calls == []
+        with pytest.raises(ValueError, match=message):
+            run_trial(spec)
+        arrivals.assert_not_called()
 
     def test_lloyd_oracle_on_larger_instance(self):
         spec = TrialSpec(
@@ -390,6 +396,169 @@ class TestRunTrial:
         report, _ = run_trial(spec)
         assert report.lower_estimate == length
         assert report.lower_exact
+
+
+LLOYD_TRIAL = {
+    "k": 3,
+    "generator": "gaussian_mixture",
+    "gen_params": {"n": 300, "k": 3, "d": 2},
+    "ordering": "shuffled",
+    "oracle": "lloyd",
+    "lloyd_restarts": 5,
+}
+
+
+def in_process_lloyd_cost(spec: TrialSpec) -> float:
+    X = np.asarray(materialize_stream(spec), dtype=np.float64)
+    seed = harness._sub_seed(spec.seed, harness._SEED_LLOYD)
+    return lloyd_kmeans(X, spec.k, restarts=spec.lloyd_restarts, seed=seed).cost
+
+
+def lloyd_helper():
+    assert harness._lloyd is not None
+    return harness._lloyd[0]
+
+
+def running(pid: int) -> bool:
+    """Whether the process pid exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+def package_env() -> dict[str, str]:
+    src = str(Path(nosubkm.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+class TestLloydHelper:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cost_is_the_in_process_cost(self, seed):
+        spec = TrialSpec(seed=seed, **LLOYD_TRIAL)
+        report, _ = run_trial(spec)
+        assert report.oracle_cost == in_process_lloyd_cost(spec)
+
+    @pytest.mark.parametrize("k, restarts, error", [(2, 0, ValueError), (2.0, 1, TypeError)])
+    def test_exception_in_the_helper_reaches_the_caller(self, k, restarts, error):
+        X = np.random.default_rng(4).normal(size=(30, 2))
+        with pytest.raises(error) as in_process:
+            lloyd_kmeans(X, k, restarts=restarts)
+        work = mock.Mock(return_value="done")
+        with pytest.raises(error) as helper:
+            harness._beside_lloyd(work, X, k, restarts, 0)
+        assert str(helper.value) == str(in_process.value)
+        work.assert_called_once()
+        # the same helper serves the next request
+        process = lloyd_helper()
+        done, cost = harness._beside_lloyd(work, X, 2, 1, 0)
+        assert done == "done" and cost == lloyd_kmeans(X, 2, restarts=1).cost
+        assert lloyd_helper() is process
+
+    def test_a_killed_helper_is_replaced(self):
+        spec = TrialSpec(seed=3, **LLOYD_TRIAL)
+        before, _ = run_trial(spec)
+        process = lloyd_helper()
+        os.kill(process.pid, signal.SIGKILL)
+        process.join(timeout=30)
+        assert not process.is_alive()
+        after, _ = run_trial(spec)
+        assert after.to_record() == before.to_record()
+        assert lloyd_helper().pid != process.pid
+
+    def test_an_interrupt_leaves_the_helper_to_its_process(self):
+        X = np.random.default_rng(7).normal(size=(40, 2))
+        harness._beside_lloyd(lambda: None, X, 2, 1, 0)
+        process = lloyd_helper()
+        os.kill(process.pid, signal.SIGINT)
+        time.sleep(0.2)
+        assert process.is_alive()
+        assert harness._beside_lloyd(lambda: None, X, 2, 1, 0)[1] == lloyd_kmeans(X, 2, restarts=1).cost
+        assert lloyd_helper() is process
+
+    def test_a_helper_that_dies_mid_call_raises_and_the_next_trial_runs(self):
+        spec = TrialSpec(seed=4, **LLOYD_TRIAL)
+        run_trial(spec)
+        process = lloyd_helper()
+
+        def kill():
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(timeout=30)
+            assert not process.is_alive()
+
+        # Lloyd on this many points takes far longer than the kill
+        X = np.random.default_rng(5).normal(size=(50_000, 2))
+        with pytest.raises(RuntimeError, match="helper process ended"):
+            harness._beside_lloyd(kill, X, 5, 20, 0)
+        report, _ = run_trial(spec)
+        assert report.oracle_cost == in_process_lloyd_cost(spec)
+
+    def test_threads_share_the_helper_one_request_at_a_time(self):
+        # Each thread's cost must be its own array's, which replies crossing
+        # between threads on the one pipe would break.
+        rng = np.random.default_rng(6)
+        inputs = [rng.normal(size=(int(rng.integers(50, 400)), 2)) for _ in range(6)]
+        expected = [lloyd_kmeans(X, 3, restarts=2).cost for X in inputs]
+        got = [[] for _ in inputs]
+
+        def client(i):
+            for _ in range(4):
+                got[i].append(harness._beside_lloyd(lambda: i, inputs[i], 3, 2, 0))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(len(inputs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[(i, cost)] * 4 for i, cost in enumerate(expected)]
+
+    def test_import_starts_no_helper(self):
+        script = "import sys, nosubkm.cli, nosubkm.harness; print('multiprocessing' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=package_env()
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads /proc")
+    @pytest.mark.parametrize("ending", ["exit", "kill"])
+    def test_no_helper_outlives_its_process(self, tmp_path, ending):
+        # a script without a __main__ guard, which spawn would re-run
+        script = tmp_path / "trial.py"
+        script.write_text(
+            "import os, signal, sys\n"
+            "from nosubkm import harness\n"
+            "spec = harness.TrialSpec(k=2, generator='uniform_box', gen_params={'n': 40}, oracle='lloyd')\n"
+            "harness.run_trial(spec)\n"
+            "print(harness._lloyd[0].pid, flush=True)\n"
+            "if sys.argv[1] == 'kill':\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        # The helper inherits the script's output files, so pipes would
+        # wait for it to end; files do not.
+        out, err = tmp_path / "out", tmp_path / "err"
+        with out.open("w") as stdout, err.open("w") as stderr:
+            code = subprocess.run(
+                [sys.executable, "-W", "error", str(script), ending],
+                stdout=stdout,
+                stderr=stderr,
+                env=package_env(),
+                timeout=120,
+            ).returncode
+        assert code == (0 if ending == "exit" else -signal.SIGKILL), err.read_text()
+        assert err.read_text() == ""
+        pid = int(out.read_text())
+        deadline = time.monotonic() + 10
+        while running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not running(pid)
 
 
 class TestScoring:
