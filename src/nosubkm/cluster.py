@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -79,6 +79,7 @@ import numpy as np
 from .geometry import (
     CellGrid,
     Point,
+    check_int,
     check_point,
     grid_below_sq,
     near_pairs,
@@ -103,7 +104,7 @@ def step_uniform(seed: int, t: int) -> float:
     1, so this is `(Philox(key=seed & (2**64 - 1)).random_raw(t + 1)[t]
     >> 11) * 2**-53`.
     """
-    k0, k1 = seed & _U64, 0
+    k0, k1 = operator.index(seed) & _U64, 0
     c0, c1, c2, c3 = t // 4 + 1, 0, 0, 0
     for _ in range(10):
         p0 = _PHILOX_M0 * c0
@@ -150,7 +151,8 @@ def uniform_draws(seed: int, t0: int, n: int) -> list[float]:
     for 0 <= t0 and t0 + n <= 2^64: words t0..t0 + n - 1 of numpy's raw
     Philox stream, from one call on the counter block that holds word t0."""
     skip = t0 % 4
-    raw = np.random.Philox(key=seed & _U64, counter=t0 // 4).random_raw(skip + n)[skip:]
+    key = operator.index(seed) & _U64
+    raw = np.random.Philox(key=key, counter=t0 // 4).random_raw(skip + n)[skip:]
     return ((raw >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
 
 
@@ -166,15 +168,16 @@ class ClusterConfig:
     c_double: float = 289.0  # selection-count factor before R doubles
     c_type2: float = 12.0  # numerator coefficient of the population rule
     mode: str = "full"  # one of MODES
-    seed: int = 0
+    seed: int = 0  # any int; the draws read it mod 2^64
 
     def __post_init__(self):
-        if not isinstance(self.k, numbers.Integral):
-            raise ValueError(f"k must be an int, got {self.k!r}")
-        if self.bootstrap is not None and not isinstance(self.bootstrap, numbers.Integral):
-            raise ValueError(f"bootstrap must be an int, got {self.bootstrap!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        check_int("k", self.k, 1)
+        if self.bootstrap is not None:
+            check_int("bootstrap", self.bootstrap)
+        # Checked here, since the draws first read the seed at the first
+        # arrival past the bootstrap, once that arrival has moved t and the
+        # sketch; kept as a Python int, so a numpy one draws as its value.
+        object.__setattr__(self, "seed", check_int("seed", self.seed))
         if self.bootstrap is not None and self.bootstrap < self.k:
             raise ValueError(
                 f"bootstrap ({self.bootstrap}) must be >= k ({self.k})"

@@ -28,10 +28,9 @@ that lie in its cells; with no grid the order is the rows' own and the
 one run is all of them, so each pair is measured once either way.
 
 The exact searches run on tables over all 2**n subsets of a small set
-(`subset_tables`, or `subset_pairs` where only the pairs are read).
-`least_partition`, one layer of `min_over_splits` per part over the
-split table `_splits`, gives `l_fold_diameter` with np.maximum on
-diameters and the exact k-means oracle with np.add.
+(`subset_tables`). `least_partition`, one layer of `min_over_splits` per
+part over the split table `_splits`, gives `l_fold_diameter` with
+np.maximum on diameters and the exact k-means oracle with np.add.
 `min_over_splits_at` folds the splits of chosen masks only, for
 `lower_bound.lower_exact`'s last fold level.
 
@@ -80,6 +79,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
+import operator
 import sys
 from bisect import bisect_left, insort
 from typing import Callable, Sequence
@@ -144,6 +145,19 @@ def require(ok: bool, message: str) -> None:
     test, which `python -O` does not strip as it strips `assert`."""
     if not ok:
         raise AssertionError(message)
+
+
+def check_int(name: str, value, least: int | None = None) -> int:
+    """value as a Python int, or ValueError naming it unless it is an
+    integer (numpy's included) and, where `least` is given, at least that.
+    The check of the counts and seeds that configs, specs and generators
+    take, so that a bad one is refused by name before numpy or an arrival
+    reads it."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return operator.index(value)
 
 
 # Euclidean distance between two points of equal dimension; math.dist
@@ -580,8 +594,8 @@ def l_fold_diameter(points: Sequence[Point], l: int) -> float:
     """Smallest D such that `points` splits into l parts of diameter <= D.
 
     Exact up to EXACT_PARTITION_LIMIT points: `least_partition` with
-    np.maximum on every subset's diameter (`subset_pairs`), a maximum of
-    `distance_table` entries or 0.0. Beyond, a certified upper bound from
+    np.maximum on every subset's diameter (`subset_tables`' pairs), a
+    maximum of `distance_table` entries or 0.0. Beyond, a certified upper bound from
     greedy farthest-point splitting. Three closed forms are exact at any
     size and build no table: |points| <= l gives 0.0; l + 1 points give
     the closest pair's `dist`, since some part holds two points and the
@@ -597,7 +611,7 @@ def l_fold_diameter(points: Sequence[Point], l: int) -> float:
     if len(points) == l + 1:
         return min(dist(a, b) for a, b in itertools.combinations(points, 2))
     if l > 1 and len(points) <= EXACT_PARTITION_LIMIT:
-        diam = subset_pairs(distance_table(points), np.maximum, 0.0)
+        diam = subset_tables(distance_table(points), np.maximum, 0.0)[1]
         return least_partition(diam, l, np.maximum)[0]
     return _greedy_partition_diameter(points, l)
 
@@ -633,25 +647,6 @@ def subset_tables(
         combine(pairs[:lo], rows[:lo, i], out=pairs[lo:hi])
         combine(rows[:lo], table[i], out=rows[lo:hi])
     return rows, pairs
-
-
-def subset_pairs(table: np.ndarray, combine: np.ufunc, empty: float) -> np.ndarray:
-    """`subset_tables(table, combine, empty)[1]`, to the bit, from only the
-    member rows that the pairs read: the masks whose highest member is i
-    read column i of the rows below 1 << i, so step i extends only the
-    columns after i, and no step writes the rows from 2**(n-1) on. The
-    rows are kept column by column, so each column is one contiguous run."""
-    n = len(table)
-    columns = np.empty((n, 1 << max(n - 1, 0)))  # columns[x, S]: rows[S, x]
-    columns[:, 0] = empty
-    pairs = np.empty(1 << n)
-    pairs[0] = empty
-    for i in range(n):
-        lo, hi = 1 << i, 2 << i
-        combine(pairs[:lo], columns[i, :lo], out=pairs[lo:hi])
-        if i + 1 < n:
-            combine(columns[i + 1 :, :lo], table[i, i + 1 :, None], out=columns[i + 1 :, lo:hi])
-    return pairs
 
 
 @functools.cache

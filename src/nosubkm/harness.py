@@ -16,7 +16,6 @@ import inspect
 import io
 import json
 import math
-import numbers
 import os
 import signal
 import sys
@@ -29,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .cluster import ClusterConfig, Decision, OnlineClusterer
-from .geometry import Point, check_point, grid_nearest_sq
+from .geometry import Point, check_int, check_point, grid_nearest_sq
 # lower_exact and lower_greedy are not called here but stay importable from
 # this module: the benchmark's traced run wraps them under these names too.
 from .lower_bound import (  # noqa: F401
@@ -110,8 +109,8 @@ def _generator(kind: str, params: dict):
     for name, value in params.items():
         if name not in known:
             raise ValueError(f"{kind} takes no parameter {name!r}; choose from {sorted(known)}")
-        if name in _COUNTS and not isinstance(value, numbers.Integral):
-            raise ValueError(f"{kind} parameter {name!r} must be an int, got {value!r}")
+        if name in _COUNTS:
+            check_int(f"{kind} parameter {name!r}", value)
     missing = sorted(required - params.keys())
     if missing:
         raise ValueError(f"{kind} is missing required parameters {missing}")
@@ -193,6 +192,8 @@ class TrialSpec:
     bootstrap: int | None = None
 
     def __post_init__(self):
+        # numpy's seed sequences take non-negative ints only
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
         # k, bootstrap and mode go through the selector's own validator
         self.cluster_config()
         if (self.input_path is None) == (self.generator is None):
@@ -205,10 +206,7 @@ class TrialSpec:
             raise ValueError(f"oracle must be one of {ORACLES}")
         # every trial runs lower_estimate at this alpha, whatever the ordering
         _validate_alpha_k(self.alpha, self.k)
-        if not isinstance(self.lloyd_restarts, numbers.Integral):
-            raise ValueError(f"lloyd_restarts must be an int, got {self.lloyd_restarts!r}")
-        if self.lloyd_restarts < 1:
-            raise ValueError("lloyd_restarts must be >= 1")
+        check_int("lloyd_restarts", self.lloyd_restarts, 1)
 
     def cluster_config(self) -> ClusterConfig:
         """The selector's configuration, seeded from this spec's seed."""
@@ -288,8 +286,11 @@ def run_trial(spec: TrialSpec) -> tuple[RunReport, list[Decision]]:
     to the helper process, one per process (`_beside_lloyd`): it computes
     `lloyd_kmeans(X, ...).cost` while this process runs the arrivals, the
     scoring and the lower estimate, on a second CPU where there is one.
-    The helper runs the same function on the same array, so the cost has
-    the same bits as an in-process call.
+    The trial waits for it only once the helper has sent its ready
+    message, which a new helper sends after it has imported the package;
+    until then the trial runs the same call here, after its own work. The
+    helper runs the same function on the same array, so the cost has the
+    same bits either way.
     """
     stream, lower = _materialize(spec)
     X = np.asarray(stream, dtype=np.float64)
@@ -360,8 +361,8 @@ def _select_and_score(
     return clusterer, decisions, achieved, lower
 
 
-# The Lloyd oracle's helper process, the parent's end of its pipe, and the
-# pid of the process that started it; None until the first Lloyd trial.
+# The Lloyd oracle's helper process, as `_start_lloyd` returns it; None
+# until the first Lloyd trial.
 _lloyd = None
 _lloyd_lock = threading.Lock()  # one request in the pipe at a time
 
@@ -370,39 +371,79 @@ def _beside_lloyd(work, X: np.ndarray, k: int, restarts: int, seed: int):
     """work()'s result, and `lloyd_kmeans(X, k, restarts, seed).cost`,
     which the helper process computes while work() runs.
 
+    The helper sends one ready message once it has imported the package. A
+    call waits for its reply only if that message has come by the end of
+    work(); otherwise it runs the same `lloyd_kmeans` on the same array
+    here, and the helper's reply, when it comes, is read and dropped. No
+    request is sent while such a reply is owed, so each reply read answers
+    the request it was read for.
+
     An exception that Lloyd raises in the helper is raised here, with its
-    type and message. A helper that died raises RuntimeError, and the next
-    call starts a new one; so does any exception while a request is in
-    the pipe, since its reply would answer the next request.
+    type and message; one that Lloyd raises here leaves the helper as it
+    is. A helper that died raises RuntimeError, and the next call starts a
+    new one; so does any other exception while the helper is in use, since
+    a reply left in the pipe would answer the next request.
     """
     global _lloyd
     if len(X) < k:  # Lloyd's own check, made before any arrival
         raise ValueError(f"need at least k={k} points, got {len(X)}")
     with _lloyd_lock:
-        if _lloyd is None or _lloyd[2] != os.getpid() or not _lloyd[0].is_alive():
+        if _lloyd is None or _lloyd.pid != os.getpid() or not _lloyd.process.is_alive():
             _lloyd = _start_lloyd()
-        process, conn, _ = _lloyd
+        helper = _lloyd
         try:
-            conn.send((X, k, restarts, seed))
+            helper.catch_up()
+            sent = not helper.owed
+            if sent:
+                helper.conn.send((X, k, restarts, seed))
             result = work()
-            reply = conn.recv()
+            helper.catch_up()
+            waited = sent and helper.ready
+            if waited:
+                reply = helper.conn.recv()
+            elif sent:
+                helper.owed = True
         except BaseException as exc:
             _lloyd = None
-            process.kill()
-            process.join()
-            conn.close()
+            helper.process.kill()
+            helper.process.join()
+            helper.conn.close()
             if isinstance(exc, (EOFError, OSError)):
                 raise RuntimeError(
-                    f"the Lloyd helper process ended (exit code {process.exitcode}) "
+                    f"the Lloyd helper process ended (exit code {helper.process.exitcode}) "
                     "before it replied"
                 ) from exc
             raise
+    if not waited:
+        reply = lloyd_kmeans(X, k, restarts=restarts, seed=seed).cost
     if isinstance(reply, BaseException):
         raise reply
     return result, reply
 
 
-def _start_lloyd():
+class _LloydHelper:
+    """The parent's end of the helper: the process, its pipe, the pid of
+    the process that started it, whether its ready message has been read,
+    and whether a reply is owed that answers no call."""
+
+    def __init__(self, process, conn):
+        self.process = process
+        self.conn = conn
+        self.pid = os.getpid()
+        self.ready = False
+        self.owed = False
+
+    def catch_up(self) -> None:
+        """Read the ready message, then the owed reply, as far as they have come."""
+        while (not self.ready or self.owed) and self.conn.poll():
+            self.conn.recv()
+            if self.ready:
+                self.owed = False  # the owed reply, dropped
+            else:
+                self.ready = True
+
+
+def _start_lloyd() -> _LloydHelper:
     """Start the helper: a daemon `spawn` process that ends with this one,
     on EOF of its pipe if this one is killed."""
     import multiprocessing  # imported by the first Lloyd trial, not at start-up
@@ -422,16 +463,22 @@ def _start_lloyd():
     finally:
         sys.modules["__main__"] = main
     child_conn.close()  # the helper's end, so that recv sees EOF once it ends
-    return process, conn, os.getpid()
+    return _LloydHelper(process, conn)
 
 
 def _serve_lloyd(conn) -> None:
-    """The helper's loop: for each (X, k, restarts, seed) received, send
-    back Lloyd's cost, or the exception Lloyd raised, until EOF."""
+    """The helper's loop: send the ready message, then, for each (X, k,
+    restarts, seed) received, send back Lloyd's cost, or the exception
+    Lloyd raised, until EOF or until the parent is gone."""
     # Ctrl-C reaches the whole process group; the parent handles it, and
     # ends the helper if a request is in the pipe.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    reply = "ready"  # the first message: the imports are done
     while True:
+        try:
+            conn.send(reply)
+        except OSError:  # the parent is gone
+            return
         try:
             X, k, restarts, seed = conn.recv()
         except EOFError:
@@ -440,10 +487,6 @@ def _serve_lloyd(conn) -> None:
             reply = lloyd_kmeans(X, k, restarts=restarts, seed=seed).cost
         except Exception as exc:
             reply = exc
-        try:
-            conn.send(reply)
-        except OSError:  # the parent is gone
-            return
 
 
 def trial_seeds(master_seed: int, trials: int) -> list[int]:
@@ -463,8 +506,7 @@ def run_experiment(
     the trial table only (the aggregate is returned, and the CLI prints it
     when the report goes to a file).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_int("trials", trials, 1)
     if out_format not in REPORT_FORMATS:
         raise ValueError(f"out_format must be one of {REPORT_FORMATS}")
 

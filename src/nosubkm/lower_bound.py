@@ -12,7 +12,6 @@ sequence as the tuple of its indices into the set.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Sequence
 
 import numpy as np
@@ -20,12 +19,12 @@ import numpy as np
 from .geometry import (
     COORD_LIMIT,
     Point,
+    check_int,
     dist,
     distance_table,
     l_fold_diameter,
     min_over_splits,
     min_over_splits_at,
-    subset_pairs,
     subset_tables,
 )
 
@@ -95,8 +94,7 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> tuple[int, ...
     The search runs on tables over all 2**n subsets (`subset_tables`), built
     once per call from one table of pairwise distances with the bits of
     `dist`: every point's distance to each subset's nearest member, each
-    subset's closest pair and diameter (`subset_pairs`, which builds only
-    the member rows the pairs read), and its l-fold diameters for
+    subset's closest pair and diameter, and its l-fold diameters for
     l = 2 .. k - 2 (`min_over_splits` with np.maximum). The (k-1)-fold
     diameter that a threshold needs is read per layer at the layer's
     subsets only: 0 below k points, the closest pair at k, and beyond the
@@ -130,7 +128,7 @@ def lower_exact(points: Sequence[Point], alpha: float, k: int) -> tuple[int, ...
     # nearest[mask, j]: the distance from point j to mask's nearest member
     # closest[mask]: the distance between its closest pair of members
     nearest, closest = subset_tables(table, np.minimum, math.inf)
-    diam = subset_pairs(table, np.maximum, 0.0)  # diam[mask]: its diameter
+    diam = subset_tables(table, np.maximum, 0.0)[1]  # diam[mask]: its diameter
     # The l-fold diameters of every subset, from l = 1 to k - 2, which only
     # the layers of more than k points read.
     fold = diam
@@ -277,7 +275,4 @@ def _validate_alpha_k(alpha: float, k: int) -> None:
     # NaN fails too; inf would give short prefixes a threshold inf * 0 = NaN
     if not 1 < alpha < math.inf:
         raise ValueError(f"alpha must be > 1 and finite, got {alpha}")
-    if not isinstance(k, numbers.Integral):
-        raise ValueError(f"k must be an int, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_int("k", k, 1)

@@ -143,6 +143,7 @@ class TestSubcommands:
             (["--gen-params", "n=1e3"], "'n' must be an int"),
             (["--gen-params", "n=8", "--bootstrap", "1"], "bootstrap (1) must be >= k (2)"),
             ([], "missing required parameters ['n']"),
+            (["--gen-params", "n=8", "--seed", "-1"], "seed must be >= 0, got -1"),
         ],
     )
     def test_invalid_spec_is_a_usage_error(self, capsys, options, message):

@@ -51,6 +51,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="bootstrap must be an int"):
             ClusterConfig(k=2, bootstrap=bootstrap)
 
+    @pytest.mark.parametrize("seed", [1.5, "7", None])
+    def test_seed_that_is_not_an_int_rejected(self, seed):
+        # unchecked, it fails only at the first arrival past the bootstrap,
+        # after that arrival has moved t and the sketch
+        with pytest.raises(ValueError, match="seed must be an int"):
+            ClusterConfig(k=2, seed=seed)
+
+    def test_numpy_integer_seed_decides_as_its_int(self):
+        config = ClusterConfig(k=2, seed=np.int64(5))
+        assert type(config.seed) is int and config == ClusterConfig(k=2, seed=5)
+        rng = np.random.default_rng(3)
+        stream = [tuple(p) for p in rng.normal(size=(300, 2)).tolist()]
+        numpy_seeded = OnlineClusterer(config)
+        int_seeded = OnlineClusterer(ClusterConfig(k=2, seed=5))
+        assert [numpy_seeded.process(x) for x in stream] == [int_seeded.process(x) for x in stream]
+
     @pytest.mark.parametrize("name", ["c_raise", "c_double", "c_type2"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_constants_must_be_positive_and_finite(self, name, value):
@@ -288,6 +304,11 @@ class TestUniformDraws:
     def test_equals_step_uniform(self, seed, t0, n):
         expected = [step_uniform(seed, t) for t in range(t0, t0 + n)]
         assert uniform_draws(seed, t0, n) == expected
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2**64 - 1), np.int32(-3)])
+    def test_numpy_integer_seed(self, seed):
+        assert step_uniform(seed, 9) == step_uniform(int(seed), 9)
+        assert uniform_draws(seed, 9, 5) == uniform_draws(int(seed), 9, 5)
 
     def test_block_wraps_the_key_as_step_uniform_does(self):
         # the key wraps mod 2^64 as it is bumped each round, and the last

@@ -234,18 +234,6 @@ class TestLFoldDiameter:
                 assert l_fold_diameter(pts, l) == pytest.approx(best, abs=1e-12)
 
 
-class TestSubsetPairs:
-    @pytest.mark.parametrize("combine, empty", [(np.maximum, 0.0), (np.minimum, math.inf), (np.add, 0.0)])
-    def test_pairs_of_subset_tables_to_the_bit(self, combine, empty):
-        # asymmetric tables whose entries span decades, so that another
-        # order of combining would change the sums' last bits
-        rng = np.random.default_rng(11)
-        for n in range(13):
-            table = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-6, 7, size=(n, n))
-            expected = geometry.subset_tables(table, combine, empty)[1]
-            assert geometry.subset_pairs(table, combine, empty).tobytes() == expected.tobytes()
-
-
 class TestCheckPoint:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):

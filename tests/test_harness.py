@@ -178,6 +178,13 @@ class TestTrialSpec:
         with pytest.raises(ValueError, match="k must be an int"):
             TrialSpec(k=2.5, generator="uniform_box", gen_params={"n": 5})
 
+    @pytest.mark.parametrize(
+        "seed, message", [(1.5, "seed must be an int, got 1.5"), (-1, "seed must be >= 0, got -1")]
+    )
+    def test_bad_seed_rejected_before_numpy_reads_it(self, seed, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrialSpec(k=2, generator="uniform_box", gen_params={"n": 5}, seed=seed)
+
     def test_lloyd_restarts_that_is_not_an_int_rejected(self):
         with pytest.raises(ValueError, match="lloyd_restarts must be an int"):
             TrialSpec(k=2, generator="uniform_box", gen_params={"n": 5}, lloyd_restarts=2.5)
@@ -416,7 +423,32 @@ def in_process_lloyd_cost(spec: TrialSpec) -> float:
 
 def lloyd_helper():
     assert harness._lloyd is not None
-    return harness._lloyd[0]
+    return harness._lloyd.process
+
+
+def serving_helper():
+    """The helper process once it serves: its ready message read and no
+    reply owed. Each call's work waits for the helper's next message."""
+
+    def wait():
+        assert harness._lloyd.conn.poll(60), "the helper sent nothing in 60 s"
+
+    X = np.random.default_rng(0).normal(size=(20, 2))
+    while harness._lloyd is None or not harness._lloyd.ready or harness._lloyd.owed:
+        harness._beside_lloyd(wait, X, 2, 1, 0)
+    return lloyd_helper()
+
+
+@pytest.fixture
+def new_helper(monkeypatch):
+    """No helper before the test, so its first Lloyd call starts one; the
+    one it started is ended after it."""
+    monkeypatch.setattr(harness, "_lloyd", None)
+    yield
+    if harness._lloyd is not None:
+        harness._lloyd.process.kill()
+        harness._lloyd.process.join()
+        harness._lloyd.conn.close()
 
 
 def running(pid: int) -> bool:
@@ -433,6 +465,35 @@ def package_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
+def share_among_threads(serving) -> None:
+    """Six threads call the helper, each four times and then until
+    serving() holds. Each thread's cost must be its own array's, which
+    replies crossing between threads on the one pipe would break."""
+    rng = np.random.default_rng(6)
+    inputs = [rng.normal(size=(int(rng.integers(50, 400)), 2)) for _ in range(6)]
+    expected = [lloyd_kmeans(X, 3, restarts=2).cost for X in inputs]
+    got = [[] for _ in inputs]
+    deadline = time.monotonic() + 60
+
+    def client(i):
+        while len(got[i]) < 4 or not serving() and time.monotonic() < deadline:
+            got[i].append(harness._beside_lloyd(lambda: i, inputs[i], 3, 2, 0))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(len(inputs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert serving()
+    assert got == [[(i, cost)] * len(got[i]) for i, cost in enumerate(expected)]
+
+
 class TestLloydHelper:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_cost_is_the_in_process_cost(self, seed):
@@ -445,13 +506,13 @@ class TestLloydHelper:
         X = np.random.default_rng(4).normal(size=(30, 2))
         with pytest.raises(error) as in_process:
             lloyd_kmeans(X, k, restarts=restarts)
+        process = serving_helper()
         work = mock.Mock(return_value="done")
         with pytest.raises(error) as helper:
             harness._beside_lloyd(work, X, k, restarts, 0)
         assert str(helper.value) == str(in_process.value)
         work.assert_called_once()
         # the same helper serves the next request
-        process = lloyd_helper()
         done, cost = harness._beside_lloyd(work, X, 2, 1, 0)
         assert done == "done" and cost == lloyd_kmeans(X, 2, restarts=1).cost
         assert lloyd_helper() is process
@@ -459,7 +520,7 @@ class TestLloydHelper:
     def test_a_killed_helper_is_replaced(self):
         spec = TrialSpec(seed=3, **LLOYD_TRIAL)
         before, _ = run_trial(spec)
-        process = lloyd_helper()
+        process = serving_helper()
         os.kill(process.pid, signal.SIGKILL)
         process.join(timeout=30)
         assert not process.is_alive()
@@ -469,8 +530,7 @@ class TestLloydHelper:
 
     def test_an_interrupt_leaves_the_helper_to_its_process(self):
         X = np.random.default_rng(7).normal(size=(40, 2))
-        harness._beside_lloyd(lambda: None, X, 2, 1, 0)
-        process = lloyd_helper()
+        process = serving_helper()
         os.kill(process.pid, signal.SIGINT)
         time.sleep(0.2)
         assert process.is_alive()
@@ -480,7 +540,7 @@ class TestLloydHelper:
     def test_a_helper_that_dies_mid_call_raises_and_the_next_trial_runs(self):
         spec = TrialSpec(seed=4, **LLOYD_TRIAL)
         run_trial(spec)
-        process = lloyd_helper()
+        process = serving_helper()
 
         def kill():
             os.kill(process.pid, signal.SIGKILL)
@@ -494,30 +554,43 @@ class TestLloydHelper:
         report, _ = run_trial(spec)
         assert report.oracle_cost == in_process_lloyd_cost(spec)
 
-    def test_threads_share_the_helper_one_request_at_a_time(self):
-        # Each thread's cost must be its own array's, which replies crossing
-        # between threads on the one pipe would break.
-        rng = np.random.default_rng(6)
-        inputs = [rng.normal(size=(int(rng.integers(50, 400)), 2)) for _ in range(6)]
+    def test_a_new_helper_is_not_waited_for(self, new_helper):
+        # Spawning the helper and importing the package take far longer
+        # than this work, so the call runs Lloyd here and owes the reply.
+        X = np.random.default_rng(8).normal(size=(40, 2))
+        done = harness._beside_lloyd(lambda: "done", X, 2, 1, 0)
+        assert done == ("done", lloyd_kmeans(X, 2, restarts=1).cost)
+        assert not harness._lloyd.ready and harness._lloyd.owed
+
+    def test_each_reply_answers_its_own_call(self, new_helper):
+        # Calls made before the helper is up, and so while its first reply
+        # is owed, and calls that it serves each get their own array's cost.
+        rng = np.random.default_rng(9)
+        inputs = [rng.normal(size=(int(rng.integers(50, 400)), 2)) for _ in range(4)]
         expected = [lloyd_kmeans(X, 3, restarts=2).cost for X in inputs]
-        got = [[] for _ in inputs]
+        got = [harness._beside_lloyd(lambda: None, X, 3, 2, 0)[1] for X in inputs[:2]]
+        process = serving_helper()
+        got += [harness._beside_lloyd(lambda: None, X, 3, 2, 0)[1] for X in inputs[2:]]
+        assert got == expected
+        assert lloyd_helper() is process
+        assert harness._lloyd.ready and not harness._lloyd.owed
 
-        def client(i):
-            for _ in range(4):
-                got[i].append(harness._beside_lloyd(lambda: i, inputs[i], 3, 2, 0))
+    def test_an_exception_in_this_process_leaves_the_helper(self, new_helper):
+        X = np.random.default_rng(10).normal(size=(30, 2))
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            harness._beside_lloyd(lambda: None, X, 2, 0, 0)
+        process = lloyd_helper()
+        assert process.is_alive() and harness._lloyd.owed
+        # its reply to that request, the same exception, is dropped
+        assert serving_helper() is process
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=client, args=(i,)) for i in range(len(inputs))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == [[(i, cost)] * 4 for i, cost in enumerate(expected)]
+    def test_threads_share_the_helper_one_request_at_a_time(self):
+        share_among_threads(serving=lambda: True)
+
+    def test_threads_share_a_new_helper(self, new_helper):
+        # Threads take turns while the helper starts, runs Lloyd here and
+        # owes replies, until it serves them.
+        share_among_threads(serving=lambda: harness._lloyd.ready and not harness._lloyd.owed)
 
     def test_import_starts_no_helper(self):
         script = "import sys, nosubkm.cli, nosubkm.harness; print('multiprocessing' in sys.modules)"
@@ -528,17 +601,22 @@ class TestLloydHelper:
         assert result.stdout == "False\n"
 
     @pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads /proc")
-    @pytest.mark.parametrize("ending", ["exit", "kill"])
+    @pytest.mark.parametrize("ending", ["exit", "kill", "kill before ready"])
     def test_no_helper_outlives_its_process(self, tmp_path, ending):
-        # a script without a __main__ guard, which spawn would re-run
+        # A script without a __main__ guard, which spawn would re-run. The
+        # last ending kills the script while the helper is still importing,
+        # before it can send its ready message.
         script = tmp_path / "trial.py"
         script.write_text(
             "import os, signal, sys\n"
             "from nosubkm import harness\n"
-            "spec = harness.TrialSpec(k=2, generator='uniform_box', gen_params={'n': 40}, oracle='lloyd')\n"
-            "harness.run_trial(spec)\n"
-            "print(harness._lloyd[0].pid, flush=True)\n"
-            "if sys.argv[1] == 'kill':\n"
+            "if sys.argv[1] == 'kill before ready':\n"
+            "    harness._lloyd = harness._start_lloyd()\n"
+            "else:\n"
+            "    spec = harness.TrialSpec(k=2, generator='uniform_box', gen_params={'n': 40}, oracle='lloyd')\n"
+            "    harness.run_trial(spec)\n"
+            "print(harness._lloyd.process.pid, flush=True)\n"
+            "if sys.argv[1] != 'exit':\n"
             "    os.kill(os.getpid(), signal.SIGKILL)\n"
         )
         # The helper inherits the script's output files, so pipes would
@@ -588,6 +666,14 @@ class TestRunExperiment:
             trial["within_nine"]
         )
         assert result["aggregate"]["max_peak_aux_points"] == trial["peak_aux_points"]
+
+    @pytest.mark.parametrize(
+        "trials, message", [(2.5, "trials must be an int, got 2.5"), (0, "trials must be >= 1, got 0")]
+    )
+    def test_bad_trials_rejected(self, trials, message):
+        spec = TrialSpec(k=2, generator="uniform_box", gen_params={"n": 10, "d": 2})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(spec, trials=trials)
 
     def test_aggregate_means_are_exactly_rounded(self):
         # Added left to right in double precision, ten 0.1s make 0.9999999999999999.
