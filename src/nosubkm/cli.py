@@ -43,13 +43,6 @@ def parse_gen_params(text: str | None) -> dict:
     return params
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nosubkm",
@@ -77,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--order", dest="ordering", choices=ORDERINGS)
     run.add_argument("--alpha", type=float)
     run.add_argument("--mode", choices=MODES)
-    run.add_argument("--trials", type=positive_int)
+    run.add_argument("--trials", type=int)
     run.add_argument("--seed", type=int)
     run.add_argument("--oracle", choices=ORACLES)
     run.add_argument("--lloyd-restarts", type=int)

@@ -27,15 +27,13 @@ call's latency, since a run of fixed length then makes more calls.
 
 Two entry points, one transition. `process` and `_run` both decide each
 arrival with `_step`, and each event (a take, a sketch insert, a change of
-the sketch's centers, a raise of R, a doubling, the population rule's
-probability) has one method, which `_step` calls. A change of the centers
-(`_insert` returns None, or the sketch is built) stores the population
-rule's gap and marks a raise due (`_sketch_changed`), so the rule choice
-costs one comparison per arrival, and the raise is tested at the first
-type-1 step after a change. That decides as a test at every type-1 step
-would: P changes only with the centers, R never falls, and every test
-leaves P^2 / (c_raise k ln(k+10)) <= R, so no raise can fire before the
-next change, a doubling included. An absorb leaves the centers as they
+the sketch's centers, a doubling, the population rule's probability) has
+one method, which `_step` calls; a raise of R is the one comparison at the
+head of `_step`'s type-1 branch. A change of the centers (`_insert` returns
+None, or the sketch is built) stores the population rule's gap and the
+raise target P^2 / (c_raise k ln(k+10)) (`_sketch_changed`), which both
+change only with the centers, so the rule choice and the raise test each
+cost one comparison per arrival. An absorb leaves the centers as they
 were, so the population rule reads the absorbing center's count, which a
 fresh nearest search would find.
 
@@ -230,9 +228,9 @@ class OnlineClusterer:
         self.selected_indices: list[int] = []
         self.selections_since_reset = 0  # F
         self.sketch: KCenterSketch | None = None
-        # `_type2_gap()` and whether a raise is due, set by `_sketch_changed`
+        # `_type2_gap()` and `_raise_target()`, stored by `_sketch_changed`
         self._gap = 0.0
-        self._raise_due = False
+        self._raise_to = 0.0
         self.t = 0
         self.counters = _RunCounters()
         # the draws of arrivals _draws_t, _draws_t + 1, ...
@@ -269,8 +267,8 @@ class OnlineClusterer:
         The selected indices strictly increase within 1..t, one per
         selected point, and the takes counted by rule sum to their number;
         F is at most the doubling limit at t; the sketch exists from t = k
-        on and has seen every arrival; the stored gap is `_type2_gap()`,
-        and unless a raise is due, R is at least the raise target; the draw
+        on and has seen every arrival; the stored gap is `_type2_gap()`
+        and the stored raise target `_raise_target()`; the draw
         buffer, once filled, holds _DRAW_BLOCK draws from an arrival after
         the bootstrap, and its first and last entries are `step_uniform`'s.
         """
@@ -304,8 +302,8 @@ class OnlineClusterer:
             require(self._gap == gap, f"stored gap {self._gap} is not the sketch's {gap}")
             raise_to = self._raise_target()
             require(
-                self._raise_due or raise_to <= self.threshold,
-                f"no raise is due, but the raise target {raise_to} is above R = {self.threshold}",
+                self._raise_to == raise_to,
+                f"stored raise target {self._raise_to} is not the sketch's {raise_to}",
             )
         draws, first = self._draws, self._draws_t
         if draws:
@@ -401,12 +399,14 @@ class OnlineClusterer:
             prob = self._type2_probability(x, holder)
         else:
             processing = "type1"
-            if self._raise_due:
-                self._raise_threshold()
+            threshold = self._selected.threshold
+            if self._raise_to > threshold:
+                threshold = self._raise_to
+                self._set_threshold(threshold)
+                self.counters.raises += 1
             # Exact below R; at or above R only its size matters, since
             # prob = min(1, d2 / R) is then 1.0.
             d2 = self._selected.min_sq_dist(x) if window is None else window.d2(t)
-            threshold = self._selected.threshold
             if threshold > 0.0:
                 prob = min(1.0, d2 / threshold)
             else:
@@ -439,9 +439,9 @@ class OnlineClusterer:
 
     def _sketch_changed(self) -> None:
         """The sketch was built, or an arrival became a center: store the
-        gap, mark a raise due and tally the peak of |Z|."""
+        gap and the raise target, and tally the peak of |Z|."""
         self._gap = self._type2_gap()
-        self._raise_due = True
+        self._raise_to = self._raise_target()
         self.counters.peak_aux_points = max(self.counters.peak_aux_points, len(self.sketch))
 
     def _type2_gap(self) -> float:
@@ -468,15 +468,6 @@ class OnlineClusterer:
         """P**2 / (c_raise k ln(k+10)), the value R is raised to."""
         cfg = self.config
         return self.sketch.radius**2 / (cfg.c_raise * cfg.k * self._ln_k10)
-
-    def _raise_threshold(self) -> None:
-        """Raise R to the raise target where that is above it, and mark no
-        raise due."""
-        self._raise_due = False
-        raise_to = self._raise_target()
-        if raise_to > self.threshold:
-            self._set_threshold(raise_to)
-            self.counters.raises += 1
 
     def _count_type1_take(self, t: int) -> None:
         """Count a type-1 take at arrival t in F, and double R if F passes

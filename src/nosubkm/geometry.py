@@ -604,8 +604,7 @@ def l_fold_diameter(points: Sequence[Point], l: int) -> float:
     """
     if not points:
         raise ValueError("points must be nonempty")
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
+    l = check_int("l", l, 1)
     if len(points) <= l:
         return 0.0
     if len(points) == l + 1:

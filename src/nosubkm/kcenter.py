@@ -51,7 +51,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import Point, check_point, dist, require
+from .geometry import Point, check_int, check_point, dist, require
 
 
 @dataclass
@@ -78,8 +78,7 @@ class KCenterSketch:
     """Single-owner mutable sketch; one insert at a time."""
 
     def __init__(self, first_points: Sequence[Point], k: int):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        k = check_int("k", k, 1)
         if len(first_points) != k:
             raise ValueError(
                 f"init needs exactly k={k} points, got {len(first_points)}"

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, _sum_sq, least_partition, nearest_sq, subset_tables
+from .geometry import Point, _sum_sq, check_int, least_partition, nearest_sq, subset_tables
 
 # Largest instance the exact solver accepts, by k; 10 for every k above 3,
 # and none for k = 1, which has a closed form. Its subset tables have 2**n
@@ -76,8 +76,7 @@ def optimal_kmeans(points: Sequence[Point], k: int) -> Clustering:
     centroids. Raises when the instance exceeds the exact limit; use
     lloyd_kmeans there instead.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = check_int("k", k, 1)
     if not points:
         raise ValueError("points must be nonempty")
     if len(set(map(len, points))) > 1:
@@ -122,12 +121,10 @@ def lloyd_kmeans(
     center can differ from it by an ulp; the reported cost is computed from
     the final labels alone, through `math.fsum` centroids.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = check_int("k", k, 1)
     if len(points) < k:
         raise ValueError(f"need at least k={k} points, got {len(points)}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    restarts = check_int("restarts", restarts, 1)
     # One copy with each coordinate's column contiguous, which the distance
     # passes and the centroid sums read: on the eight seed-1 `lloyd_trial`
     # inputs a call took 0.85x the time of a row-major array (2-CPU Xeon,

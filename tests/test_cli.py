@@ -167,7 +167,7 @@ class TestSubcommands:
                 ["gen", "--kind", "uniform_box", "--gen-params", "n=4", "--out", "no/x.csv"],
                 "No such file",
             ),
-            (["run", *SOURCE, "--trials", "0"], "argument --trials: must be >= 1, got 0"),
+            (["run", *SOURCE, "--trials", "0"], "trials must be >= 1, got 0"),
             (["run", "--input", "missing.csv", "--k", "2"], "No such file"),
             (["run", "--input", "ragged.csv", "--k", "2"], "line 2: expected 2 values, got 1"),
             (["lower", "--input", "missing.csv", "--k", "2"], "No such file"),

@@ -928,7 +928,7 @@ def state_snapshot(clusterer):
         list(clusterer.selected_indices),
         (clusterer.counters.raises, clusterer.counters.doublings),
         (dict(clusterer.counters.takes), clusterer.counters.peak_aux_points),
-        (clusterer._gap, clusterer._raise_due),
+        (clusterer._gap, clusterer._raise_to),
         None
         if sketch is None
         else (
@@ -1071,10 +1071,9 @@ def swap_two_indices(clusterer):
     idx[3], idx[4] = idx[4], idx[3]
 
 
-def grow_radius_with_no_raise_due(clusterer):
+def grow_radius(clusterer):
     # P grows to where the raise target is twice R, as a fold could grow it
     clusterer.sketch.radius = math.sqrt(2.0 * clusterer.threshold * 24.0 * 3 * math.log(13))
-    clusterer._raise_due = False
 
 
 class TestCheck:
@@ -1084,8 +1083,11 @@ class TestCheck:
         clusterer.check()
         peak_f = 0
         for x in rng.normal(0, 5, size=(300, 2)).tolist():
-            clusterer.process(tuple(x))
+            decision = clusterer.process(tuple(x))
             clusterer.check()
+            # every type-1 step leaves R at or above the raise target
+            if decision.processing == "type1":
+                assert clusterer.threshold >= clusterer._raise_to
             peak_f = max(peak_f, clusterer.selections_since_reset)
         assert clusterer.counters.doublings > 1 and peak_f > 0
 
@@ -1113,7 +1115,7 @@ class TestCheck:
             (lambda c: c._refill_draws(c._draws_t, cluster._DRAW_BLOCK + 1), "draw buffer holds"),
             (lambda c: c._refill_draws(c._bootstrap + 1, 2), "draw buffer holds"),
             (lambda c: setattr(c, "_gap", math.nextafter(c._gap, math.inf)), "stored gap"),
-            (grow_radius_with_no_raise_due, "raise target"),
+            (grow_radius, "raise target"),
             (lambda c: c.counters.takes.__setitem__("type1", c.counters.takes["type1"] + 1), "take counts"),
         ],
     )

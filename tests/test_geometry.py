@@ -192,6 +192,10 @@ class TestLFoldDiameter:
         with pytest.raises(ValueError):
             l_fold_diameter([(0.0,)], 0)
 
+    def test_l_that_is_not_an_int(self):
+        with pytest.raises(ValueError, match="l must be an int, got 2.0"):
+            l_fold_diameter([(0.0,), (1.0,), (5.0,)], 2.0)
+
     def test_monotone_in_l_and_matches_diameter(self):
         rng = np.random.default_rng(6)
         for _ in range(30):

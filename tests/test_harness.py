@@ -501,15 +501,19 @@ class TestLloydHelper:
         report, _ = run_trial(spec)
         assert report.oracle_cost == in_process_lloyd_cost(spec)
 
-    @pytest.mark.parametrize("k, restarts, error", [(2, 0, ValueError), (2.0, 1, TypeError)])
-    def test_exception_in_the_helper_reaches_the_caller(self, k, restarts, error):
+    # a non-integer seed reaches numpy, which refuses it with TypeError
+    @pytest.mark.parametrize(
+        "k, restarts, seed, error",
+        [(2, 0, 0, ValueError), (2.0, 1, 0, ValueError), (2, 1, 1.5, TypeError)],
+    )
+    def test_exception_in_the_helper_reaches_the_caller(self, k, restarts, seed, error):
         X = np.random.default_rng(4).normal(size=(30, 2))
         with pytest.raises(error) as in_process:
-            lloyd_kmeans(X, k, restarts=restarts)
+            lloyd_kmeans(X, k, restarts=restarts, seed=seed)
         process = serving_helper()
         work = mock.Mock(return_value="done")
         with pytest.raises(error) as helper:
-            harness._beside_lloyd(work, X, k, restarts, 0)
+            harness._beside_lloyd(work, X, k, restarts, seed)
         assert str(helper.value) == str(in_process.value)
         work.assert_called_once()
         # the same helper serves the next request

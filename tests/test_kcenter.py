@@ -78,6 +78,10 @@ class TestInit:
         with pytest.raises(ValueError):
             KCenterSketch([(0.0,)], 2)
 
+    def test_k_that_is_not_an_int(self):
+        with pytest.raises(ValueError, match="k must be an int, got 2.0"):
+            KCenterSketch([(0.0,), (1.0,)], 2.0)
+
 
 class TestInsert:
     def test_absorb(self):

@@ -142,6 +142,10 @@ class TestOptimalKMeans:
         with pytest.raises(ValueError, match="lloyd_kmeans"):
             optimal_kmeans(pts, 2)
 
+    def test_k_that_is_not_an_int(self):
+        with pytest.raises(ValueError, match="k must be an int, got 2.5"):
+            optimal_kmeans([(0.0,), (1.0,), (5.0,)], 2.5)
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_mixed_dimensions_raise(self, k):
         with pytest.raises(ValueError, match="dimension"):
@@ -415,6 +419,14 @@ class TestLloydKMeans:
     def test_no_restarts_refused(self):
         with pytest.raises(ValueError, match="restarts"):
             lloyd_kmeans([(0.0,), (1.0,)], 1, restarts=0)
+
+    @pytest.mark.parametrize(
+        "k, restarts, message",
+        [(2.0, 1, "k must be an int, got 2.0"), (2, 1.0, "restarts must be an int, got 1.0")],
+    )
+    def test_counts_that_are_not_ints_refused(self, k, restarts, message):
+        with pytest.raises(ValueError, match=message):
+            lloyd_kmeans([(0.0,), (1.0,), (5.0,)], k, restarts=restarts)
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_centroid_step_has_the_per_cluster_mean_bits(self, monkeypatch, d):
